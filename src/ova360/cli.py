@@ -19,6 +19,8 @@ from fractions import Fraction
 from importlib import metadata
 from pathlib import Path
 
+import numpy as np
+
 from . import goldbach, goldens, landau, matrix, mersenne, ova, primality
 from .errors import (
     BoundError,
@@ -40,14 +42,11 @@ class RunConfig:
     scan_limit: int = goldbach.MAX_SCAN_LIMIT
     ll_max_p: int = mersenne.MAX_LL_EXPONENT
     factorial_max: int = primality.MAX_FACTORIAL_N
-    parallelism: int = 1
     golden_dir: Path | None = None
 
     def __post_init__(self):
         if self.format not in _FORMATS:
             raise DomainError(f"format must be one of {_FORMATS}")
-        if self.parallelism < 1:
-            raise DomainError("parallelism must be >= 1")
         caps = (
             (self.sieve_limit, primality.MAX_SIEVE_LIMIT),
             (self.scan_limit, goldbach.MAX_SCAN_LIMIT),
@@ -103,6 +102,17 @@ def _emit(cfg: RunConfig, payload, plain_lines, csv_lines=None) -> None:
     else:
         for line in plain_lines:
             print(line)
+
+
+def _witness_rows(first: int, best) -> str:
+    """CSV rows "n,p,q" for one scan block; n without a witness is left out."""
+    ns = first + 2 * np.arange(best.size, dtype=np.int64)
+    found = best != 0
+    rows = np.empty((int(found.sum()), 3), dtype=np.int64)
+    rows[:, 0] = ns[found]
+    rows[:, 1] = best[found]
+    rows[:, 2] = rows[:, 0] - rows[:, 1]
+    return "%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist())
 
 
 def _fmt_fraction(f: Fraction) -> str:
@@ -229,12 +239,20 @@ def _cmd_genfunc(cfg: RunConfig, args) -> int:
 def _cmd_goldbach_scan(cfg: RunConfig, args) -> int:
     if args.limit > cfg.scan_limit:
         raise BoundError(f"limit {args.limit} exceeds cap {cfg.scan_limit}")
-    report = goldbach.scan(args.limit, workers=cfg.parallelism)
     if args.emit_witnesses:
+        goldbach.check_scan_limit(args.limit)  # before the file is created
         with open(args.emit_witnesses, "w") as fh:
             fh.write("n,p,q\n")
-            for w in goldbach.scan_witnesses(args.limit):
-                fh.write(f"{w.n},{w.p},{w.q}\n")
+            report = goldbach.scan(
+                args.limit,
+                on_block=lambda first, best: fh.write(_witness_rows(first, best)),
+            )
+        if report.failures:
+            raise CounterexampleFound(
+                f"no decomposition for {list(report.failures)}"
+            )
+    else:
+        report = goldbach.scan(args.limit)
     payload = dataclasses.asdict(report)
     lines = [
         f"checked={report.checked} max_smallest_p={report.max_smallest_p} "
@@ -532,7 +550,6 @@ def _build_parser() -> _Parser:
     s = gsub.add_parser("scan")
     s.add_argument("--limit", type=int, required=True)
     s.add_argument("--emit-witnesses", metavar="PATH")
-    s.add_argument("--workers", type=int, default=1)
     _add_format(s)
     s.set_defaults(handler=_cmd_goldbach_scan)
     s = gsub.add_parser("construct")
@@ -641,10 +658,7 @@ def dispatch(argv=None) -> int:
         return 1
     try:
         fmt = getattr(args, "format", "plain")
-        cfg = RunConfig(
-            format=fmt if fmt in _FORMATS else "plain",
-            parallelism=getattr(args, "workers", 1),
-        )
+        cfg = RunConfig(format=fmt if fmt in _FORMATS else "plain")
         return args.handler(cfg, args)
     except CounterexampleFound as exc:
         print(_dump_json({"finding": str(exc)}))

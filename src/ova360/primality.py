@@ -69,7 +69,8 @@ def _odd_base(limit: int) -> np.ndarray:
 def odd_prime_bitmap(limit: int, segment_odds: int = 1 << 22) -> np.ndarray:
     """Bitmap b with b[i] == (2i+1 is prime), covering odd values <= limit.
 
-    Segmented so memory stays proportional to limit/16 bytes plus one
+    One byte per odd number, so the result takes limit/2 bytes. The
+    sieve is segmented so the working set beyond the result is one
     segment; the base sieve only extends to sqrt(limit).
     """
     if limit < 1:

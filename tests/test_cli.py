@@ -162,15 +162,19 @@ def test_goldbach_scan_json(capsys):
     assert doc["failures"] == []
 
 
-def test_goldbach_scan_workers_agree(capsys):
-    rc, one, _ = run(capsys, "goldbach", "scan", "--limit", "10000",
-                     "--format", "json")
-    rc, four, _ = run(capsys, "goldbach", "scan", "--limit", "10000",
-                      "--workers", "4", "--format", "json")
-    assert one == four
-    rc, _, err = run(capsys, "goldbach", "scan", "--limit", "100",
-                     "--workers", "0")
-    assert rc == 1
+def test_goldbach_scan_failure_exits_2(capsys, tmp_path,
+                                       bitmap_without_three):
+    rc, out, _ = run(capsys, "goldbach", "scan", "--limit", "100")
+    assert rc == 2
+    failures = [line for line in out.splitlines()
+                if line.startswith("FAILURES: ")]
+    assert len(failures) == 1
+    assert 6 in json.loads(failures[0].removeprefix("FAILURES: "))
+    rc, out, _ = run(capsys, "goldbach", "scan", "--limit", "100",
+                     "--emit-witnesses", str(tmp_path / "w.csv"))
+    assert rc == 2
+    finding = json.loads(out)["finding"]
+    assert finding.startswith("no decomposition for [6, ")
 
 
 def test_goldbach_witness_file(capsys, tmp_path):

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import io
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ova360.errors import DomainError
+from ova360 import goldbach
+from ova360.cli import dispatch
+from ova360.errors import CounterexampleFound, DomainError
 from ova360.goldbach import (
+    GoldbachScanReport,
     HalfParity,
     average_of_two_primes,
     bertrand_construction,
@@ -78,8 +86,73 @@ def test_scan_four_prime_witness():
     assert all(x % 2 == 1 and is_prime(x) for x in (a, b, p, q))
 
 
-def test_scan_workers_agree():
-    assert scan(2000, workers=4) == scan(2000, workers=1)
+def _reference_report(limit, smallest_p):
+    ns = range(6, limit + 1, 2)
+    ps = [smallest_p[n] for n in ns]
+    four = None
+    if limit >= 12:
+        p = smallest_p[limit - 6]
+        four = (3, 3, p, limit - 6 - p)
+    return GoldbachScanReport(
+        limit=limit,
+        checked=len(ns),
+        max_smallest_p=max(ps),
+        argmax_n=ns[ps.index(max(ps))],
+        failures=(),
+        four_prime_n=limit if four else None,
+        four_prime_witness=four,
+    )
+
+
+def _reference_csv(limit, smallest_p):
+    rows = (f"{n},{smallest_p[n]},{n - smallest_p[n]}\n"
+            for n in range(6, limit + 1, 2))
+    return ("n,p,q\n" + "".join(rows)).encode()
+
+
+def test_scan_witnesses_match_trial_division(oracle_goldbach_p):
+    ws = scan_witnesses(20000)
+    assert [(w.n, w.p, w.q) for w in ws] == [
+        (n, oracle_goldbach_p[n], n - oracle_goldbach_p[n])
+        for n in range(6, 20001, 2)
+    ]
+
+
+@st.composite
+def _limits_near_block_edges(draw):
+    """(block_evens, limit): limits within two evens of a block
+    boundary, for the module's block size or a small one, or tiny."""
+    block = draw(st.one_of(st.just(goldbach.BLOCK_EVENS),
+                           st.integers(min_value=1, max_value=40)))
+    special = draw(st.sampled_from([None, 6, 8, 12, 14]))
+    if special is not None:
+        return block, special
+    k = draw(st.integers(min_value=0, max_value=2))
+    delta = draw(st.sampled_from([-4, -2, 0, 2, 4]))
+    return block, max(6, 6 + 2 * block * k + delta)
+
+
+@given(case=_limits_near_block_edges())
+@settings(max_examples=40, deadline=None)
+def test_scan_matches_reference_across_block_edges(case, oracle_goldbach_p):
+    block, limit = case
+    with mock.patch.object(goldbach, "BLOCK_EVENS", block), \
+            tempfile.TemporaryDirectory() as tmp:
+        assert scan(limit) == _reference_report(limit, oracle_goldbach_p)
+        path = Path(tmp) / "w.csv"
+        with redirect_stdout(io.StringIO()):
+            rc = dispatch(["goldbach", "scan", "--limit", str(limit),
+                           "--emit-witnesses", str(path)])
+        assert rc == 0
+        assert path.read_bytes() == _reference_csv(limit, oracle_goldbach_p)
+
+
+def test_scan_failure_is_reported_never_patched(bitmap_without_three):
+    r = scan(100)
+    assert 6 in r.failures
+    assert r.checked == 48
+    with pytest.raises(CounterexampleFound, match=r"no decomposition for \[6"):
+        scan_witnesses(100)
 
 
 def test_scan_witnesses_consistent():
