@@ -10,6 +10,7 @@ strings so nothing is subject to floating-point precision loss.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import enum
 import json
@@ -113,6 +114,21 @@ def _witness_rows(first: int, best) -> str:
     rows[:, 1] = best[found]
     rows[:, 2] = rows[:, 0] - rows[:, 1]
     return "%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist())
+
+
+@contextlib.contextmanager
+def _int_str_digits(digits: int):
+    """Let int -> str render up to ``digits`` digits inside the block;
+    Python's default limit is 4300 (none before 3.10.7)."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    old = get_limit() if get_limit else 0
+    if 0 < old < digits:
+        sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        if get_limit:
+            sys.set_int_max_str_digits(old)
 
 
 def _fmt_fraction(f: Fraction) -> str:
@@ -365,14 +381,15 @@ def _cmd_mersenne_kseq(cfg: RunConfig, args) -> int:
             for e in entries
         ],
     }
-    _emit(cfg, payload,
-          plain_lines=[
-              f"index={e.index} exponent={e.exponent} K={e.K}"
-              for e in entries
-          ],
-          csv_lines=["index,exponent,K"] + [
-              f"{e.index},{e.exponent},{e.K}" for e in entries
-          ])
+    with _int_str_digits(mersenne.KSEQ_MAX_DIGITS):
+        _emit(cfg, payload,
+              plain_lines=[
+                  f"index={e.index} exponent={e.exponent} K={e.K}"
+                  for e in entries
+              ],
+              csv_lines=["index,exponent,K"] + [
+                  f"{e.index},{e.exponent},{e.K}" for e in entries
+              ])
     return 0
 
 

@@ -1,7 +1,10 @@
 """Prime-indicator matrices per residue class and density diagnostics.
 
 A k x k matrix for residue z marks which rotations G = 1..k**2 make
-z + 360*G prime. Densities are exact rationals; the Dirichlet-style
+z + 360*G prime. Densities are exact rationals, counted by a segmented
+sieve over the residue line z + 360*G itself: memory is one segment of
+G values plus the base primes up to sqrt(z + 360*R), never a bitmap of
+every odd number below the line's top. The Dirichlet-style
 diagnostic compares each class's prime count against the equidistribution
 prediction (x/ln x)/96. Determinants are computed exactly over the
 integers (Bareiss fraction-free elimination) so invertibility gets an
@@ -18,11 +21,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BoundError, DomainError
 from .ova import MODULUS, residue_sets
 from .primality import is_prime_big, odd_prime_bitmap
 
 MAX_DIRICHLET_X = 1 << 40
+# density(): rotations G per sieve segment (one bool each), and the
+# largest rotation count accepted; see density() for the measured cost.
+DENSITY_SEGMENT = 1 << 20
+MAX_DENSITY_ROTATIONS = 10**8
 _SINGLETONS = (2, 3, 5)
 
 
@@ -114,23 +121,50 @@ def matrix_stats(m: OvaMatrix) -> MatrixStats:
 
 def density(ova: int, rotations: int) -> Fraction:
     """Exact fraction of rotations G in [1, rotations] with
-    ova + 360*G prime."""
+    ova + 360*G prime.
+
+    The line ova + 360*G is sieved directly, DENSITY_SEGMENT rotations
+    at a time: each base prime p <= sqrt(ova + 360*rotations), p >= 7,
+    strikes the rotations G = -ova/360 (mod p), except the one where
+    ova + 360*G is p itself. Memory is one segment plus the base
+    primes: at MAX_DENSITY_ROTATIONS = 1e8 a call takes 1.1-1.4 s and
+    36 MB peak RSS on a 2-core x86-64 VM (1e9 would take 34 s).
+    """
     _require_cstar(ova)
     if rotations < 1:
         raise DomainError(f"rotations must be >= 1, got {rotations}")
-    if ova % 2 == 0:
-        hits = 0  # ova + 360*G is even and > 2 for every G >= 1
-    elif rotations <= 5000:
-        hits = sum(
-            1 for g in range(1, rotations + 1)
-            if is_prime_big(ova + MODULUS * g)
-        )
+    if rotations > MAX_DENSITY_ROTATIONS:
+        raise BoundError(
+            f"rotations {rotations} exceeds bound {MAX_DENSITY_ROTATIONS}")
+    if math.gcd(ova, MODULUS) > 1:
+        hits = 0  # ova is 2, 3 or 5: ova + 360*G is a proper multiple of it
     else:
-        top = ova + MODULUS * rotations
-        bm = odd_prime_bitmap(top)
-        vals = ova + MODULUS * np.arange(1, rotations + 1, dtype=np.int64)
-        hits = int(bm[vals >> 1].sum())
+        hits = _line_prime_count(ova, rotations)
     return Fraction(hits, rotations)
+
+
+def _line_prime_count(ova: int, rotations: int) -> int:
+    """Number of primes ova + 360*G for G in [1, rotations]; ova coprime
+    to 360."""
+    bm = odd_prime_bitmap(math.isqrt(ova + MODULUS * rotations))
+    steps = 2 * np.flatnonzero(bm).astype(np.int64) + 1
+    steps = steps[steps > 5]
+    primes = steps.tolist()
+    # p divides ova + 360*G exactly when G = starts (mod p) ...
+    starts = np.array([-ova * pow(MODULUS, -1, p) % p for p in primes],
+                      dtype=np.int64)
+    # ... and the base primes on the line itself must survive
+    own = (steps[steps % MODULUS == ova] - ova) // MODULUS
+    own = own[own >= 1]
+    hits = 0
+    for lo in range(1, rotations + 1, DENSITY_SEGMENT):
+        hi = min(lo + DENSITY_SEGMENT, rotations + 1)
+        seg = np.ones(hi - lo, dtype=bool)
+        for p, off in zip(primes, ((starts - lo) % steps).tolist()):
+            seg[off::p] = False
+        seg[own[(own >= lo) & (own < hi)] - lo] = True
+        hits += int(np.count_nonzero(seg))
+    return hits
 
 
 @lru_cache(maxsize=4)

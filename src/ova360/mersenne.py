@@ -11,6 +11,7 @@ checks, and the convergent sum of Mersenne-prime reciprocals.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -23,6 +24,8 @@ from .primality import is_prime, is_prime_big
 
 MAX_LL_EXPONENT = 10000
 MAX_KSEQ_INDEX = 2000
+# decimal digits of 2**(12*MAX_KSEQ_INDEX), more than any K up to that index
+KSEQ_MAX_DIGITS = math.floor(12 * MAX_KSEQ_INDEX * math.log10(2)) + 1
 MAX_SUM_DIGITS = 200
 
 

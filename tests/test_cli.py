@@ -265,6 +265,31 @@ def test_mersenne_kseq(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize("klass", ["31", "127", "247", "271"])
+def test_mersenne_kseq_renders_at_index_bound(capsys, klass, fmt):
+    # K at the bound has over 7000 digits, past Python's default
+    # 4300-digit int -> str limit
+    from ova360.mersenne import MAX_KSEQ_INDEX, k_sequence
+
+    top = str(MAX_KSEQ_INDEX)
+    limit = sys.get_int_max_str_digits()
+    rc, out, err = run(capsys, "mersenne", "kseq", "--class", klass,
+                       "--from", top, "--to", top, "--format", fmt)
+    assert (rc, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    entry = k_sequence(klass, [MAX_KSEQ_INDEX])[0]
+    if fmt == "json":
+        k_text = json.loads(out)["entries"][0]["K"]
+    else:
+        k_text = out.split()[-1].split("=")[-1].split(",")[-1]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(k_text) == entry.K
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_landau_residues_subset(capsys):
     rc, out, _ = run(capsys, "landau", "residues", "--limit", "2000")
     assert rc == 0
@@ -321,6 +346,19 @@ def test_density(capsys):
     rc, out, _ = run(capsys, "density", "--ova", "353",
                      "--rotations", "100", "--format", "json")
     assert json.loads(out)["density"] == "39/100"
+
+
+def test_density_rotations_bound_exits_1(capsys, monkeypatch):
+    from ova360 import matrix
+
+    def no_sieve(limit):
+        raise AssertionError("sieved past the rotations bound")
+
+    monkeypatch.setattr(matrix, "odd_prime_bitmap", no_sieve)
+    rc, out, err = run(capsys, "density", "--ova", "7", "--rotations",
+                       str(matrix.MAX_DENSITY_ROTATIONS + 1))
+    assert (rc, out) == (1, "")
+    assert "exceeds bound" in err
 
 
 def test_dirichlet_single(capsys):

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ova360 import goldens
-from ova360.errors import DomainError
+from ova360 import goldens, matrix
+from ova360.errors import BoundError, DomainError
 from ova360.matrix import (
     build_matrix,
     density,
@@ -124,7 +127,7 @@ def test_density_matches_matrix_ones():
 
 
 def test_density_paths_agree():
-    # per-value path (<= 5000) and bitmap path must agree
+    # one more rotation adds exactly that rotation's verdict
     slow = density(13, 5000)
     fast = density(13, 5001)
     hits_slow = slow.numerator * (5000 // slow.denominator)
@@ -137,6 +140,46 @@ def test_density_validation():
         density(4, 100)
     with pytest.raises(DomainError):
         density(7, 0)
+
+
+def _line_hits(ova: int, rotations: int) -> int:
+    """Primes ova + 360*G, G in [1, rotations], by sympy."""
+    return sum(sympy.isprime(ova + 360 * g) for g in range(1, rotations + 1))
+
+
+# C*, with the singletons 2, 3, 5 drawn as often as the other 96 together
+_CSTAR_RESIDUES = (st.sampled_from([2, 3, 5])
+                   | st.sampled_from(sorted(residue_sets().Cstar)))
+
+
+@given(_CSTAR_RESIDUES, st.integers(min_value=1, max_value=3000))
+@settings(max_examples=60, deadline=None)
+def test_density_line_sieve_matches_sympy(ova, rotations):
+    assert density(ova, rotations) == Fraction(_line_hits(ova, rotations),
+                                               rotations)
+
+
+@pytest.mark.parametrize("rotations", [374, 375, 376, 1000])
+def test_density_keeps_a_sieving_prime_on_its_own_line(rotations):
+    # 367 = 7 + 360*1 is a base prime once sqrt(7 + 360*R) >= 367 (R >= 375)
+    assert math.isqrt(7 + 360 * 375) == 367 > math.isqrt(7 + 360 * 374)
+    assert density(7, rotations) * rotations == _line_hits(7, rotations)
+
+
+@pytest.mark.parametrize("ova", [1, 7, 353])
+def test_density_across_segment_boundaries(monkeypatch, ova):
+    monkeypatch.setattr(matrix, "DENSITY_SEGMENT", 64)
+    for rotations in (63, 64, 65, 127, 128, 129, 1000):
+        assert density(ova, rotations) * rotations == _line_hits(ova, rotations)
+
+
+def test_density_bound_fails_before_sieving(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("sieved past the rotations bound")
+
+    monkeypatch.setattr(matrix, "odd_prime_bitmap", no_sieve)
+    with pytest.raises(BoundError):
+        density(7, matrix.MAX_DENSITY_ROTATIONS + 1)
 
 
 def test_residue_counts_match_pi():
