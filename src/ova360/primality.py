@@ -1,9 +1,13 @@
 """Prime generation and primality testing.
 
-Provides a segmented odd-only sieve returning numpy arrays, a
-deterministic Miller-Rabin test exact below 2**64, a probabilistic
-extension for larger integers, and the factorial construction of
-prime-free intervals together with the gap identity around them.
+Provides a segmented odd-only sieve returning numpy arrays, one
+Miller-Rabin core behind two entry points, and the factorial
+construction of prime-free intervals together with the gap identity
+around them. Both entry points answer n < 256 from a table and reject
+any larger n sharing a factor with 251#. Below 2**64 the bases come
+from the exact bound table of Jaeschke (Math. Comp. 61, 1993) and
+Sorenson & Webster (Math. Comp. 86, 2017); above it, bases 2 and 3
+are followed by bases drawn lazily from a generator seeded by n.
 """
 
 from __future__ import annotations
@@ -19,9 +23,25 @@ from .errors import BoundError, CounterexampleFound, DomainError
 MAX_SIEVE_LIMIT = 1 << 40
 MAX_FACTORIAL_N = 40
 
-# Deterministic witness set for n < 2**64 (sufficient up to ~3.3e24).
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _U64 = 1 << 64
+_SMALL_PRIMES = frozenset(
+    n for n in range(2, 256) if all(n % d for d in range(2, math.isqrt(n) + 1))
+)
+_PRIMORIAL_251 = math.prod(_SMALL_PRIMES)
+# (bound, bases): Miller-Rabin with these bases is exact for n < bound.
+# Each bound but the last is the least strong pseudoprime to its row's
+# bases.
+_BASES_BELOW = (
+    (2047, (2,)),
+    (1373653, (2, 3)),
+    (25326001, (2, 3, 5)),
+    (3215031751, (2, 3, 5, 7)),
+    (2152302898747, (2, 3, 5, 7, 11)),
+    (3474749660383, (2, 3, 5, 7, 11, 13)),
+    (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
+    (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+    (_U64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+)
 
 
 @dataclass(frozen=True)
@@ -114,27 +134,39 @@ def sieve_primes(limit: int, segment_odds: int = 1 << 22) -> PrimeTable:
     return PrimeTable(limit, primes)
 
 
+def _strong_probable_prime(n: int, d: int, r: int, a: int) -> bool:
+    """One Miller-Rabin round: n - 1 = d * 2**r with d odd, base a."""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _odd_part(n: int) -> tuple[int, int]:
+    """(d, r) with n - 1 = d * 2**r and d odd; n odd."""
+    d = n - 1
+    r = (d & -d).bit_length() - 1
+    return d >> r, r
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for 0 <= n < 2**64."""
     if n >= _U64:
         raise DomainError(f"{n} >= 2**64; use is_prime_big")
-    if n < 2:
+    if n < 256:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _PRIMORIAL_251) != 1:
         return False
-    for p in _WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = (d & -d).bit_length() - 1
-    d >>= r
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    for bound, bases in _BASES_BELOW:
+        if n < bound:
+            break
+    d, r = _odd_part(n)
+    for a in bases:
+        if not _strong_probable_prime(n, d, r, a):
             return False
     return True
 
@@ -142,30 +174,21 @@ def is_prime(n: int) -> bool:
 def is_prime_big(n: int, rounds: int = 40) -> bool:
     """Primality for arbitrary integers.
 
-    Exact below 2**64; above that, Miller-Rabin with ``rounds`` bases
-    drawn from a generator seeded by n, so repeat calls agree. The
-    error probability is below 4**-rounds.
+    Exact below 2**64; above that, Miller-Rabin with bases 2 and 3 and
+    then ``rounds - 2`` bases drawn, as they are needed, from a
+    generator seeded by n, so repeat calls agree. The error probability
+    is below 4**-rounds.
     """
     if n < _U64:
         return is_prime(n)
-    if n % 2 == 0:
+    if math.gcd(n, _PRIMORIAL_251) != 1:
         return False
-    d = n - 1
-    r = (d & -d).bit_length() - 1
-    d >>= r
-    rng = random.Random(n & (_U64 - 1))
-    bases = [2, 3] + [rng.randrange(2, n - 1) for _ in range(max(rounds - 2, 0))]
-    for a in bases:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    d, r = _odd_part(n)
+    if not all(_strong_probable_prime(n, d, r, a) for a in (2, 3)):
+        return False
+    rng = random.Random(n & (_U64 - 1))  # seeding costs half a round: not before
+    return all(_strong_probable_prime(n, d, r, rng.randrange(2, n - 1))
+               for _ in range(rounds - 2))
 
 
 def composite_interval(n: int, verify: bool = False) -> CompositeInterval:

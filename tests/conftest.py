@@ -4,7 +4,10 @@ independent of the package internals."""
 from __future__ import annotations
 
 import math
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 
@@ -60,3 +63,93 @@ def bitmap_without_three(monkeypatch):
         return bitmap
 
     monkeypatch.setattr(goldbach, "odd_prime_bitmap", without_three)
+
+
+def eager_is_prime_big(n: int, rounds: int = 40) -> bool:
+    """Miller-Rabin for n >= 2**64 with bases 2, 3 and rounds - 2 bases
+    drawn up front from random.Random(n mod 2**64): the eager form of
+    primality.is_prime_big, which draws the same bases lazily."""
+    assert n >= 1 << 64
+    if n % 2 == 0:
+        return False
+    d = n - 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    rng = random.Random(n & ((1 << 64) - 1))
+    bases = [2, 3] + [rng.randrange(2, n - 1) for _ in range(max(rounds - 2, 0))]
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def plain_lucas_lehmer(p: int) -> bool:
+    """2**p - 1 is prime, by the Lucas-Lehmer squaring loop alone; p an
+    odd prime."""
+    m = (1 << p) - 1
+    s = 4
+    for _ in range(p - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
+def fraction_interval_sum_check(n: int, prime_set: set[int], samples: int | None = None):
+    """goldbach.interval_sum_check computed the long way: Fraction
+    window endpoints, a primality lookup per integer, and the bound and
+    exactness checked for every pair on its own (as one outer sum).
+    prime_set holds every prime below n."""
+    from ova360.goldbach import IntervalSumReport
+
+    def primes_in_open(lo: Fraction, hi: Fraction) -> list[int]:
+        first = int(lo) + 1
+        last = -int(-hi) - 1  # largest integer strictly below hi
+        return [m for m in range(max(first, 2), last + 1) if m in prime_set]
+
+    half = Fraction(n, 2)
+    quarter = Fraction(n, 4)
+    odd_half = (n // 2) % 2 == 1
+    fs = range(1, int(quarter - Fraction(1, 2)) + 1)
+    if samples is not None:
+        fs = fs[:samples]
+    pairs = empty = 0
+    violations, exact = [], []
+    for f in fs:
+        k = quarter - Fraction(1, 2) - f if odd_half else quarter - f
+        upper = primes_in_open(quarter + Fraction(1, 2) + k, half + 1 + 2 * k)
+        lower = primes_in_open(quarter + Fraction(1, 2) - k, half + 1 - 2 * k)
+        if not upper or not lower:
+            empty += 1
+            continue
+        # every pair's sum, rows rho and columns q in ascending order;
+        # an integer s exceeds half + 1 iff it exceeds floor(half + 1)
+        sums = np.add.outer(upper, lower)
+        pairs += sums.size
+        outside = (sums <= math.floor(half + 1)) | (sums > n)
+        violations += [(f, upper[i], lower[j]) for i, j in zip(*np.nonzero(outside))]
+        exact += [(f, upper[i], lower[j]) for i, j in zip(*np.nonzero(sums == n))]
+    return IntervalSumReport(
+        n=n, sampled=len(fs), pairs_checked=pairs, violations=tuple(violations),
+        empty_windows=empty, exact_pairs=tuple(exact),
+    )
+
+
+@pytest.fixture(scope="session")
+def reference_is_prime_big():
+    return eager_is_prime_big
+
+
+@pytest.fixture(scope="session")
+def reference_lucas_lehmer():
+    return plain_lucas_lehmer
+
+
+@pytest.fixture(scope="session")
+def reference_interval_sum_check():
+    return fraction_interval_sum_check

@@ -361,6 +361,19 @@ def test_density_rotations_bound_exits_1(capsys, monkeypatch):
     assert "exceeds bound" in err
 
 
+def test_landau_enumerate_limit_bound_exits_1(capsys, monkeypatch):
+    from ova360 import landau
+
+    def no_test(n):
+        raise AssertionError("tested past the limit bound")
+
+    monkeypatch.setattr(landau, "is_prime_big", no_test)
+    rc, out, err = run(capsys, "landau", "enumerate", "--limit",
+                       str(landau.MAX_LANDAU_LIMIT + 1))
+    assert (rc, out) == (1, "")
+    assert "exceeds bound" in err
+
+
 def test_dirichlet_single(capsys):
     rc, out, _ = run(capsys, "dirichlet", "--x", "10000", "--ova", "13")
     assert rc == 0

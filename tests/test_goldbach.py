@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ova360 import goldbach
 from ova360.cli import dispatch
-from ova360.errors import CounterexampleFound, DomainError
+from ova360.errors import BoundError, CounterexampleFound, DomainError
 from ova360.goldbach import (
     GoldbachScanReport,
     HalfParity,
@@ -229,6 +229,51 @@ def test_interval_sum_inequality_3r(half):
     assert r.violations == ()
 
 
+def test_interval_sum_check_matches_fraction_oracle(
+        reference_interval_sum_check, oracle_prime_set_10k):
+    for n in range(12, 801, 2):
+        assert interval_sum_check(n) == reference_interval_sum_check(
+            n, oracle_prime_set_10k), n
+    for samples in (0, 1, 7, 500):
+        assert interval_sum_check(798, samples) == reference_interval_sum_check(
+            798, oracle_prime_set_10k, samples)
+
+
+def test_interval_sum_check_enumerates_violating_pairs(monkeypatch):
+    # a fault that puts 1 and w + 1000 into every window (w/2, w) must
+    # come out as the exact list of violating pairs
+    window = goldbach._bertrand_window
+
+    def faulty(bitmap, w):
+        return [1] + window(bitmap, w) + [w + 1000]
+
+    monkeypatch.setattr(goldbach, "_bertrand_window", faulty)
+    n = 100
+    bitmap = goldbach.odd_prime_bitmap(n)
+    want, pairs = [], 0
+    for f in range(1, (n - 2) // 4 + 1):
+        k = n // 4 - f
+        upper = faulty(bitmap, n // 2 + 1 + 2 * k)
+        lower = faulty(bitmap, n // 2 + 1 - 2 * k)
+        pairs += len(upper) * len(lower)
+        want += [(f, rho, q) for rho in upper for q in lower
+                 if not n // 2 + 1 < rho + q <= n]
+    r = interval_sum_check(n)
+    assert r.violations == tuple(want)
+    assert (1, 1, 1) in want and r.pairs_checked == pairs
+
+
+def test_window_checks_fail_before_sieving(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("sieved past the bound")
+
+    monkeypatch.setattr(goldbach, "odd_prime_bitmap", no_sieve)
+    with pytest.raises(BoundError):
+        interval_sum_check(goldbach.MAX_INTERVAL_SUM_N + 2)
+    with pytest.raises(BoundError):
+        symmetric_pair_check(goldbach.MAX_SYMMETRIC_N + 2)
+
+
 def test_symmetric_pair_examples():
     r = symmetric_pair_check(10)
     assert r.exists_symmetric and 1 in r.k_values
@@ -243,6 +288,18 @@ def test_symmetric_matches_decomposition_existence():
         assert symmetric_pair_check(n).exists_symmetric
         # equivalence: decompose_even never raises on this range
         decompose_even(n)
+
+
+def test_symmetric_matches_per_pair_lookup(oracle_prime_set_10k):
+    for n in range(6, 3001, 2):
+        half = n // 2
+        want = []
+        for k in range(n // 4 + 1):
+            offset = 2 * k if half % 2 == 1 else 2 * k - 1
+            lo, hi = half - offset, half + offset
+            if offset >= 0 and lo >= 3 and {lo, hi} <= oracle_prime_set_10k:
+                want.append(k)
+        assert symmetric_pair_check(n).k_values == tuple(want), n
 
 
 def test_symmetric_pairs_are_valid():

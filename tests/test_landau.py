@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ova360.errors import DomainError, UnknownOva
+from ova360 import landau
+from ova360.errors import BoundError, DomainError, UnknownOva
 from ova360.landau import (
     enumerate_k2_plus_1,
     golden_161_rows,
@@ -29,6 +30,15 @@ def test_enumerate_examples():
 def test_enumerate_validation():
     with pytest.raises(DomainError):
         enumerate_k2_plus_1(1)
+
+
+def test_enumerate_bound_fails_before_testing(monkeypatch):
+    def no_test(n):
+        raise AssertionError("tested past the limit bound")
+
+    monkeypatch.setattr(landau, "is_prime_big", no_test)
+    with pytest.raises(BoundError):
+        enumerate_k2_plus_1(landau.MAX_LANDAU_LIMIT + 1)
 
 
 def test_enumerate_members_are_prime_squares_plus_one():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ova360 import goldens
+from ova360 import goldens, mersenne
 from ova360.errors import BoundError, DomainError, NotMersennePrime
 from ova360.mersenne import (
     MersenneClass,
@@ -23,7 +23,7 @@ from ova360.mersenne import (
     scan_exponents,
     singular_class_check,
 )
-from ova360.primality import is_prime
+from ova360.primality import is_prime, sieve_primes
 
 
 def test_residue_examples():
@@ -127,6 +127,29 @@ def test_lucas_lehmer_examples():
     assert lucas_lehmer(7)
     assert not lucas_lehmer(11)
     assert lucas_lehmer(2281)
+
+
+def test_lucas_lehmer_matches_plain_squaring(reference_lucas_lehmer):
+    for p in sieve_primes(1300).primes.tolist()[1:]:
+        assert lucas_lehmer(p) == reference_lucas_lehmer(p), p
+
+
+def test_lucas_lehmer_known_exponents_to_4423():
+    # includes 3, 5 and 7, where 2p + 1 or 6p + 1 is M_p itself
+    exps = [p for p in known_exponents() if 2 < p <= 4423]
+    assert exps[:3] == [3, 5, 7] and exps[-1] == 4423
+    assert all(lucas_lehmer(p) for p in exps)
+
+
+def test_trial_factor_is_a_proper_divisor():
+    found = []
+    for p in sieve_primes(1300).primes.tolist()[1:]:
+        m = (1 << p) - 1
+        q = mersenne._trial_factor(p, m)
+        if q is not None:
+            assert 1 < q < m and m % q == 0 and (q - 1) % (2 * p) == 0, p
+            found.append(p)
+    assert found[:3] == [11, 23, 29]  # 23 | M_11, 47 | M_23, 233 | M_29
 
 
 def test_lucas_lehmer_validation():

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.ntheory.primetest import mr
 
 from ova360.errors import BoundError, DomainError
 from ova360.primality import (
@@ -142,3 +145,59 @@ def test_bertrand_dense_small_range():
         p = bertrand_prime(n)
         assert n < p < 2 * n and p in ps
         assert all(m not in ps for m in range(n + 1, p))
+
+
+# Least strong pseudoprimes to the bases 2, 2..3, ..., 2..17 and 2..23
+# (Jaeschke 1993; Sorenson & Webster 2017), with those bases.
+STRONG_PSEUDOPRIME_BOUNDS = (
+    (2047, (2,)),
+    (1373653, (2, 3)),
+    (25326001, (2, 3, 5)),
+    (3215031751, (2, 3, 5, 7)),
+    (2152302898747, (2, 3, 5, 7, 11)),
+    (3474749660383, (2, 3, 5, 7, 11, 13)),
+    (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
+    (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+)
+# Strong pseudoprimes to all prime bases up to 31 and up to 37; both
+# lie above 2**64, where is_prime_big draws random bases after 2 and 3.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_matches_sympy_around_base_bounds():
+    for bound, bases in STRONG_PSEUDOPRIME_BOUNDS + ((1 << 64, ()),):
+        for n in range(bound - 200, min(bound + 201, 1 << 64)):
+            assert is_prime(n) == sympy.isprime(n), n
+        if bases:
+            assert mr(bound, list(bases)) and not is_prime(bound)
+
+
+@given(st.integers(2, 64).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)))
+@settings(max_examples=300, deadline=None)
+def test_is_prime_matches_sympy_by_bit_length(n):
+    assert is_prime(n) == sympy.isprime(n)
+    p = sympy.nextprime(n)
+    if p < 1 << 64:
+        assert is_prime(p)
+
+
+def test_is_prime_big_matches_eager_bases(reference_is_prime_big):
+    rng = random.Random(65128)
+    samples = [PSI_12, PSI_13, 3 * ((1 << 89) - 1), (1 << 64) + 1]
+    for _ in range(300):
+        b = rng.randint(65, 128)
+        n = rng.getrandbits(b) | (1 << (b - 1)) | 1
+        samples += [n, int(sympy.nextprime(n))]
+    for n in samples:
+        assert is_prime_big(n) == reference_is_prime_big(n) == sympy.isprime(n), n
+    for rounds in (0, 2, 3, 5):
+        for n in samples[:40]:
+            assert is_prime_big(n, rounds) == reference_is_prime_big(n, rounds), (n, rounds)
+
+
+def test_is_prime_big_rounds_are_bases_beyond_2_and_3():
+    # the strong pseudoprimes pass bases 2 and 3, so only the seeded
+    # random bases can expose them
+    assert is_prime_big(PSI_12, rounds=2) and is_prime_big(PSI_13, rounds=2)
+    assert not is_prime_big(PSI_12) and not is_prime_big(PSI_13)
