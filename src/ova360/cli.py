@@ -39,7 +39,7 @@ class RunConfig:
     """Execution limits and output settings for one invocation."""
 
     format: str = "plain"
-    sieve_limit: int = primality.MAX_SIEVE_LIMIT
+    sieve_limit: int = primality.MAX_PRIME_LIST_LIMIT
     scan_limit: int = goldbach.MAX_SCAN_LIMIT
     ll_max_p: int = mersenne.MAX_LL_EXPONENT
     factorial_max: int = primality.MAX_FACTORIAL_N
@@ -49,7 +49,7 @@ class RunConfig:
         if self.format not in _FORMATS:
             raise DomainError(f"format must be one of {_FORMATS}")
         caps = (
-            (self.sieve_limit, primality.MAX_SIEVE_LIMIT),
+            (self.sieve_limit, primality.MAX_PRIME_LIST_LIMIT),
             (self.scan_limit, goldbach.MAX_SCAN_LIMIT),
             (self.ll_max_p, mersenne.MAX_LL_EXPONENT),
             (self.factorial_max, primality.MAX_FACTORIAL_N),
@@ -95,6 +95,11 @@ def _dump_json(payload) -> str:
 
 
 def _emit(cfg: RunConfig, payload, plain_lines, csv_lines=None) -> None:
+    """Render payload as JSON, or print the lines of the chosen format.
+
+    The line arguments may be lazy iterables: only the chosen one is
+    consumed, so a handler can pass lines without building them all.
+    """
     if cfg.format == "json":
         print(_dump_json(payload))
     elif cfg.format == "csv":
@@ -144,10 +149,15 @@ def _cmd_sieve(cfg: RunConfig, args) -> int:
     table = primality.sieve_primes(args.limit)
     primes = table.primes.tolist()
     payload = {"limit": table.limit, "count": table.count, "primes": primes}
-    _emit(cfg, payload,
-          plain_lines=[str(p) for p in primes],
-          csv_lines=[",".join(str(p) for p in primes)] if primes else [])
+    _emit(cfg, payload, plain_lines=map(str, primes), csv_lines=_csv_line(primes))
     return 0
+
+
+def _csv_line(values):
+    """The values as one comma-separated line, built when iterated;
+    no line for no values."""
+    if values:
+        yield ",".join(map(str, values))
 
 
 def _cmd_interval(cfg: RunConfig, args) -> int:

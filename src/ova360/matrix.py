@@ -25,12 +25,12 @@ from .errors import BoundError, DomainError
 from .ova import MODULUS, residue_sets
 from .primality import is_prime_big, odd_prime_bitmap
 
-MAX_DIRICHLET_X = 1 << 40
 # density(): rotations G per sieve segment (one bool each), and the
 # largest rotation count accepted; see density() for the measured cost.
 DENSITY_SEGMENT = 1 << 20
 MAX_DENSITY_ROTATIONS = 10**8
 _SINGLETONS = (2, 3, 5)
+_ODD_RESIDUES = MODULUS // 2
 
 
 @dataclass(frozen=True)
@@ -174,10 +174,12 @@ def residue_counts(x: int) -> tuple[int, ...]:
         return tuple([0] * MODULUS)
     counts = np.zeros(MODULUS, dtype=np.int64)
     bm = odd_prime_bitmap(x)
-    chunk = 1 << 22
-    for s in range(0, bm.size, chunk):
-        vals = 2 * (np.flatnonzero(bm[s:s + chunk]) + s) + 1
-        counts += np.bincount(vals % MODULUS, minlength=MODULUS)
+    # 2i+1 mod 360 has period 180 in i: fold the bitmap into rows of 180,
+    # so column c counts residue 2c+1; the short last row adds on top
+    whole = bm.size - bm.size % _ODD_RESIDUES
+    cols = np.count_nonzero(bm[:whole].reshape(-1, _ODD_RESIDUES), axis=0)
+    cols[:bm.size - whole] += bm[whole:]
+    counts[1::2] = cols
     counts[2] += 1  # the even prime
     return tuple(counts.tolist())
 
@@ -192,12 +194,11 @@ def dirichlet_ratio(x: int, ova: int) -> DensityReport:
 
     The three singleton residues 2, 3, 5 are legal inputs with the
     ratio omitted (their counts are bounded); other residues outside
-    C are a domain error.
+    C are a domain error. x past the sieve bound MAX_SIEVE_LIMIT raises
+    BoundError before anything is sieved.
     """
     if x < 1000:
         raise DomainError(f"x must be >= 1000, got {x}")
-    if x > MAX_DIRICHLET_X:
-        raise DomainError(f"x {x} exceeds bound {MAX_DIRICHLET_X}")
     sets = residue_sets()
     if ova in _SINGLETONS:
         count = residue_counts(x)[ova]

@@ -22,6 +22,7 @@ from .errors import DomainError
 from .primality import is_prime, is_prime_big, odd_prime_bitmap
 
 MODULUS = 360
+_SAFE_PERIOD = MODULUS // 4
 
 
 @dataclass(frozen=True)
@@ -186,11 +187,15 @@ def germain_residues(limit: int) -> frozenset[int]:
     if limit < 7:
         raise DomainError(f"limit must be >= 7, got {limit}")
     bm = odd_prime_bitmap(limit)
-    # odd Germain prime q = 2i+1 has safe prime 4i+3, stored at bit 2i+1
-    idx = np.flatnonzero(bm)
-    idx = idx[4 * idx + 3 <= limit]
-    safe = idx[bm[2 * idx + 1]]
-    out = set(((4 * safe + 3) % MODULUS).tolist())
+    # odd Germain prime q = 2i+1 has safe prime 4i+3 <= limit, stored at
+    # bit 2i+1; 4i+3 mod 360 has period 90 in i, so the mask folds into
+    # rows of 90 and the short last row is OR-ed on top
+    m = (limit - 3) // 4 + 1
+    safe = bm[:m] & bm[1:2 * m:2]
+    whole = m - m % _SAFE_PERIOD
+    hits = safe[:whole].reshape(-1, _SAFE_PERIOD).any(axis=0)
+    hits[:m - whole] |= safe[whole:]
+    out = set(((4 * np.flatnonzero(hits) + 3) % MODULUS).tolist())
     out.add(5)  # q = 2 gives the safe prime 5
     return frozenset(out)
 

@@ -20,7 +20,13 @@ import numpy as np
 
 from .errors import BoundError, CounterexampleFound, DomainError
 
-MAX_SIEVE_LIMIT = 1 << 40
+# odd_prime_bitmap takes limit/2 bytes. Measured on a 2-core x86-64 VM
+# with 8 GB: at 2e9, `germain` (bitmap plus a limit/4 mask) peaks at
+# 1.46 GB in 7.3 s and `dirichlet --all` at 0.99 GB in 5.7 s.
+MAX_SIEVE_LIMIT = 2 * 10**9
+# sieve_primes lists every prime, and the `sieve` verb renders each one
+# as text: at 1e8 (5.76M primes) it peaks at 1.26 GB as json.
+MAX_PRIME_LIST_LIMIT = 10**8
 MAX_FACTORIAL_N = 40
 
 _U64 = 1 << 64
@@ -86,46 +92,66 @@ def _odd_base(limit: int) -> np.ndarray:
     return out
 
 
-def odd_prime_bitmap(limit: int, segment_odds: int = 1 << 22) -> np.ndarray:
+# The odd numbers 2i+1 coprime to 3*5*7*11*13 repeat with period 15015
+# in i; a segment starts as a slice of this pattern, the pre-sieve.
+_PRESIEVE_PRIMES = (3, 5, 7, 11, 13)
+_PRESIEVE_PERIOD = math.prod(_PRESIEVE_PRIMES)
+_PRESIEVE = np.ones(_PRESIEVE_PERIOD, dtype=bool)
+for _p in _PRESIEVE_PRIMES:
+    _PRESIEVE[_p // 2 :: _p] = False  # the odd multiples of p, from p itself
+# bitmap of 1, 3, 5, ..., 13: the pre-sieve keeps 1 and clears its own
+# primes, so this head is written over the result at the end
+_HEAD = np.array([False, True, True, True, False, True, True])
+# 180 odds (one period of 2i+1 mod 360) times 2^13: 1.4 MB, which fits
+# the 2 MB per-core L2 of the 2-core x86-64 VM it was measured on
+SEGMENT_ODDS = 180 << 13
+
+
+def odd_prime_bitmap(limit: int, segment_odds: int = SEGMENT_ODDS) -> np.ndarray:
     """Bitmap b with b[i] == (2i+1 is prime), covering odd values <= limit.
 
-    One byte per odd number, so the result takes limit/2 bytes. The
-    sieve is segmented so the working set beyond the result is one
-    segment; the base sieve only extends to sqrt(limit).
+    One byte per odd number, so the result takes limit/2 bytes. Each
+    segment of segment_odds odds is written in place: first as a slice
+    of the tiled pre-sieve pattern, which already clears the multiples
+    of 3, 5, 7, 11 and 13, then struck by the base primes from 17 to
+    sqrt(limit), so a segment stays in cache while it is sieved. At
+    limit 1e8 a call takes 0.12-0.16 s on a 2-core x86-64 VM, against
+    0.25-0.30 s for all-ones segments of 2^22 odds with no pre-sieve.
     """
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
     if limit > MAX_SIEVE_LIMIT:
         raise BoundError(f"limit {limit} exceeds sieve bound {MAX_SIEVE_LIMIT}")
     n_odds = (limit + 1) // 2
-    root = math.isqrt(limit)
-    base = _odd_base(max(root, 7))
-    if base.size >= n_odds:
-        return base[:n_odds].copy()
-    small_odd_primes = (2 * np.flatnonzero(base) + 1).tolist()
-    out = np.zeros(n_odds, dtype=bool)
-    out[: base.size] = base
-    start = base.size
-    while start < n_odds:
+    base = _odd_base(math.isqrt(limit))
+    strikers = 2 * np.flatnonzero(base) + 1
+    strikers = strikers[strikers > _PRESIEVE_PRIMES[-1]].tolist()
+    # long enough for a slice of any segment's length at any offset
+    tiled = np.tile(_PRESIEVE, min(segment_odds, n_odds) // _PRESIEVE_PERIOD + 2)
+    out = np.empty(n_odds, dtype=bool)
+    for start in range(0, n_odds, segment_odds):
         end = min(start + segment_odds, n_odds)
-        seg = np.ones(end - start, dtype=bool)
-        lo_val = 2 * start + 1
-        for p in small_odd_primes:
+        seg = out[start:end]
+        offset = start % _PRESIEVE_PERIOD
+        seg[:] = tiled[offset:offset + end - start]
+        lo_val, hi_val = 2 * start + 1, 2 * end - 1
+        for p in strikers:
+            if p * p > hi_val:
+                break
             first = max(p * p, ((lo_val + p - 1) // p) * p)
             if first % 2 == 0:
                 first += p
-            if first > 2 * end - 1:
-                continue
             seg[(first - lo_val) // 2 :: p] = False
-        out[start:end] = seg
-        start = end
+    out[:_HEAD.size] = _HEAD[:n_odds]
     return out
 
 
-def sieve_primes(limit: int, segment_odds: int = 1 << 22) -> PrimeTable:
+def sieve_primes(limit: int, segment_odds: int = SEGMENT_ODDS) -> PrimeTable:
     """All primes <= limit as a PrimeTable. limit >= 0."""
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
+    if limit > MAX_PRIME_LIST_LIMIT:
+        raise BoundError(f"limit {limit} exceeds prime list bound {MAX_PRIME_LIST_LIMIT}")
     if limit < 2:
         return PrimeTable(limit, np.empty(0, dtype=np.int64))
     bm = odd_prime_bitmap(limit, segment_odds)

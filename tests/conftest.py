@@ -153,3 +153,77 @@ def reference_lucas_lehmer():
 @pytest.fixture(scope="session")
 def reference_interval_sum_check():
     return fraction_interval_sum_check
+
+
+def segmented_odd_prime_bitmap(limit: int, segment_odds: int = 1 << 22) -> np.ndarray:
+    """primality.odd_prime_bitmap without the pre-sieve: a plain
+    odd-only base sieve to sqrt(limit), then segments that start as all
+    ones, are struck by every odd base prime and are copied into the
+    result. b[i] == (2i+1 is prime)."""
+    n_odds = (limit + 1) // 2
+    root = max(math.isqrt(limit), 7)
+    base = np.ones((root + 1) // 2, dtype=bool)
+    base[0] = False
+    for i in range(1, math.isqrt(root) // 2 + 1):
+        if base[i]:
+            base[(2 * i + 1) ** 2 // 2 :: 2 * i + 1] = False
+    if base.size >= n_odds:
+        return base[:n_odds].copy()
+    small_odd_primes = (2 * np.flatnonzero(base) + 1).tolist()
+    out = np.zeros(n_odds, dtype=bool)
+    out[: base.size] = base
+    start = base.size
+    while start < n_odds:
+        end = min(start + segment_odds, n_odds)
+        seg = np.ones(end - start, dtype=bool)
+        lo_val = 2 * start + 1
+        for p in small_odd_primes:
+            first = max(p * p, ((lo_val + p - 1) // p) * p)
+            if first % 2 == 0:
+                first += p
+            if first > 2 * end - 1:
+                continue
+            seg[(first - lo_val) // 2 :: p] = False
+        out[start:end] = seg
+        start = end
+    return out
+
+
+def gathered_residue_counts(x: int) -> tuple[int, ...]:
+    """matrix.residue_counts by gathering: the indices of the primes in
+    the reference bitmap, 2i+1 for each, then a bincount mod 360."""
+    counts = np.zeros(360, dtype=np.int64)
+    if x < 2:
+        return tuple(counts.tolist())
+    bm = segmented_odd_prime_bitmap(x)
+    chunk = 1 << 22
+    for s in range(0, bm.size, chunk):
+        vals = 2 * (np.flatnonzero(bm[s:s + chunk]) + s) + 1
+        counts += np.bincount(vals % 360, minlength=360)
+    counts[2] += 1
+    return tuple(counts.tolist())
+
+
+def gathered_germain_residues(limit: int) -> frozenset[int]:
+    """ova.germain_residues by gathering: for each odd prime q = 2i+1
+    of the reference bitmap with 2q+1 <= limit, read bit 2i+1."""
+    bm = segmented_odd_prime_bitmap(limit)
+    idx = np.flatnonzero(bm)
+    idx = idx[4 * idx + 3 <= limit]
+    safe = idx[bm[2 * idx + 1]]
+    return frozenset(((4 * safe + 3) % 360).tolist()) | {5}
+
+
+@pytest.fixture(scope="session")
+def reference_odd_prime_bitmap():
+    return segmented_odd_prime_bitmap
+
+
+@pytest.fixture(scope="session")
+def reference_residue_counts():
+    return gathered_residue_counts
+
+
+@pytest.fixture(scope="session")
+def reference_germain_residues():
+    return gathered_germain_residues

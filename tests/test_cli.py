@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ova360
 from ova360 import goldens
 from ova360.cli import dispatch
 
@@ -116,6 +119,8 @@ def test_sieve_formats(capsys):
     assert out.strip() == "2,3,5,7,11,13,17,19,23,29"
     rc, out, _ = run(capsys, "sieve", "--limit", "30", "--format", "json")
     assert json.loads(out)["count"] == "10"
+    for fmt in ("plain", "csv"):
+        assert run(capsys, "sieve", "--limit", "1", "--format", fmt) == (0, "", "")
 
 
 def test_interval(capsys):
@@ -361,6 +366,25 @@ def test_density_rotations_bound_exits_1(capsys, monkeypatch):
     assert "exceeds bound" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sieve", "--limit", "MAX_PRIME_LIST_LIMIT"),
+    ("germain", "--limit", "MAX_SIEVE_LIMIT"),
+    ("dirichlet", "--x", "MAX_SIEVE_LIMIT", "--all"),
+    ("dirichlet", "--x", "MAX_SIEVE_LIMIT", "--ova", "7"),
+])
+def test_sieve_bound_exits_1_before_sieving(capsys, monkeypatch, argv):
+    from ova360 import primality
+
+    def no_sieve(limit):
+        raise AssertionError("sieved past the bound")
+
+    monkeypatch.setattr(primality, "_odd_base", no_sieve)
+    bound = getattr(primality, argv[2])
+    rc, out, err = run(capsys, *argv[:2], str(bound + 1), *argv[3:])
+    assert (rc, out) == (1, "")
+    assert "exceeds" in err and str(bound) in err
+
+
 def test_landau_enumerate_limit_bound_exits_1(capsys, monkeypatch):
     from ova360 import landau
 
@@ -414,9 +438,13 @@ def test_dirichlet_all(capsys):
 
 
 def test_module_entrypoint_subprocess():
+    # the child imports the package under test, also where pytest's
+    # pythonpath setting (not the environment) put it on sys.path
+    src = str(Path(ova360.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "ova360.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("ova360 ")

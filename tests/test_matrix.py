@@ -203,6 +203,21 @@ def test_residue_counts_oracle():
     assert list(counts) == want
 
 
+def test_residue_counts_match_gathered_counts(reference_residue_counts):
+    for x in range(2, 5001):
+        assert residue_counts(x) == reference_residue_counts(x), x
+    # the fold takes whole rows of 180 odds: x = -1, 0 (mod 360) leave no
+    # tail, x = 1 (mod 360) a tail of one
+    for k in (2777, 2778, 2800):
+        for x in (360 * k - 1, 360 * k, 360 * k + 1):
+            assert residue_counts(x) == reference_residue_counts(x), x
+
+
+@pytest.mark.parametrize("x", [2, 1000, 1081, 65537, 10**6 + 1, 3 * 10**6])
+def test_prime_count_matches_sympy(x):
+    assert prime_count(x) == sympy.primepi(x)
+
+
 def test_c_counts_plus_singletons_equal_pi():
     x = 10**6
     counts = residue_counts(x)

@@ -170,6 +170,15 @@ def test_germain_at_1e7():
                    203, 227, 239, 263, 287, 299, 323, 347, 359]
 
 
+def test_germain_matches_gathered_residues(reference_germain_residues):
+    for limit in range(7, 5001):
+        assert germain_residues(limit) == reference_germain_residues(limit), limit
+    # the safe-prime mask folds by 90 odds, i.e. 360 values of 4i+3
+    for k in (2777, 2778):
+        for limit in range(360 * k - 4, 360 * k + 5):
+            assert germain_residues(limit) == reference_germain_residues(limit), limit
+
+
 def test_germain_report_diffs():
     # both golden lists include 187 and 191, which cannot occur:
     # a safe prime = 187 mod 360 means q = 93 mod 180, divisible by 3;

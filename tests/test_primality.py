@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -11,6 +12,9 @@ from sympy.ntheory.primetest import mr
 
 from ova360.errors import BoundError, DomainError
 from ova360.primality import (
+    MAX_PRIME_LIST_LIMIT,
+    MAX_SIEVE_LIMIT,
+    SEGMENT_ODDS,
     bertrand_prime,
     composite_interval,
     interval_gap,
@@ -40,6 +44,11 @@ def test_sieve_segment_size_irrelevant():
     a = sieve_primes(10**5, segment_odds=1 << 8).primes
     b = sieve_primes(10**5, segment_odds=1 << 20).primes
     assert (a == b).all()
+    assert (10**7 + 1) // 2 > 3 * SEGMENT_ODDS  # four default segments
+    c = sieve_primes(10**7).primes
+    for segment_odds in (1 << 12, 15015, 1 << 20, 1 << 22):
+        assert (sieve_primes(10**7, segment_odds).primes == c).all()
+    assert c.size == 664579
 
 
 def test_sieve_negative_limit_rejected():
@@ -50,6 +59,39 @@ def test_sieve_negative_limit_rejected():
 def test_sieve_bound():
     with pytest.raises(BoundError):
         odd_prime_bitmap((1 << 40) + 2)
+    with pytest.raises(BoundError):
+        odd_prime_bitmap(MAX_SIEVE_LIMIT + 1)
+    with pytest.raises(BoundError):
+        sieve_primes(MAX_PRIME_LIST_LIMIT + 1)
+
+
+def test_bitmap_matches_reference_at_every_small_limit(reference_odd_prime_bitmap):
+    for limit in range(1, 3001):
+        got = odd_prime_bitmap(limit)
+        assert got.dtype == bool
+        assert np.array_equal(got, reference_odd_prime_bitmap(limit)), limit
+
+
+def test_bitmap_matches_reference_at_period_and_segment_ends(reference_odd_prime_bitmap):
+    # the pre-sieve pattern repeats every 15015 odds, i.e. 30030 values
+    for k in (1, 2, 3, 7):
+        for limit in range(30030 * k - 2, 30030 * k + 3):
+            assert np.array_equal(odd_prime_bitmap(limit),
+                                  reference_odd_prime_bitmap(limit)), limit
+    # segment ends: the last odd of segment j is 2 * j * segment_odds - 1
+    for segment_odds in (180, 1000, 15015, 15016):
+        for j in (1, 2, 5):
+            for limit in range(2 * j * segment_odds - 3, 2 * j * segment_odds + 2):
+                got = odd_prime_bitmap(limit, segment_odds)
+                assert np.array_equal(got, reference_odd_prime_bitmap(limit)), (
+                    segment_odds, limit)
+    for limit in (2 * SEGMENT_ODDS - 1, 2 * SEGMENT_ODDS + 1, 4 * SEGMENT_ODDS):
+        assert np.array_equal(odd_prime_bitmap(limit),
+                              reference_odd_prime_bitmap(limit)), limit
+
+
+def test_bitmap_matches_reference_at_1e7(reference_odd_prime_bitmap):
+    assert np.array_equal(odd_prime_bitmap(10**7), reference_odd_prime_bitmap(10**7))
 
 
 def test_bitmap_indexing():
