@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import dataclasses
 import enum
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -32,6 +33,9 @@ from .errors import (
 )
 
 _FORMATS = ("plain", "csv", "json")
+# Lines per write in plain and csv output. One print per line made
+# `sieve --limit 1e7` three times slower as plain than as one csv line.
+EMIT_CHUNK = 1 << 16
 
 
 @dataclass
@@ -95,19 +99,20 @@ def _dump_json(payload) -> str:
 
 
 def _emit(cfg: RunConfig, payload, plain_lines, csv_lines=None) -> None:
-    """Render payload as JSON, or print the lines of the chosen format.
+    """Render payload as JSON, or write the lines of the chosen format.
 
     The line arguments may be lazy iterables: only the chosen one is
-    consumed, so a handler can pass lines without building them all.
+    consumed, EMIT_CHUNK lines at a time, each chunk joined into one
+    write, so a handler can pass lines without building them all.
     """
     if cfg.format == "json":
         print(_dump_json(payload))
-    elif cfg.format == "csv":
-        for line in (csv_lines if csv_lines is not None else plain_lines):
-            print(line)
-    else:
-        for line in plain_lines:
-            print(line)
+        return
+    if cfg.format == "csv" and csv_lines is not None:
+        plain_lines = csv_lines
+    lines = iter(plain_lines)
+    while chunk := list(itertools.islice(lines, EMIT_CHUNK)):
+        sys.stdout.write("\n".join(chunk) + "\n")
 
 
 def _witness_rows(first: int, best) -> str:

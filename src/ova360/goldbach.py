@@ -11,6 +11,7 @@ as an observation, never assumed.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -20,10 +21,15 @@ import numpy as np
 
 from .errors import BoundError, CounterexampleFound, DomainError
 from .ova import MODULUS, decompose, residue_sets
-from .primality import is_prime, is_prime_big, odd_prime_bitmap
+from .primality import (
+    is_prime,
+    is_prime_big,
+    odd_prime_bitmap,
+    odd_prime_segments,
+)
 
-# The prime bitmap, limit/2 bytes, is the scan's memory bound.
-MAX_SCAN_LIMIT = 10**8
+# The scan streams the primes, so time, not memory, bounds it: see scan.
+MAX_SCAN_LIMIT = 10**9
 # Largest n accepted by interval_sum_check and symmetric_pair_check;
 # their docstrings give the measured cost.
 MAX_INTERVAL_SUM_N = 4 * 10**4
@@ -34,6 +40,9 @@ BLOCK_EVENS = 1 << 16
 # Odd primes below this are peeled off each block with dense slices;
 # the rest by gathers over the n still unresolved.
 DENSE_PEEL_BELOW = 80
+# The largest p a scan block reads from its window of the stream; see
+# _smallest_p_blocks.
+MAX_WINDOW_P = 1 << 15
 
 
 class HalfParity(enum.Enum):
@@ -132,10 +141,12 @@ def scan(
     One pass over the evens in blocks of BLOCK_EVENS. ``on_block``, if
     given, receives every block as ``(first_n, smallest_p)``, where
     ``smallest_p[i]`` is the smallest odd prime p with n - p an odd
-    prime for n = first_n + 2i, or 0 if there is none. Memory is one
-    prime bitmap of limit/2 bytes plus one block: `ova360 goldbach scan
-    --limit 100000000` peaks at 87 MB RSS, interpreter and numpy
-    included (3.2 s on a 2-core x86-64 VM).
+    prime for n = first_n + 2i, or 0 if there is none. The primes are
+    streamed, so memory is one segment, a window and one block, whatever
+    the limit: on a 2-core x86-64 VM `ova360 goldbach scan --limit
+    100000000` takes 3.9-4.9 s and peaks at 41 MB RSS, interpreter and
+    numpy included, and at MAX_SCAN_LIMIT = 1e9 a scan takes 45 s and
+    36 MB.
 
     The report also carries a four-odd-primes spot witness for the
     largest even n >= 12 in range, built as 3 + 3 + p + q from the
@@ -146,7 +157,7 @@ def scan(
     four_j = (limit - 12) // 2  # index of limit - 6 among the evens from 6
     four_wit = None
     max_p, argmax_n, failures = -1, 6, []
-    for first, best in _smallest_p_blocks(limit, odd_prime_bitmap(limit)):
+    for first, best in _smallest_p_blocks(limit):
         if on_block is not None:
             on_block(first, best)
         i = int(np.argmax(best))
@@ -187,60 +198,80 @@ def scan_witnesses(limit: int) -> list[GoldbachWitness]:
     return witnesses
 
 
-def _smallest_p_blocks(
-    limit: int, bitmap: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
+def _smallest_p_blocks(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (first_n, smallest_p) for consecutive blocks of the even n
     in [6, limit]; smallest_p[i] belongs to n = first_n + 2i and is 0
     when no odd prime p gives an odd prime n - p >= 3.
 
-    Within a block the evens are consecutive, so for a fixed p the
-    indices (n - p) >> 1 into the bitmap form one contiguous slice.
-    Primes below DENSE_PEEL_BELOW are peeled with whole-block slice
-    and mask operations; the few n they leave are then resolved by
-    gathers over the ascending primes, as in Oliveira e Silva, Herzog
-    & Pardi, Math. Comp. 83 (2014). Every p is read from the bitmap.
+    The odd numbers stream in from odd_prime_segments(limit). A block
+    reads n - p for the odd primes p <= MAX_WINDOW_P, so a window keeps
+    only the odds from first_n - MAX_WINDOW_P on; the primes p are read
+    from the same stream. Any n still unresolved when those primes run
+    out is finished by trial with is_prime, which is exact at every
+    scan limit. The largest smallest Goldbach prime below 4e18 is 9781
+    (Oliveira e Silva, Herzog & Pardi, Math. Comp. 83, 2014), so at
+    these scales the trial never runs.
     """
-    dense = [2 * i + 1 for i in range(1, min(DENSE_PEEL_BELOW >> 1, bitmap.size))
-             if bitmap[i]]
-    sparse: list[int] = []  # odd primes >= DENSE_PEEL_BELOW, grown lazily
-    read = DENSE_PEEL_BELOW >> 1  # bitmap index up to which sparse is filled
-    for first in range(6, limit + 1, 2 * BLOCK_EVENS):
-        last = min(first + 2 * (BLOCK_EVENS - 1), limit)
-        m = (last - first) // 2 + 1
-        half = first >> 1
-        best = np.zeros(m, dtype=np.int64)
-        for p in dense:
-            lo = half - ((p + 1) >> 1)  # bitmap index of first_n - p
-            skip = max(1 - lo, 0)  # leading n with n - p < 3
-            if skip >= m:
+    reach = (MAX_WINDOW_P + 1) >> 1  # odds a block reads below its first n
+    primes: list[int] = []  # the odd primes <= MAX_WINDOW_P streamed so far
+    window, off = np.zeros(0, dtype=bool), 0  # window[i] is bit off + i
+    first = 6
+    for start, seg in odd_prime_segments(limit):
+        end = start + seg.size
+        if start < reach:
+            primes += (2 * (np.flatnonzero(seg[:reach - start]) + start) + 1).tolist()
+        window = np.concatenate((window, seg))
+        # a block is ready once its largest n - 3, bit last/2 - 2, has streamed
+        while first <= limit:
+            last = min(first + 2 * (BLOCK_EVENS - 1), limit)
+            if (last >> 1) - 2 >= end:
                 break
-            rows = best[skip:]
-            rows[bitmap[lo + skip : lo + m] & (rows == 0)] = p
-        left = np.flatnonzero(best == 0)
-        qbase = half + left  # n >> 1 of every unresolved n
-        k = 0
-        while left.size:
-            if k == len(sparse):
-                if read >= bitmap.size:
-                    break
-                stop = min(2 * read + 4096, bitmap.size)
-                sparse += (2 * (np.flatnonzero(bitmap[read:stop]) + read) + 1).tolist()
-                read = stop
-                continue
-            p = sparse[k]
-            k += 1
-            if p > last - 3:
-                break
-            qi = qbase - ((p + 1) >> 1)
-            if p > first - 3:  # some n - p fall below 3
-                hit = bitmap[np.maximum(qi, 0)] & (qi >= 1)
-            else:
-                hit = bitmap[qi]
-            best[left[hit]] = p
-            miss = ~hit
-            left, qbase = left[miss], qbase[miss]
-        yield first, best
+            yield first, _block_smallest_p(first, last, window, off, primes)
+            first = last + 2
+        keep = min(max((first >> 1) - reach, off), end)
+        window, off = window[keep - off:].copy(), keep  # frees the rest
+
+
+def _block_smallest_p(
+    first: int, last: int, window: np.ndarray, off: int, primes: list[int]
+) -> np.ndarray:
+    """smallest_p for the evens first..last, reading bit b of the prime
+    bitmap as window[b - off].
+
+    Within a block the evens are consecutive, so for a fixed p the bits
+    of n - p form one contiguous slice. Primes below DENSE_PEEL_BELOW
+    are peeled with whole-block slice and mask operations; the few n
+    they leave are then resolved by gathers over the ascending primes.
+    """
+    m = (last - first) // 2 + 1
+    half = first >> 1
+    best = np.zeros(m, dtype=np.int64)
+    n_dense = bisect.bisect_left(primes, DENSE_PEEL_BELOW)
+    for p in primes[:n_dense]:
+        lo = half - ((p + 1) >> 1)  # bit of first_n - p
+        skip = max(1 - lo, 0)  # leading n with n - p < 3
+        if skip >= m:
+            break
+        rows = best[skip:]
+        rows[window[lo + skip - off : lo + m - off] & (rows == 0)] = p
+    left = np.flatnonzero(best == 0)
+    qbase = half - off + left  # window index of n >> 1, every unresolved n
+    for p in primes[n_dense:]:
+        if not left.size or p > last - 3:
+            break
+        qi = qbase - ((p + 1) >> 1)
+        if p > first - 3:  # some n - p fall below 3 (and off is 0)
+            hit = window[np.maximum(qi, 0)] & (qi >= 1)
+        else:
+            hit = window[qi]
+        best[left[hit]] = p
+        miss = ~hit
+        left, qbase = left[miss], qbase[miss]
+    for j in left.tolist():  # no p <= MAX_WINDOW_P works: try the larger p
+        n = first + 2 * j
+        best[j] = next((p for p in range((MAX_WINDOW_P + 1) | 1, n // 2 + 1, 2)
+                        if is_prime(p) and is_prime(n - p)), 0)
+    return best
 
 
 def bertrand_construction(n: int) -> BertrandConstruction:

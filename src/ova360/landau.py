@@ -16,9 +16,9 @@ from functools import cache
 
 from . import goldens
 from .errors import BoundError, DomainError, GoldenDataError, UnknownOva
+from .ova import MODULUS
 from .primality import is_prime_big
 
-MODULUS = 360
 # Largest limit accepted by enumerate_k2_plus_1; see there for the cost.
 MAX_LANDAU_LIMIT = 10**12
 

@@ -23,12 +23,19 @@ import numpy as np
 
 from .errors import BoundError, DomainError
 from .ova import MODULUS, residue_sets
-from .primality import is_prime_big, odd_prime_bitmap
+from .primality import (
+    is_prime_big,
+    odd_prime_bitmap,
+    odd_prime_segments,
+    period_counts,
+)
 
 # density(): rotations G per sieve segment (one bool each), and the
 # largest rotation count accepted; see density() for the measured cost.
 DENSITY_SEGMENT = 1 << 20
 MAX_DENSITY_ROTATIONS = 10**8
+# build_matrix: largest start accepted; see there for the measured cost.
+MAX_MATRIX_START = 10**100
 _SINGLETONS = (2, 3, 5)
 _ODD_RESIDUES = MODULUS // 2
 
@@ -68,12 +75,21 @@ def _require_cstar(ova: int) -> None:
 
 def build_matrix(ova: int, k: int, start: int = 1) -> OvaMatrix:
     """k x k indicator grid: entry (i, j) is 1 iff ova + 360*G is
-    prime at rotation G = start - 1 + k*(i-1) + j (1-based i, j)."""
+    prime at rotation G = start - 1 + k*(i-1) + j (1-based i, j).
+
+    Each of the k**2 entries is one primality test, whose cost grows
+    with the size of start: at k = 60 a call takes 0.04 s at start 1e9,
+    0.3 s at 1e18, 1.6 s at MAX_MATRIX_START = 1e100 and 18 s at 1e400
+    on a 2-core x86-64 VM. start past the bound raises BoundError before
+    any test.
+    """
     _require_cstar(ova)
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     if start < 1:
         raise DomainError(f"start must be >= 1, got {start}")
+    if start > MAX_MATRIX_START:
+        raise BoundError(f"start {start} exceeds bound {MAX_MATRIX_START}")
     rows = []
     for i in range(1, k + 1):
         base = start - 1 + k * (i - 1)
@@ -169,17 +185,18 @@ def _line_prime_count(ova: int, rotations: int) -> int:
 
 @lru_cache(maxsize=4)
 def residue_counts(x: int) -> tuple[int, ...]:
-    """count[r] = number of primes <= x congruent to r mod 360."""
-    if x < 2:
-        return tuple([0] * MODULUS)
+    """count[r] = number of primes <= x congruent to r mod 360.
+
+    One pass over odd_prime_segments(x): 2i+1 mod 360 has period 180 in
+    i, so each segment folds into 180 columns, column c counting residue
+    2c+1. Memory is one segment, whatever x; x past MAX_STREAM_LIMIT
+    raises BoundError before anything is sieved.
+    """
     counts = np.zeros(MODULUS, dtype=np.int64)
-    bm = odd_prime_bitmap(x)
-    # 2i+1 mod 360 has period 180 in i: fold the bitmap into rows of 180,
-    # so column c counts residue 2c+1; the short last row adds on top
-    whole = bm.size - bm.size % _ODD_RESIDUES
-    cols = np.count_nonzero(bm[:whole].reshape(-1, _ODD_RESIDUES), axis=0)
-    cols[:bm.size - whole] += bm[whole:]
-    counts[1::2] = cols
+    if x < 2:
+        return tuple(counts.tolist())
+    for start, seg in odd_prime_segments(x):
+        counts[1::2] += period_counts(seg, start, _ODD_RESIDUES)
     counts[2] += 1  # the even prime
     return tuple(counts.tolist())
 
@@ -194,8 +211,8 @@ def dirichlet_ratio(x: int, ova: int) -> DensityReport:
 
     The three singleton residues 2, 3, 5 are legal inputs with the
     ratio omitted (their counts are bounded); other residues outside
-    C are a domain error. x past the sieve bound MAX_SIEVE_LIMIT raises
-    BoundError before anything is sieved.
+    C are a domain error. x past the stream bound MAX_STREAM_LIMIT
+    raises BoundError before anything is sieved.
     """
     if x < 1000:
         raise DomainError(f"x must be >= 1000, got {x}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import goldens
 from .errors import DomainError
-from .primality import is_prime, is_prime_big, odd_prime_bitmap
+from .primality import is_prime, is_prime_big, odd_prime_segments, period_counts
 
 MODULUS = 360
 _SAFE_PERIOD = MODULUS // 4
@@ -183,18 +183,35 @@ def twin_residue_pairs() -> tuple[tuple[int, int], ...]:
 
 
 def germain_residues(limit: int) -> frozenset[int]:
-    """Residues of safe primes 2q+1 <= limit over Germain primes q."""
+    """Residues of safe primes 2q+1 <= limit over Germain primes q.
+
+    One pass over odd_prime_segments(limit). The odd Germain prime
+    q = 2i+1 has its safe prime 4i+3 at bit 2i+1, so bit i must be kept
+    until bit 2i+1 streams past: the bits below m = (limit-3)//4 + 1 are
+    kept packed, limit/32 bytes, and each segment's odd-indexed bits are
+    ANDed with them. 4i+3 mod 360 has period 90 in i, so the pairs fold
+    into 90 columns. limit past MAX_STREAM_LIMIT raises BoundError
+    before anything is sieved.
+    """
     if limit < 7:
         raise DomainError(f"limit must be >= 7, got {limit}")
-    bm = odd_prime_bitmap(limit)
-    # odd Germain prime q = 2i+1 has safe prime 4i+3 <= limit, stored at
-    # bit 2i+1; 4i+3 mod 360 has period 90 in i, so the mask folds into
-    # rows of 90 and the short last row is OR-ed on top
+    segments = odd_prime_segments(limit)  # checks the bound before low exists
     m = (limit - 3) // 4 + 1
-    safe = bm[:m] & bm[1:2 * m:2]
-    whole = m - m % _SAFE_PERIOD
-    hits = safe[:whole].reshape(-1, _SAFE_PERIOD).any(axis=0)
-    hits[:m - whole] |= safe[whole:]
+    low = np.zeros((m + 7) // 8, dtype=np.uint8)  # bits 0 .. m-1, packed
+    hits = np.zeros(_SAFE_PERIOD, dtype=np.int64)
+    for start, seg in segments:
+        end = start + seg.size
+        if start < m:
+            # pad to a byte boundary, so the packed bits OR into place
+            pad = start % 8
+            bits = np.concatenate((np.zeros(pad, dtype=bool), seg[:m - start]))
+            low[start // 8 : start // 8 + (bits.size + 7) // 8] |= np.packbits(bits)
+        i0, i1 = start // 2, min(m, end // 2)  # the i with start <= 2i+1 < end
+        if i0 >= m:
+            break
+        q_prime = np.unpackbits(low[i0 // 8 : (i1 + 7) // 8], count=i1 - (i0 & ~7))
+        safe = q_prime[i0 % 8:].view(bool) & seg[2 * i0 + 1 - start :: 2][:i1 - i0]
+        hits += period_counts(safe, i0, _SAFE_PERIOD)
     out = set(((4 * np.flatnonzero(hits) + 3) % MODULUS).tolist())
     out.add(5)  # q = 2 gives the safe prime 5
     return frozenset(out)

@@ -1,29 +1,35 @@
 """Prime generation and primality testing.
 
-Provides a segmented odd-only sieve returning numpy arrays, one
-Miller-Rabin core behind two entry points, and the factorial
-construction of prime-free intervals together with the gap identity
-around them. Both entry points answer n < 256 from a table and reject
-any larger n sharing a factor with 251#. Below 2**64 the bases come
-from the exact bound table of Jaeschke (Math. Comp. 61, 1993) and
-Sorenson & Webster (Math. Comp. 86, 2017); above it, bases 2 and 3
-are followed by bases drawn lazily from a generator seeded by n.
+Provides a segmented odd-only sieve, streamed one segment at a time
+or written into one numpy bitmap, one Miller-Rabin core behind two
+entry points, and the factorial construction of prime-free intervals
+together with the gap identity around them. Both entry points answer
+n < 256 from a table and reject any larger n sharing a factor with
+251#. Below 2**64 the bases come from the exact bound table of
+Jaeschke (Math. Comp. 61, 1993) and Sorenson & Webster (Math. Comp.
+86, 2017); above it, bases 2 and 3 are followed by bases drawn lazily
+from a generator seeded by n.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BoundError, CounterexampleFound, DomainError
 
-# odd_prime_bitmap takes limit/2 bytes. Measured on a 2-core x86-64 VM
-# with 8 GB: at 2e9, `germain` (bitmap plus a limit/4 mask) peaks at
-# 1.46 GB in 7.3 s and `dirichlet --all` at 0.99 GB in 5.7 s.
+# odd_prime_bitmap takes limit/2 bytes, 1 GB at this bound. The verbs
+# that read it whole (sieve, symmetric, interval) have smaller bounds;
+# the scans stream it under MAX_STREAM_LIMIT instead.
 MAX_SIEVE_LIMIT = 2 * 10**9
+# odd_prime_segments holds one segment, so time, not memory, bounds it.
+# At 1e10 on the same VM, `dirichlet --all` takes 54 s and peaks at
+# 35 MB; `germain`, which keeps limit/32 bytes of bits, 62 s and 338 MB.
+MAX_STREAM_LIMIT = 10**10
 # sieve_primes lists every prime, and the `sieve` verb renders each one
 # as text: at 1e8 (5.76M primes) it peaks at 1.26 GB as json.
 MAX_PRIME_LIST_LIMIT = 10**8
@@ -107,31 +113,30 @@ _HEAD = np.array([False, True, True, True, False, True, True])
 SEGMENT_ODDS = 180 << 13
 
 
-def odd_prime_bitmap(limit: int, segment_odds: int = SEGMENT_ODDS) -> np.ndarray:
-    """Bitmap b with b[i] == (2i+1 is prime), covering odd values <= limit.
-
-    One byte per odd number, so the result takes limit/2 bytes. Each
-    segment of segment_odds odds is written in place: first as a slice
-    of the tiled pre-sieve pattern, which already clears the multiples
-    of 3, 5, 7, 11 and 13, then struck by the base primes from 17 to
-    sqrt(limit), so a segment stays in cache while it is sieved. At
-    limit 1e8 a call takes 0.12-0.16 s on a 2-core x86-64 VM, against
-    0.25-0.30 s for all-ones segments of 2^22 odds with no pre-sieve.
-    """
+def _check_sieve_limit(limit: int, bound: int) -> None:
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
-    if limit > MAX_SIEVE_LIMIT:
-        raise BoundError(f"limit {limit} exceeds sieve bound {MAX_SIEVE_LIMIT}")
+    if limit > bound:
+        raise BoundError(f"limit {limit} exceeds sieve bound {bound}")
+
+
+def _sieve_segments(
+    limit: int, segment_odds: int, out: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The one strike loop. Yield (start, seg) with seg[i] == (2(start+i)+1
+    is prime) for consecutive segments of the odd numbers <= limit. seg
+    is out[start:end] when out covers every odd number, otherwise the
+    head of out, which each segment overwrites."""
     n_odds = (limit + 1) // 2
+    whole = out.size == n_odds
     base = _odd_base(math.isqrt(limit))
     strikers = 2 * np.flatnonzero(base) + 1
     strikers = strikers[strikers > _PRESIEVE_PRIMES[-1]].tolist()
     # long enough for a slice of any segment's length at any offset
     tiled = np.tile(_PRESIEVE, min(segment_odds, n_odds) // _PRESIEVE_PERIOD + 2)
-    out = np.empty(n_odds, dtype=bool)
     for start in range(0, n_odds, segment_odds):
         end = min(start + segment_odds, n_odds)
-        seg = out[start:end]
+        seg = out[start:end] if whole else out[:end - start]
         offset = start % _PRESIEVE_PERIOD
         seg[:] = tiled[offset:offset + end - start]
         lo_val, hi_val = 2 * start + 1, 2 * end - 1
@@ -142,8 +147,64 @@ def odd_prime_bitmap(limit: int, segment_odds: int = SEGMENT_ODDS) -> np.ndarray
             if first % 2 == 0:
                 first += p
             seg[(first - lo_val) // 2 :: p] = False
-    out[:_HEAD.size] = _HEAD[:n_odds]
+        head = _HEAD[start:end]
+        seg[:head.size] = head
+        yield start, seg
+
+
+def odd_prime_segments(
+    limit: int, segment_odds: int = SEGMENT_ODDS
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Stream the odd-number prime bitmap of odd_prime_bitmap(limit) in
+    segments: yield (start, seg) with seg[i] == (2(start+i)+1 is prime),
+    for start = 0, segment_odds, 2*segment_odds, ...
+
+    seg is one buffer of segment_odds bytes, overwritten by the next
+    segment: copy what must outlive the iteration step. Memory is that
+    buffer plus the base primes to sqrt(limit), whatever the limit. The
+    limit is checked here, before anything is sieved.
+    """
+    _check_sieve_limit(limit, MAX_STREAM_LIMIT)
+    buffer = np.empty(min(segment_odds, (limit + 1) // 2), dtype=bool)
+    return _sieve_segments(limit, segment_odds, buffer)
+
+
+def odd_prime_bitmap(limit: int, segment_odds: int = SEGMENT_ODDS) -> np.ndarray:
+    """Bitmap b with b[i] == (2i+1 is prime), covering odd values <= limit.
+
+    The segments of odd_prime_segments, written in place into one array
+    of limit/2 bytes, for the consumers that index it at random: the
+    prime list, the symmetric-pair and interval-sum checks and density's
+    base primes. Each segment starts as a slice of the tiled pre-sieve
+    pattern, which already clears the multiples of 3, 5, 7, 11 and 13,
+    and is then struck by the base primes from 17 to sqrt(limit), so it
+    stays in cache while it is sieved. At limit 1e8 a call takes
+    0.12-0.16 s and holds a 50 MB result on a 2-core x86-64 VM.
+    """
+    _check_sieve_limit(limit, MAX_SIEVE_LIMIT)
+    out = np.empty((limit + 1) // 2, dtype=bool)
+    for _ in _sieve_segments(limit, segment_odds, out):
+        pass
     return out
+
+
+def period_counts(bits: np.ndarray, start: int, period: int) -> np.ndarray:
+    """c[r] = number of set bits[i] with (start + i) % period == r.
+
+    Rows of 128 periods are summed as bytes, at most 255 rows at a time
+    so no byte overflows; the long rows keep numpy's inner loop long,
+    which measured 10x faster than one row per period. The row sums
+    then fold by period, the short tail is binned, and the columns are
+    rotated to start's phase.
+    """
+    wide = period << 7
+    whole = bits.size - bits.size % wide
+    cols = np.bincount(np.flatnonzero(bits[whole:]) % period, minlength=period)
+    for s in range(0, whole, 255 * wide):
+        rows = bits[s:min(s + 255 * wide, whole)].view(np.uint8).reshape(-1, wide)
+        row_sums = np.add.reduce(rows, axis=0, dtype=np.uint8)
+        cols += row_sums.reshape(-1, period).sum(axis=0, dtype=np.int64)
+    return np.roll(cols, start % period)
 
 
 def sieve_primes(limit: int, segment_odds: int = SEGMENT_ODDS) -> PrimeTable:

@@ -58,11 +58,12 @@ def bitmap_without_three(monkeypatch):
     from ova360 import goldbach, primality
 
     def without_three(limit):
-        bitmap = primality.odd_prime_bitmap(limit)
-        bitmap[1] = False
-        return bitmap
+        for start, seg in primality.odd_prime_segments(limit):
+            if start <= 1 < start + seg.size:
+                seg[1 - start] = False
+            yield start, seg
 
-    monkeypatch.setattr(goldbach, "odd_prime_bitmap", without_three)
+    monkeypatch.setattr(goldbach, "odd_prime_segments", without_three)
 
 
 def eager_is_prime_big(n: int, rounds: int = 40) -> bool:
@@ -227,3 +228,130 @@ def reference_residue_counts():
 @pytest.fixture(scope="session")
 def reference_germain_residues():
     return gathered_germain_residues
+
+
+def whole_bitmap_residue_counts(x: int) -> tuple[int, ...]:
+    """matrix.residue_counts on one whole odd_prime_bitmap(x), folded
+    by 180 with the short last row added on top."""
+    from ova360.primality import odd_prime_bitmap
+
+    counts = np.zeros(360, dtype=np.int64)
+    if x < 2:
+        return tuple(counts.tolist())
+    bm = odd_prime_bitmap(x)
+    whole = bm.size - bm.size % 180
+    cols = np.count_nonzero(bm[:whole].reshape(-1, 180), axis=0)
+    cols[:bm.size - whole] += bm[whole:]
+    counts[1::2] = cols
+    counts[2] += 1
+    return tuple(counts.tolist())
+
+
+def whole_bitmap_germain_residues(limit: int) -> frozenset[int]:
+    """ova.germain_residues on one whole odd_prime_bitmap(limit): the
+    safe-prime mask bm[:m] & bm[1:2m:2], folded by 90."""
+    from ova360.primality import odd_prime_bitmap
+
+    bm = odd_prime_bitmap(limit)
+    m = (limit - 3) // 4 + 1
+    safe = bm[:m] & bm[1:2 * m:2]
+    whole = m - m % 90
+    hits = safe[:whole].reshape(-1, 90).any(axis=0)
+    hits[:m - whole] |= safe[whole:]
+    return frozenset(((4 * np.flatnonzero(hits) + 3) % 360).tolist()) | {5}
+
+
+def _whole_bitmap_smallest_p_blocks(limit: int, bitmap: np.ndarray):
+    """(first_n, smallest_p) per block of goldbach.BLOCK_EVENS evens,
+    every n - p read from one whole bitmap and the primes p grown
+    lazily from its head."""
+    from ova360.goldbach import BLOCK_EVENS, DENSE_PEEL_BELOW
+
+    dense = [2 * i + 1 for i in range(1, min(DENSE_PEEL_BELOW >> 1, bitmap.size))
+             if bitmap[i]]
+    sparse: list[int] = []
+    read = DENSE_PEEL_BELOW >> 1
+    for first in range(6, limit + 1, 2 * BLOCK_EVENS):
+        last = min(first + 2 * (BLOCK_EVENS - 1), limit)
+        m = (last - first) // 2 + 1
+        half = first >> 1
+        best = np.zeros(m, dtype=np.int64)
+        for p in dense:
+            lo = half - ((p + 1) >> 1)
+            skip = max(1 - lo, 0)
+            if skip >= m:
+                break
+            rows = best[skip:]
+            rows[bitmap[lo + skip : lo + m] & (rows == 0)] = p
+        left = np.flatnonzero(best == 0)
+        qbase = half + left
+        k = 0
+        while left.size:
+            if k == len(sparse):
+                if read >= bitmap.size:
+                    break
+                stop = min(2 * read + 4096, bitmap.size)
+                sparse += (2 * (np.flatnonzero(bitmap[read:stop]) + read) + 1).tolist()
+                read = stop
+                continue
+            p = sparse[k]
+            k += 1
+            if p > last - 3:
+                break
+            qi = qbase - ((p + 1) >> 1)
+            if p > first - 3:
+                hit = bitmap[np.maximum(qi, 0)] & (qi >= 1)
+            else:
+                hit = bitmap[qi]
+            best[left[hit]] = p
+            miss = ~hit
+            left, qbase = left[miss], qbase[miss]
+        yield first, best
+
+
+def whole_bitmap_scan(limit: int, on_block=None):
+    """goldbach.scan on one whole odd_prime_bitmap(limit), which it
+    reads for every n - p and every p; limit must be a valid scan
+    limit."""
+    from ova360.goldbach import GoldbachScanReport
+    from ova360.primality import odd_prime_bitmap
+
+    four_j = (limit - 12) // 2
+    four_wit = None
+    max_p, argmax_n, failures = -1, 6, []
+    for first, best in _whole_bitmap_smallest_p_blocks(limit, odd_prime_bitmap(limit)):
+        if on_block is not None:
+            on_block(first, best)
+        i = int(np.argmax(best))
+        if best[i] > max_p:
+            max_p, argmax_n = int(best[i]), first + 2 * i
+        if not best.all():
+            failures += (first + 2 * np.flatnonzero(best == 0)).tolist()
+        j = four_j - (first - 6) // 2
+        if 0 <= j < best.size and best[j]:
+            p = int(best[j])
+            four_wit = (3, 3, p, limit - 6 - p)
+    return GoldbachScanReport(
+        limit=limit,
+        checked=(limit - 6) // 2 + 1,
+        max_smallest_p=max_p,
+        argmax_n=argmax_n,
+        failures=tuple(failures),
+        four_prime_n=limit if four_wit else None,
+        four_prime_witness=four_wit,
+    )
+
+
+@pytest.fixture(scope="session")
+def reference_whole_bitmap_counts():
+    return whole_bitmap_residue_counts
+
+
+@pytest.fixture(scope="session")
+def reference_whole_bitmap_germain():
+    return whole_bitmap_germain_residues
+
+
+@pytest.fixture(scope="session")
+def reference_whole_bitmap_scan():
+    return whole_bitmap_scan

@@ -123,6 +123,22 @@ def test_sieve_formats(capsys):
         assert run(capsys, "sieve", "--limit", "1", "--format", fmt) == (0, "", "")
 
 
+def test_emit_chunks_write_the_same_bytes(capsys, monkeypatch):
+    from ova360 import cli
+
+    argvs = [("sieve", "--limit", "30"), ("sieve", "--limit", "1"),
+             ("sieve", "--limit", "2"), ("genfunc", "--family", "twin",
+                                         "--count", "5"),
+             ("dirichlet", "--x", "1000", "--all")]
+    cases = [(*argv, "--format", fmt) for argv in argvs for fmt in ("plain", "csv")]
+    want = [run(capsys, *argv) for argv in cases]
+    lines = want[0][1].splitlines(keepends=True)
+    assert lines[-1] == "29\n" and len(lines) == 10
+    for chunk in (1, 2, 3, 9, 10, 11):
+        monkeypatch.setattr(cli, "EMIT_CHUNK", chunk)
+        assert [run(capsys, *argv) for argv in cases] == want, chunk
+
+
 def test_interval(capsys):
     rc, out, _ = run(capsys, "interval", "--n", "5")
     assert rc == 0
@@ -366,11 +382,24 @@ def test_density_rotations_bound_exits_1(capsys, monkeypatch):
     assert "exceeds bound" in err
 
 
+def test_matrix_start_bound_exits_1(capsys, monkeypatch):
+    from ova360 import matrix
+
+    def no_test(n):
+        raise AssertionError("tested past the start bound")
+
+    monkeypatch.setattr(matrix, "is_prime_big", no_test)
+    rc, out, err = run(capsys, "matrix", "--ova", "7", "--k", "3", "--start",
+                       str(matrix.MAX_MATRIX_START + 1))
+    assert (rc, out) == (1, "")
+    assert "exceeds bound" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("sieve", "--limit", "MAX_PRIME_LIST_LIMIT"),
-    ("germain", "--limit", "MAX_SIEVE_LIMIT"),
-    ("dirichlet", "--x", "MAX_SIEVE_LIMIT", "--all"),
-    ("dirichlet", "--x", "MAX_SIEVE_LIMIT", "--ova", "7"),
+    ("germain", "--limit", "MAX_STREAM_LIMIT"),
+    ("dirichlet", "--x", "MAX_STREAM_LIMIT", "--all"),
+    ("dirichlet", "--x", "MAX_STREAM_LIMIT", "--ova", "7"),
 ])
 def test_sieve_bound_exits_1_before_sieving(capsys, monkeypatch, argv):
     from ova360 import primality
@@ -448,6 +477,49 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("ova360 ")
+
+
+_PEAK_RSS_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from ova360.cli import dispatch
+out = io.StringIO()
+with redirect_stdout(out):
+    rc = dispatch(sys.argv[1:])
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps({"rc": rc, "out": out.getvalue(), "peak_kb": peak_kb}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs the Linux per-process VmHWM")
+@pytest.mark.parametrize("argv, rc", [
+    (("dirichlet", "--x", "1000000000", "--all", "--format", "json"), 0),
+    (("germain", "--limit", "1000000000"), 2),
+])
+def test_streamed_verbs_peak_under_100_mb(argv, rc):
+    # A fresh interpreter runs the verb in-process and reports its own
+    # peak RSS (the whole bitmap alone would be 500 MB at 1e9). The peak
+    # is VmHWM, the high-water mark of the memory the interpreter got at
+    # exec. getrusage would not do: RUSAGE_CHILDREN holds every earlier
+    # child's peak, and on Linux RUSAGE_SELF keeps, across fork and exec,
+    # the forking process's peak (117 MB under pytest against 71 MB from
+    # a shell for the germain run).
+    src = str(Path(ova360.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_PROBE, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["rc"] == rc
+    assert result["peak_kb"] * 1024 < 100 * 10**6, result["peak_kb"]
+    if argv[0] == "dirichlet":
+        doc = json.loads(result["out"])
+        counts = [int(r["count"]) for r in doc["classes"] + doc["singletons"]]
+        assert sum(counts) == int(doc["prime_count"]) == 50847534  # pi(1e9)
 
 
 @pytest.mark.skipif(shutil.which("ova360") is None,

@@ -147,6 +147,69 @@ def test_scan_matches_reference_across_block_edges(case, oracle_goldbach_p):
         assert path.read_bytes() == _reference_csv(limit, oracle_goldbach_p)
 
 
+def _scan_blocks(scan_fn, limit):
+    blocks = []
+    report = scan_fn(limit, on_block=lambda first, best: blocks.append(
+        (first, best.tolist())))
+    return report, blocks
+
+
+def test_scan_stream_matches_whole_bitmap(monkeypatch, reference_whole_bitmap_scan):
+    from functools import partial
+
+    from ova360 import primality
+
+    for limit in range(6, 3001, 2):
+        assert _scan_blocks(scan, limit) == _scan_blocks(
+            reference_whole_bitmap_scan, limit), limit
+    seg = primality.SEGMENT_ODDS
+    for limit in (2 * seg - 2, 2 * seg, 2 * seg + 2, 4 * seg + 4):
+        assert _scan_blocks(scan, limit) == _scan_blocks(
+            reference_whole_bitmap_scan, limit), limit
+    # blocks that span several segments, and segments holding many blocks
+    for segment_odds in (1, 7, 180, 1000):
+        monkeypatch.setattr(goldbach, "odd_prime_segments", partial(
+            primality.odd_prime_segments, segment_odds=segment_odds))
+        for block in (3, 64, goldbach.BLOCK_EVENS):
+            monkeypatch.setattr(goldbach, "BLOCK_EVENS", block)
+            for j in (1, 2, 5):
+                for limit in (2 * j * segment_odds + d for d in (-2, 0, 2)):
+                    if limit >= 6:
+                        assert _scan_blocks(scan, limit) == _scan_blocks(
+                            reference_whole_bitmap_scan, limit), (
+                                segment_odds, block, limit)
+
+
+def test_scan_trial_fallback_matches_whole_bitmap(monkeypatch,
+                                                  reference_whole_bitmap_scan):
+    from functools import partial
+
+    from ova360 import primality
+
+    def no_trial(n):
+        raise AssertionError("the window's primes ran out")
+
+    monkeypatch.setattr(goldbach, "is_prime", no_trial)
+    assert scan(10**6).max_smallest_p == 523
+    trials = []
+
+    def counted(n):
+        trials.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(goldbach, "is_prime", counted)
+    monkeypatch.setattr(goldbach, "odd_prime_segments", partial(
+        primality.odd_prime_segments, segment_odds=180))
+    for block in (64, goldbach.BLOCK_EVENS):
+        monkeypatch.setattr(goldbach, "BLOCK_EVENS", block)
+        for window_p in (1, 3, 13, 97):
+            monkeypatch.setattr(goldbach, "MAX_WINDOW_P", window_p)
+            for limit in (6, 8, 100, 362, 1000, 3000):
+                assert _scan_blocks(scan, limit) == _scan_blocks(
+                    reference_whole_bitmap_scan, limit), (block, window_p, limit)
+    assert trials
+
+
 def test_scan_failure_is_reported_never_patched(bitmap_without_three):
     r = scan(100)
     assert 6 in r.failures

@@ -182,6 +182,16 @@ def test_density_bound_fails_before_sieving(monkeypatch):
         density(7, matrix.MAX_DENSITY_ROTATIONS + 1)
 
 
+def test_build_matrix_start_bound_fails_before_testing(monkeypatch):
+    def no_test(n):
+        raise AssertionError("tested past the start bound")
+
+    assert build_matrix(7, 1, matrix.MAX_MATRIX_START).k == 1
+    monkeypatch.setattr(matrix, "is_prime_big", no_test)
+    with pytest.raises(BoundError, match="exceeds bound"):
+        build_matrix(7, 3, matrix.MAX_MATRIX_START + 1)
+
+
 def test_residue_counts_match_pi():
     x = 10**4
     counts = residue_counts(x)
@@ -211,6 +221,30 @@ def test_residue_counts_match_gathered_counts(reference_residue_counts):
     for k in (2777, 2778, 2800):
         for x in (360 * k - 1, 360 * k, 360 * k + 1):
             assert residue_counts(x) == reference_residue_counts(x), x
+
+
+def test_residue_counts_stream_matches_whole_bitmap(monkeypatch,
+                                                   reference_whole_bitmap_counts):
+    from functools import partial
+
+    from ova360 import primality
+
+    counts = residue_counts.__wrapped__  # the cache would hide the stream
+    for x in range(1, 3001):
+        assert counts(x) == reference_whole_bitmap_counts(x), x
+    seg = primality.SEGMENT_ODDS
+    for x in (2 * seg - 2, 2 * seg - 1, 2 * seg, 2 * seg + 1, 4 * seg + 2):
+        assert counts(x) == reference_whole_bitmap_counts(x), x
+    # segment ends (the last odd of segment j is 2 * j * segment_odds - 1),
+    # with segments that do and do not start on a period of 180 odds
+    for segment_odds in (7, 180, 1000, 15016):
+        monkeypatch.setattr(matrix, "odd_prime_segments", partial(
+            primality.odd_prime_segments, segment_odds=segment_odds))
+        for j in (1, 2, 5):
+            for x in range(2 * j * segment_odds - 2, 2 * j * segment_odds + 3):
+                assert counts(x) == reference_whole_bitmap_counts(x), (segment_odds, x)
+        for x in (360 * 97 - 1, 360 * 97, 360 * 97 + 1):
+            assert counts(x) == reference_whole_bitmap_counts(x), (segment_odds, x)
 
 
 @pytest.mark.parametrize("x", [2, 1000, 1081, 65537, 10**6 + 1, 3 * 10**6])

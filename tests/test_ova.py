@@ -179,6 +179,34 @@ def test_germain_matches_gathered_residues(reference_germain_residues):
             assert germain_residues(limit) == reference_germain_residues(limit), limit
 
 
+def test_germain_stream_matches_whole_bitmap(monkeypatch,
+                                             reference_whole_bitmap_germain):
+    from functools import partial
+
+    from ova360 import ova, primality
+
+    for limit in range(7, 3001):
+        assert germain_residues(limit) == reference_whole_bitmap_germain(limit), limit
+    seg = primality.SEGMENT_ODDS
+    # the default segment ends, and the kept bits' end m = (limit-3)//4 + 1
+    # crossing a segment end
+    for limit in (2 * seg - 1, 2 * seg + 1, 4 * seg - 1, 4 * seg + 3, 4 * seg + 7):
+        assert germain_residues(limit) == reference_whole_bitmap_germain(limit), limit
+    # small segments, some starting off a byte of the packed bits
+    for segment_odds in (1, 7, 180, 1000, 15016):
+        monkeypatch.setattr(ova, "odd_prime_segments", partial(
+            primality.odd_prime_segments, segment_odds=segment_odds))
+        limits = list(range(7, 200)) + [
+            edge + d for j in (1, 2, 5) for edge in (2 * j * segment_odds,
+                                                     4 * j * segment_odds)
+            for d in (-2, -1, 0, 1, 2, 3)]
+        limits += list(range(360 * 29 - 4, 360 * 29 + 5))  # a period of 90 odds
+        for limit in limits:
+            if limit >= 7:
+                assert germain_residues(limit) == reference_whole_bitmap_germain(
+                    limit), (segment_odds, limit)
+
+
 def test_germain_report_diffs():
     # both golden lists include 187 and 191, which cannot occur:
     # a safe prime = 187 mod 360 means q = 93 mod 180, divisible by 3;

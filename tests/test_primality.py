@@ -14,6 +14,7 @@ from ova360.errors import BoundError, DomainError
 from ova360.primality import (
     MAX_PRIME_LIST_LIMIT,
     MAX_SIEVE_LIMIT,
+    MAX_STREAM_LIMIT,
     SEGMENT_ODDS,
     bertrand_prime,
     composite_interval,
@@ -21,6 +22,8 @@ from ova360.primality import (
     is_prime,
     is_prime_big,
     odd_prime_bitmap,
+    odd_prime_segments,
+    period_counts,
     sieve_primes,
 )
 
@@ -92,6 +95,63 @@ def test_bitmap_matches_reference_at_period_and_segment_ends(reference_odd_prime
 
 def test_bitmap_matches_reference_at_1e7(reference_odd_prime_bitmap):
     assert np.array_equal(odd_prime_bitmap(10**7), reference_odd_prime_bitmap(10**7))
+
+
+def _streamed(limit, segment_odds=SEGMENT_ODDS):
+    """The stream's segments joined, checking that each starts where the
+    last ended and that all share one buffer."""
+    parts, buffer = [], None
+    for start, seg in odd_prime_segments(limit, segment_odds):
+        assert start == sum(p.size for p in parts)
+        assert seg.size == min(segment_odds, (limit + 1) // 2 - start)
+        buffer = seg if buffer is None else buffer
+        assert np.shares_memory(seg, buffer)
+        parts.append(seg.copy())
+    return np.concatenate(parts)
+
+
+def test_segments_join_to_the_bitmap(reference_odd_prime_bitmap):
+    for limit in range(1, 400):
+        want = reference_odd_prime_bitmap(limit)
+        for segment_odds in (1, 2, 7, 180, 1000):
+            assert np.array_equal(_streamed(limit, segment_odds), want), (
+                segment_odds, limit)
+    for segment_odds in (180, 15015, 15016):
+        for j in (1, 2, 5):
+            for limit in range(2 * j * segment_odds - 3, 2 * j * segment_odds + 2):
+                assert np.array_equal(_streamed(limit, segment_odds),
+                                      reference_odd_prime_bitmap(limit)), limit
+    for limit in (2 * SEGMENT_ODDS - 1, 2 * SEGMENT_ODDS + 1, 10**7):
+        assert np.array_equal(_streamed(limit), odd_prime_bitmap(limit)), limit
+
+
+def test_stream_bound_fails_before_sieving(monkeypatch):
+    from ova360 import primality
+
+    def no_sieve(limit):
+        raise AssertionError("sieved past the bound")
+
+    monkeypatch.setattr(primality, "_odd_base", no_sieve)
+    with pytest.raises(BoundError, match=str(MAX_STREAM_LIMIT)):
+        odd_prime_segments(MAX_STREAM_LIMIT + 1)
+    with pytest.raises(DomainError):
+        odd_prime_segments(0)
+
+
+def test_period_counts_match_bincount():
+    rng = np.random.default_rng(7919)
+    # one row of 128 periods, 255 such rows (the byte sums' chunk) and
+    # sizes around both
+    for period in (90, 180):
+        wide = period << 7
+        for size in (0, 1, period - 1, period + 1, wide - 1, wide, wide + 1,
+                     255 * wide + period + 3, 300 * wide):
+            bits = rng.integers(0, 10, size, dtype=np.uint8) > 0
+            for start in (0, 1, period - 1, 12345):
+                want = np.bincount((start + np.flatnonzero(bits)) % period,
+                                   minlength=period)
+                assert np.array_equal(period_counts(bits, start, period), want), (
+                    period, size, start)
 
 
 def test_bitmap_indexing():
