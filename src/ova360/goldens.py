@@ -3,8 +3,7 @@
 Golden files hold independently tabulated values (residue lists, matrix
 bit patterns, link-family coefficients) that the library is checked
 against. The directory can be overridden with the OVA360_GOLDEN
-environment variable or per call; the default is the packaged ``data/``
-directory.
+environment variable; the default is the packaged ``data/`` directory.
 """
 
 from __future__ import annotations
@@ -19,27 +18,25 @@ from .errors import GoldenDataError
 _ENV_VAR = "OVA360_GOLDEN"
 
 
-def golden_dir(override: str | os.PathLike | None = None) -> Path:
-    if override is not None:
-        return Path(override)
+def golden_dir() -> Path:
     env = os.environ.get(_ENV_VAR)
     if env:
         return Path(env)
     return Path(str(resources.files("ova360") / "data"))
 
 
-def _read_text(name: str, override=None) -> str:
-    path = golden_dir(override) / name
+def _read_text(name: str) -> str:
+    path = golden_dir() / name
     try:
         return path.read_text()
     except OSError as exc:
         raise GoldenDataError(f"cannot read golden file {path}: {exc}") from exc
 
 
-def load_int_lines(name: str, override=None) -> tuple[int, ...]:
+def load_int_lines(name: str) -> tuple[int, ...]:
     """Read one integer per line. Duplicates and order are preserved."""
     out = []
-    for ln in _read_text(name, override).splitlines():
+    for ln in _read_text(name).splitlines():
         ln = ln.strip()
         if not ln:
             continue
@@ -50,10 +47,10 @@ def load_int_lines(name: str, override=None) -> tuple[int, ...]:
     return tuple(out)
 
 
-def load_bit_rows(name: str, override=None) -> tuple[tuple[int, ...], ...]:
+def load_bit_rows(name: str) -> tuple[tuple[int, ...], ...]:
     """Read a 0/1 matrix stored as one string of bits per line."""
     rows = []
-    for ln in _read_text(name, override).splitlines():
+    for ln in _read_text(name).splitlines():
         ln = ln.strip()
         if not ln:
             continue
@@ -65,10 +62,10 @@ def load_bit_rows(name: str, override=None) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def load_pairs(name: str, override=None) -> tuple[tuple[int, int], ...]:
+def load_pairs(name: str) -> tuple[tuple[int, int], ...]:
     """Read comma-separated integer pairs, one per line."""
     out = []
-    for ln in _read_text(name, override).splitlines():
+    for ln in _read_text(name).splitlines():
         ln = ln.strip()
         if not ln:
             continue
@@ -80,10 +77,10 @@ def load_pairs(name: str, override=None) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def load_csv_rows(name: str, override=None) -> list[dict[str, str]]:
-    text = _read_text(name, override)
+def load_csv_rows(name: str) -> list[dict[str, str]]:
+    text = _read_text(name)
     return list(csv.DictReader(text.splitlines()))
 
 
-def data_version(override=None) -> str:
-    return _read_text("VERSION", override).strip()
+def data_version() -> str:
+    return _read_text("VERSION").strip()

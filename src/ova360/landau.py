@@ -155,9 +155,9 @@ class LandauDiff:
         return not self.extra_in_computed
 
 
-def landau_diff(limit: int, golden_dir=None) -> LandauDiff:
+def landau_diff(limit: int) -> LandauDiff:
     computed = tuple(sorted(landau_residues(limit)))
-    golden = goldens.load_int_lines("landau_residues.txt", golden_dir)
+    golden = goldens.load_int_lines("landau_residues.txt")
     cs, gs = set(computed), set(golden)
     return LandauDiff(
         limit=limit,

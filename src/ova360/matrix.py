@@ -34,8 +34,10 @@ from .primality import (
 # largest rotation count accepted; see density() for the measured cost.
 DENSITY_SEGMENT = 1 << 20
 MAX_DENSITY_ROTATIONS = 10**8
-# build_matrix: largest start accepted; see there for the measured cost.
+# build_matrix: largest start and k accepted; see there for the measured
+# cost (matrix_stats' Bareiss elimination grows as k**3).
 MAX_MATRIX_START = 10**100
+MAX_MATRIX_K = 100
 _SINGLETONS = (2, 3, 5)
 _ODD_RESIDUES = MODULUS // 2
 
@@ -80,12 +82,16 @@ def build_matrix(ova: int, k: int, start: int = 1) -> OvaMatrix:
     Each of the k**2 entries is one primality test, whose cost grows
     with the size of start: at k = 60 a call takes 0.04 s at start 1e9,
     0.3 s at 1e18, 1.6 s at MAX_MATRIX_START = 1e100 and 18 s at 1e400
-    on a 2-core x86-64 VM. start past the bound raises BoundError before
-    any test.
+    on a 2-core x86-64 VM. At start 1, build plus matrix_stats take
+    0.11 s at MAX_MATRIX_K = 100, 1.4 s at k = 200 and 3.0 s at 250;
+    at start 1e100, 3.8 s at k = 100 and 15.5 s at 200. k or start past
+    its bound raises BoundError before any test.
     """
     _require_cstar(ova)
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
+    if k > MAX_MATRIX_K:
+        raise BoundError(f"k {k} exceeds bound {MAX_MATRIX_K}")
     if start < 1:
         raise DomainError(f"start must be >= 1, got {start}")
     if start > MAX_MATRIX_START:

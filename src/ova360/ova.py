@@ -240,13 +240,13 @@ class GermainReport:
         )
 
 
-def germain_report(limit: int, golden_dir=None) -> GermainReport:
+def germain_report(limit: int) -> GermainReport:
     """Computed Germain residues diffed against both golden lists."""
     computed = tuple(sorted(germain_residues(limit)))
     cs = set(computed)
     diffs = []
     for name in ("germain_v1.txt", "germain_v2.txt"):
-        raw = goldens.load_int_lines(name, golden_dir)
+        raw = goldens.load_int_lines(name)
         seen: set[int] = set()
         dups = tuple(sorted({x for x in raw if x in seen or seen.add(x)}))
         gset = set(raw)

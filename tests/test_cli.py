@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -391,6 +392,55 @@ def test_matrix_start_bound_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(matrix, "is_prime_big", no_test)
     rc, out, err = run(capsys, "matrix", "--ova", "7", "--k", "3", "--start",
                        str(matrix.MAX_MATRIX_START + 1))
+    assert (rc, out) == (1, "")
+    assert "exceeds bound" in err
+
+
+def test_matrix_k_bound_exits_1(capsys, monkeypatch):
+    from ova360 import matrix
+
+    def no_test(n):
+        raise AssertionError("tested past the k bound")
+
+    monkeypatch.setattr(matrix, "is_prime_big", no_test)
+    rc, out, err = run(capsys, "matrix", "--ova", "7", "--k",
+                       str(matrix.MAX_MATRIX_K + 1))
+    assert (rc, out) == (1, "")
+    assert "exceeds bound" in err
+
+
+def test_mersenne_constant_json_renders_at_terms_bound(capsys):
+    # the exact sum at the bound has 146977 digits, past Python's default
+    # 4300-digit int -> str limit
+    from ova360 import mersenne
+
+    top = str(mersenne.MAX_SUM_TERMS)
+    limit = sys.get_int_max_str_digits()
+    rc, out, err = run(capsys, "mersenne", "constant", "--terms", top,
+                       "--digits", "20", "--format", "json")
+    assert (rc, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    doc = json.loads(out)
+    num, den = doc["exact"].split("/")
+    assert len(den) == mersenne.SUM_MAX_DIGITS
+    sys.set_int_max_str_digits(0)
+    try:
+        exact = Fraction(int(num), int(den))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert exact == mersenne.inverse_sum_fraction(mersenne.MAX_SUM_TERMS)
+    assert doc["decimal"] == mersenne.inverse_sum(mersenne.MAX_SUM_TERMS, 20)
+
+
+def test_mersenne_constant_terms_bound_exits_1(capsys, monkeypatch):
+    from ova360 import mersenne
+
+    def no_sum(num_terms):
+        raise AssertionError("summed past the terms bound")
+
+    monkeypatch.setattr(mersenne, "inverse_sum_fraction", no_sum)
+    rc, out, err = run(capsys, "mersenne", "constant", "--terms",
+                       str(mersenne.MAX_SUM_TERMS + 1), "--digits", "10")
     assert (rc, out) == (1, "")
     assert "exceeds bound" in err
 

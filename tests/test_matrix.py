@@ -192,6 +192,16 @@ def test_build_matrix_start_bound_fails_before_testing(monkeypatch):
         build_matrix(7, 3, matrix.MAX_MATRIX_START + 1)
 
 
+def test_build_matrix_k_bound_fails_before_testing(monkeypatch):
+    def no_test(n):
+        raise AssertionError("tested past the k bound")
+
+    assert build_matrix(7, matrix.MAX_MATRIX_K).k == matrix.MAX_MATRIX_K
+    monkeypatch.setattr(matrix, "is_prime_big", no_test)
+    with pytest.raises(BoundError, match="exceeds bound"):
+        build_matrix(7, matrix.MAX_MATRIX_K + 1)
+
+
 def test_residue_counts_match_pi():
     x = 10**4
     counts = residue_counts(x)

@@ -38,6 +38,11 @@ def test_residue_requires_prime_exponent():
         mersenne_residue(9)
 
 
+def test_residue_matches_modular_power():
+    for p in sieve_primes(5000).primes.tolist():
+        assert mersenne_residue(p) == (pow(2, p, 360) - 1) % 360, p
+
+
 def test_residue_table_golden():
     for p, want in goldens.load_pairs("mersenne_residue_classes.txt"):
         assert mersenne_residue(p) == want, p
@@ -45,6 +50,17 @@ def test_residue_table_golden():
 
 def test_criteria_filter():
     assert criteria_filter() == {3, 7, 31, 127, 247, 271}
+
+
+def test_criteria_filter_matches_the_criteria():
+    # the criteria applied one by one, as the docstring states them
+    want = {3}
+    for z in mersenne.residue_sets().Cstar:
+        if (z + 1) % 8 or (z + 1) % 3 == 0 or (z + 1) % 5 == 0:
+            continue
+        if z not in (103, 223, 343, 151):
+            want.add(z)
+    assert criteria_filter() == want
 
 
 def test_criteria_eliminations():
@@ -236,6 +252,11 @@ def test_inverse_sum_bounds():
         inverse_sum(52, 10)
     with pytest.raises(BoundError):
         inverse_sum(2, 201)
+    past = mersenne.MAX_SUM_TERMS + 1
+    with pytest.raises(BoundError, match=f"num_terms {past} exceeds bound"):
+        inverse_sum(past, 10)
+    with pytest.raises(BoundError, match=f"num_terms {past} exceeds bound"):
+        inverse_sum_fraction(past)
 
 
 def test_properties_p5():
