@@ -338,11 +338,12 @@ def _cmd_landau_residues(args):
 
 
 def _parse_alpha_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
+    lo, sep, hi = text.partition("..")
+    try:
+        return range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        raise DomainError(
+            f"alpha must be an integer or a range a..b, got {text!r}") from None
 
 
 def _cmd_landau_family(args):

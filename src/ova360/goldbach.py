@@ -113,15 +113,20 @@ def _check_even(n: int, minimum: int) -> None:
         raise DomainError(f"n must be even and >= {minimum}, got {n}")
 
 
+def _smallest_p_from(n: int, p0: int) -> int:
+    """The smallest odd p >= p0 (p0 odd) with p <= n/2 and both p and
+    n - p prime, by trial; 0 if there is none."""
+    return next((p for p in range(p0, n // 2 + 1, 2)
+                 if is_prime(p) and is_prime_big(n - p)), 0)
+
+
 def decompose_even(n: int) -> GoldbachWitness:
     """Witness n = p + q over odd primes with the smallest possible p."""
     _check_even(n, 6)
-    p = 3
-    while p <= n // 2:
-        if is_prime(p) and is_prime_big(n - p):
-            return GoldbachWitness(n, p, n - p)
-        p += 2
-    raise CounterexampleFound(f"no Goldbach decomposition of {n}")
+    p = _smallest_p_from(n, 3)
+    if not p:
+        raise CounterexampleFound(f"no Goldbach decomposition of {n}")
+    return GoldbachWitness(n, p, n - p)
 
 
 def check_scan_limit(limit: int) -> None:
@@ -180,24 +185,6 @@ def scan(
     )
 
 
-def scan_witnesses(limit: int) -> list[GoldbachWitness]:
-    """Smallest-p witness for every even n in (4, limit], ascending."""
-    witnesses: list[GoldbachWitness] = []
-
-    def collect(first: int, best: np.ndarray) -> None:
-        witnesses.extend(
-            GoldbachWitness(n, p, n - p)
-            for n, p in zip(range(first, first + 2 * best.size, 2), best.tolist())
-        )
-
-    report = scan(limit, on_block=collect)
-    if report.failures:
-        raise CounterexampleFound(
-            f"no decomposition for {list(report.failures)}"
-        )
-    return witnesses
-
-
 def _smallest_p_blocks(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (first_n, smallest_p) for consecutive blocks of the even n
     in [6, limit]; smallest_p[i] belongs to n = first_n + 2i and is 0
@@ -207,10 +194,10 @@ def _smallest_p_blocks(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     reads n - p for the odd primes p <= MAX_WINDOW_P, so a window keeps
     only the odds from first_n - MAX_WINDOW_P on; the primes p are read
     from the same stream. Any n still unresolved when those primes run
-    out is finished by trial with is_prime, which is exact at every
-    scan limit. The largest smallest Goldbach prime below 4e18 is 9781
-    (Oliveira e Silva, Herzog & Pardi, Math. Comp. 83, 2014), so at
-    these scales the trial never runs.
+    out is finished by decompose_even's per-n trial, whose Miller-Rabin
+    is exact at every scan limit. The largest smallest Goldbach prime
+    below 4e18 is 9781 (Oliveira e Silva, Herzog & Pardi, Math. Comp.
+    83, 2014), so at these scales the trial never runs.
     """
     reach = (MAX_WINDOW_P + 1) >> 1  # odds a block reads below its first n
     primes: list[int] = []  # the odd primes <= MAX_WINDOW_P streamed so far
@@ -268,9 +255,7 @@ def _block_smallest_p(
         miss = ~hit
         left, qbase = left[miss], qbase[miss]
     for j in left.tolist():  # no p <= MAX_WINDOW_P works: try the larger p
-        n = first + 2 * j
-        best[j] = next((p for p in range((MAX_WINDOW_P + 1) | 1, n // 2 + 1, 2)
-                        if is_prime(p) and is_prime(n - p)), 0)
+        best[j] = _smallest_p_from(first + 2 * j, (MAX_WINDOW_P + 1) | 1)
     return best
 
 

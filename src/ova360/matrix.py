@@ -1,15 +1,17 @@
 """Prime-indicator matrices per residue class and density diagnostics.
 
 A k x k matrix for residue z marks which rotations G = 1..k**2 make
-z + 360*G prime. Densities are exact rationals, counted by a segmented
-sieve over the residue line z + 360*G itself: memory is one segment of
-G values plus the base primes up to sqrt(z + 360*R), never a bitmap of
-every odd number below the line's top. The Dirichlet-style
-diagnostic compares each class's prime count against the equidistribution
-prediction (x/ln x)/96. Determinants are computed exactly over the
-integers (Bareiss fraction-free elimination) so invertibility gets an
-exact verdict instead of a floating-point guess: these matrices are
-not invertible in general (residue 337 gives determinant 0).
+z + 360*G prime. Densities are exact rationals, counted by the one
+segmented sieve of primality, run over the residue line z + 360*G
+itself rather than the odd numbers: memory is one segment of G values
+plus the base primes up to sqrt(z + 360*R), never a bitmap of every
+odd number below the line's top. The Dirichlet-style diagnostic
+compares each class's prime count, folded from the same sieve's odd
+number segments, against the equidistribution prediction (x/ln x)/96.
+Determinants are computed exactly over the integers (Bareiss
+fraction-free elimination) so invertibility gets an exact verdict
+instead of a floating-point guess: these matrices are not invertible
+in general (residue 337 gives determinant 0).
 """
 
 from __future__ import annotations
@@ -24,15 +26,14 @@ import numpy as np
 from .errors import BoundError, DomainError
 from .ova import MODULUS, residue_sets
 from .primality import (
+    _sieve_segments,
     is_prime_big,
-    odd_prime_bitmap,
     odd_prime_segments,
     period_counts,
 )
 
-# density(): rotations G per sieve segment (one bool each), and the
-# largest rotation count accepted; see density() for the measured cost.
-DENSITY_SEGMENT = 1 << 20
+# density(): the largest rotation count accepted; see there for the
+# measured cost.
 MAX_DENSITY_ROTATIONS = 10**8
 # build_matrix: largest start and k accepted; see there for the measured
 # cost (matrix_stats' Bareiss elimination grows as k**3).
@@ -145,12 +146,13 @@ def density(ova: int, rotations: int) -> Fraction:
     """Exact fraction of rotations G in [1, rotations] with
     ova + 360*G prime.
 
-    The line ova + 360*G is sieved directly, DENSITY_SEGMENT rotations
-    at a time: each base prime p <= sqrt(ova + 360*rotations), p >= 7,
-    strikes the rotations G = -ova/360 (mod p), except the one where
-    ova + 360*G is p itself. Memory is one segment plus the base
-    primes: at MAX_DENSITY_ROTATIONS = 1e8 a call takes 1.1-1.4 s and
-    36 MB peak RSS on a 2-core x86-64 VM (1e9 would take 34 s).
+    The line ova + 360*G, G >= 1, is sieved directly by the same
+    segmented sieve as the odd numbers, SEGMENT_ODDS rotations at a
+    time: each base prime p <= sqrt(ova + 360*rotations), p >= 7,
+    clears the rotations G = -ova/360 (mod p) from the first term >= p*p
+    on, so a base prime on the line itself survives. Memory is one
+    segment plus the base primes: at MAX_DENSITY_ROTATIONS = 1e8 a call
+    takes 0.38-0.41 s and 33 MB peak RSS on a 2-core x86-64 VM.
     """
     _require_cstar(ova)
     if rotations < 1:
@@ -161,32 +163,9 @@ def density(ova: int, rotations: int) -> Fraction:
     if math.gcd(ova, MODULUS) > 1:
         hits = 0  # ova is 2, 3 or 5: ova + 360*G is a proper multiple of it
     else:
-        hits = _line_prime_count(ova, rotations)
+        hits = sum(int(np.count_nonzero(seg)) for _, seg in
+                   _sieve_segments(ova + MODULUS, MODULUS, rotations))
     return Fraction(hits, rotations)
-
-
-def _line_prime_count(ova: int, rotations: int) -> int:
-    """Number of primes ova + 360*G for G in [1, rotations]; ova coprime
-    to 360."""
-    bm = odd_prime_bitmap(math.isqrt(ova + MODULUS * rotations))
-    steps = 2 * np.flatnonzero(bm).astype(np.int64) + 1
-    steps = steps[steps > 5]
-    primes = steps.tolist()
-    # p divides ova + 360*G exactly when G = starts (mod p) ...
-    starts = np.array([-ova * pow(MODULUS, -1, p) % p for p in primes],
-                      dtype=np.int64)
-    # ... and the base primes on the line itself must survive
-    own = (steps[steps % MODULUS == ova] - ova) // MODULUS
-    own = own[own >= 1]
-    hits = 0
-    for lo in range(1, rotations + 1, DENSITY_SEGMENT):
-        hi = min(lo + DENSITY_SEGMENT, rotations + 1)
-        seg = np.ones(hi - lo, dtype=bool)
-        for p, off in zip(primes, ((starts - lo) % steps).tolist()):
-            seg[off::p] = False
-        seg[own[(own >= lo) & (own < hi)] - lo] = True
-        hits += int(np.count_nonzero(seg))
-    return hits
 
 
 @lru_cache(maxsize=4)

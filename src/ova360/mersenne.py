@@ -281,11 +281,12 @@ def lucas_lehmer(p: int, max_p: int = MAX_LL_EXPONENT) -> bool:
 def scan_exponents(max_p: int, max_ll: int = MAX_LL_EXPONENT) -> ScanReport:
     """Search exponents <= max_p for Mersenne primes.
 
-    Walks the four class progressions 12i-11, 12i-7, 12i-5, 12i-1
-    (every odd exponent > 3 lies on exactly one), skipping composite
-    progression members, and runs Lucas-Lehmer on the prime ones; the
-    singular exponents 2 and 3 are checked directly. skipped_by_class
-    counts the composite progression members discarded without a test.
+    Walks the exponents e >= 5 coprime to 6, which are exactly the
+    members of the four class progressions 12i-11, 12i-7, 12i-5, 12i-1,
+    skipping composite ones, and runs Lucas-Lehmer on the prime ones;
+    the singular exponents 2 and 3 are checked directly.
+    skipped_by_class counts the composite progression members discarded
+    without a test.
     """
     if max_p < 2:
         raise DomainError(f"max_p must be >= 2, got {max_p}")
@@ -298,14 +299,9 @@ def scan_exponents(max_p: int, max_ll: int = MAX_LL_EXPONENT) -> ScanReport:
         if is_prime_big(7):
             found.append(3)
     skipped = 0
-    candidates = []
-    for offset, _ in _CLASS_SEQ.values():
-        e = 12 - offset
-        while e <= max_p:
-            if e > 3:
-                candidates.append(e)
-            e += 12
-    for e in sorted(candidates):
+    for e in range(5, max_p + 1):
+        if math.gcd(e, 6) > 1:
+            continue
         if not is_prime(e):
             skipped += 1
             continue

@@ -1,9 +1,11 @@
 """Prime generation and primality testing.
 
-Provides a segmented odd-only sieve, streamed one segment at a time
-or written into one numpy bitmap, one Miller-Rabin core behind two
-entry points, and the factorial construction of prime-free intervals
-together with the gap identity around them. Both entry points answer
+Provides one segmented sieve over an arithmetic progression: over the
+odd numbers it is streamed one segment at a time or written into one
+numpy bitmap, and matrix.density runs it over a residue line z + 360*G.
+Also one Miller-Rabin core behind two entry points, and the factorial
+construction of prime-free intervals together with the gap identity
+around them. Both entry points answer
 n < 256 from a table and reject any larger n sharing a factor with
 251#. Below 2**64 the bases come from the exact bound table of
 Jaeschke (Math. Comp. 61, 1993) and Sorenson & Webster (Math. Comp.
@@ -98,18 +100,13 @@ def _odd_base(limit: int) -> np.ndarray:
     return out
 
 
-# The odd numbers 2i+1 coprime to 3*5*7*11*13 repeat with period 15015
-# in i; a segment starts as a slice of this pattern, the pre-sieve.
+# These primes clear their multiples through a pre-sieve pattern rather
+# than by striking, so terms up to the last of them are written as prime
+# or not.
 _PRESIEVE_PRIMES = (3, 5, 7, 11, 13)
-_PRESIEVE_PERIOD = math.prod(_PRESIEVE_PRIMES)
-_PRESIEVE = np.ones(_PRESIEVE_PERIOD, dtype=bool)
-for _p in _PRESIEVE_PRIMES:
-    _PRESIEVE[_p // 2 :: _p] = False  # the odd multiples of p, from p itself
-# bitmap of 1, 3, 5, ..., 13: the pre-sieve keeps 1 and clears its own
-# primes, so this head is written over the result at the end
-_HEAD = np.array([False, True, True, True, False, True, True])
 # 180 odds (one period of 2i+1 mod 360) times 2^13: 1.4 MB, which fits
-# the 2 MB per-core L2 of the 2-core x86-64 VM it was measured on
+# the 2 MB per-core L2 of the 2-core x86-64 VM it was measured on. Every
+# segmented sieve, over the odd numbers or a residue line, uses it.
 SEGMENT_ODDS = 180 << 13
 
 
@@ -121,69 +118,85 @@ def _check_sieve_limit(limit: int, bound: int) -> None:
 
 
 def _sieve_segments(
-    limit: int, segment_odds: int, out: np.ndarray
+    first: int, step: int, count: int, out: np.ndarray | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The one strike loop. Yield (start, seg) with seg[i] == (2(start+i)+1
-    is prime) for consecutive segments of the odd numbers <= limit. seg
-    is out[start:end] when out covers every odd number, otherwise the
-    head of out, which each segment overwrites."""
-    n_odds = (limit + 1) // 2
-    whole = out.size == n_odds
-    base = _odd_base(math.isqrt(limit))
-    strikers = 2 * np.flatnonzero(base) + 1
-    strikers = strikers[strikers > _PRESIEVE_PRIMES[-1]].tolist()
+    """The one strike loop, over the progression first + step*i for i
+    in [0, count); step is even and coprime to first. Yield (start, seg)
+    with seg[j] == (first + step*(start+j) is prime) for consecutive
+    segments of SEGMENT_ODDS terms. seg is out[start:end] when out is
+    given (it covers all count terms), otherwise one buffer that each
+    segment overwrites.
+
+    A prime p that divides step never divides a term. Each other base
+    prime p <= sqrt(last term) divides the terms with i = -first/step
+    (mod p); p from 3 to 13 clear theirs through a pre-sieve pattern of
+    period prod(p) that each segment starts as, and every larger p
+    strikes its class from the first term >= p*p, which spares p itself
+    when it lies on the progression (Bays & Hudson, BIT 17, 1977).
+    """
+    size = SEGMENT_ODDS
+    if out is None:
+        out = np.empty(min(size, count), dtype=bool)
+    whole = out.size == count
+    pre = [q for q in _PRESIEVE_PRIMES if step % q]
+    period = math.prod(pre)
+    pattern = np.ones(period, dtype=bool)
+    for q in pre:
+        pattern[-first * pow(step, -1, q) % q :: q] = False
     # long enough for a slice of any segment's length at any offset
-    tiled = np.tile(_PRESIEVE, min(segment_odds, n_odds) // _PRESIEVE_PERIOD + 2)
-    for start in range(0, n_odds, segment_odds):
-        end = min(start + segment_odds, n_odds)
+    tiled = np.tile(pattern, min(size, count) // period + 2)
+    head = [v in _SMALL_PRIMES for v in range(first, _PRESIEVE_PRIMES[-1] + 1, step)]
+    base = _odd_base(math.isqrt(first + step * (count - 1)))
+    ps = 2 * np.flatnonzero(base).astype(np.int64) + 1
+    ps = ps[(ps > _PRESIEVE_PRIMES[-1]) & (step % ps != 0)]
+    primes = ps.tolist()
+    # the class each p strikes, and the index of its first term >= p*p
+    cls = np.array([-first * pow(step, -1, p) % p for p in primes], dtype=np.int64)
+    from_i = np.maximum(-((first - ps * ps) // step), 0)
+    for start in range(0, count, size):
+        end = min(start + size, count)
         seg = out[start:end] if whole else out[:end - start]
-        offset = start % _PRESIEVE_PERIOD
-        seg[:] = tiled[offset:offset + end - start]
-        lo_val, hi_val = 2 * start + 1, 2 * end - 1
-        for p in strikers:
-            if p * p > hi_val:
-                break
-            first = max(p * p, ((lo_val + p - 1) // p) * p)
-            if first % 2 == 0:
-                first += p
-            seg[(first - lo_val) // 2 :: p] = False
-        head = _HEAD[start:end]
-        seg[:head.size] = head
+        o = start % period
+        seg[:] = tiled[o:o + end - start]
+        n = np.searchsorted(from_i, end)  # the p with a term >= p*p before end
+        lo = np.maximum(from_i[:n], start)
+        offsets = lo + (cls[:n] - lo) % ps[:n] - start
+        for p, j in zip(primes, offsets.tolist()):
+            seg[j::p] = False
+        h = head[start:end]
+        seg[:len(h)] = h
         yield start, seg
 
 
-def odd_prime_segments(
-    limit: int, segment_odds: int = SEGMENT_ODDS
-) -> Iterator[tuple[int, np.ndarray]]:
+def odd_prime_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     """Stream the odd-number prime bitmap of odd_prime_bitmap(limit) in
     segments: yield (start, seg) with seg[i] == (2(start+i)+1 is prime),
-    for start = 0, segment_odds, 2*segment_odds, ...
+    for start = 0, SEGMENT_ODDS, 2*SEGMENT_ODDS, ...
 
-    seg is one buffer of segment_odds bytes, overwritten by the next
+    seg is one buffer of SEGMENT_ODDS bytes, overwritten by the next
     segment: copy what must outlive the iteration step. Memory is that
     buffer plus the base primes to sqrt(limit), whatever the limit. The
     limit is checked here, before anything is sieved.
     """
     _check_sieve_limit(limit, MAX_STREAM_LIMIT)
-    buffer = np.empty(min(segment_odds, (limit + 1) // 2), dtype=bool)
-    return _sieve_segments(limit, segment_odds, buffer)
+    return _sieve_segments(1, 2, (limit + 1) // 2)
 
 
-def odd_prime_bitmap(limit: int, segment_odds: int = SEGMENT_ODDS) -> np.ndarray:
+def odd_prime_bitmap(limit: int) -> np.ndarray:
     """Bitmap b with b[i] == (2i+1 is prime), covering odd values <= limit.
 
     The segments of odd_prime_segments, written in place into one array
     of limit/2 bytes, for the consumers that index it at random: the
-    prime list, the symmetric-pair and interval-sum checks and density's
-    base primes. Each segment starts as a slice of the tiled pre-sieve
-    pattern, which already clears the multiples of 3, 5, 7, 11 and 13,
-    and is then struck by the base primes from 17 to sqrt(limit), so it
-    stays in cache while it is sieved. At limit 1e8 a call takes
-    0.12-0.16 s and holds a 50 MB result on a 2-core x86-64 VM.
+    prime list and the symmetric-pair and interval-sum checks. Each
+    segment starts as a slice of the tiled pre-sieve pattern, which
+    already clears the multiples of 3, 5, 7, 11 and 13, and is then
+    struck by the base primes from 17 to sqrt(limit), so it stays in
+    cache while it is sieved. At limit 1e8 a call takes 0.10-0.11 s and
+    holds a 50 MB result on a 2-core x86-64 VM.
     """
     _check_sieve_limit(limit, MAX_SIEVE_LIMIT)
     out = np.empty((limit + 1) // 2, dtype=bool)
-    for _ in _sieve_segments(limit, segment_odds, out):
+    for _ in _sieve_segments(1, 2, out.size, out):
         pass
     return out
 
@@ -207,7 +220,7 @@ def period_counts(bits: np.ndarray, start: int, period: int) -> np.ndarray:
     return np.roll(cols, start % period)
 
 
-def sieve_primes(limit: int, segment_odds: int = SEGMENT_ODDS) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """All primes <= limit as a PrimeTable. limit >= 0."""
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
@@ -215,7 +228,7 @@ def sieve_primes(limit: int, segment_odds: int = SEGMENT_ODDS) -> PrimeTable:
         raise BoundError(f"limit {limit} exceeds prime list bound {MAX_PRIME_LIST_LIMIT}")
     if limit < 2:
         return PrimeTable(limit, np.empty(0, dtype=np.int64))
-    bm = odd_prime_bitmap(limit, segment_odds)
+    bm = odd_prime_bitmap(limit)
     odds = 2 * np.flatnonzero(bm).astype(np.int64) + 1
     primes = np.concatenate(([2], odds))
     return PrimeTable(limit, primes)

@@ -355,3 +355,32 @@ def reference_whole_bitmap_germain():
 @pytest.fixture(scope="session")
 def reference_whole_bitmap_scan():
     return whole_bitmap_scan
+
+
+def line_prime_bits(ova: int, rotations: int, segment: int = 1 << 20) -> np.ndarray:
+    """matrix.density's line by its own strike loop: b[G - 1] == (ova +
+    360*G is prime) for G in [1, rotations], ova coprime to 360. Each
+    base prime p >= 7 strikes G = -ova/360 (mod p) across the whole
+    line, segment rotations at a time, and the base primes that lie on
+    the line are then restored."""
+    bm = segmented_odd_prime_bitmap(math.isqrt(ova + 360 * rotations))
+    steps = 2 * np.flatnonzero(bm).astype(np.int64) + 1
+    steps = steps[steps > 5]
+    primes = steps.tolist()
+    starts = np.array([-ova * pow(360, -1, p) % p for p in primes], dtype=np.int64)
+    own = (steps[steps % 360 == ova] - ova) // 360
+    own = own[own >= 1]
+    out = np.empty(rotations, dtype=bool)
+    for lo in range(1, rotations + 1, segment):
+        hi = min(lo + segment, rotations + 1)
+        seg = np.ones(hi - lo, dtype=bool)
+        for p, off in zip(primes, ((starts - lo) % steps).tolist()):
+            seg[off::p] = False
+        seg[own[(own >= lo) & (own < hi)] - lo] = True
+        out[lo - 1:hi - 1] = seg
+    return out
+
+
+@pytest.fixture(scope="session")
+def reference_line_prime_bits():
+    return line_prime_bits

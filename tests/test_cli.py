@@ -331,6 +331,43 @@ def test_landau_family(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("alpha", ["x", "3..x", "3.."])
+def test_landau_family_malformed_alpha_exits_1(capsys, alpha):
+    rc, out, err = run(capsys, "landau", "family", "--ova", "161",
+                       "--alpha", alpha)
+    assert (rc, out) == (1, "")
+    assert err == ("error: alpha must be an integer or a range a..b, "
+                   f"got {alpha!r}\n")
+
+
+def test_landau_family_alpha_bound_exits_1(capsys, monkeypatch):
+    from ova360 import landau
+
+    def no_test(n):
+        raise AssertionError("tested past the alpha bound")
+
+    monkeypatch.setattr(landau, "is_prime_big", no_test)
+    rc, out, err = run(capsys, "landau", "family", "--ova", "161", "--alpha",
+                       f"1..{landau.MAX_FAMILY_ALPHAS + 1}")
+    assert (rc, out) == (1, "")
+    assert err == (f"error: {landau.MAX_FAMILY_ALPHAS + 1} alpha values "
+                   f"exceed bound {landau.MAX_FAMILY_ALPHAS}\n")
+
+
+def test_genfunc_count_bound_exits_1(capsys, monkeypatch):
+    from ova360 import ova
+
+    def no_family(family):
+        raise AssertionError("computed past the count bound")
+
+    monkeypatch.setattr(ova, "_coerce_family", no_family)
+    rc, out, err = run(capsys, "genfunc", "--family", "twin", "--count",
+                       str(ova.MAX_GENFUNC_COUNT + 1))
+    assert (rc, out) == (1, "")
+    assert err == (f"error: count {ova.MAX_GENFUNC_COUNT + 1} exceeds bound "
+                   f"{ova.MAX_GENFUNC_COUNT}\n")
+
+
 def test_landau_enumerate(capsys):
     rc, out, _ = run(capsys, "landau", "enumerate", "--limit", "700")
     assert rc == 0
@@ -373,10 +410,10 @@ def test_density(capsys):
 def test_density_rotations_bound_exits_1(capsys, monkeypatch):
     from ova360 import matrix
 
-    def no_sieve(limit):
+    def no_sieve(first, step, count, out=None):
         raise AssertionError("sieved past the rotations bound")
 
-    monkeypatch.setattr(matrix, "odd_prime_bitmap", no_sieve)
+    monkeypatch.setattr(matrix, "_sieve_segments", no_sieve)
     rc, out, err = run(capsys, "density", "--ova", "7", "--rotations",
                        str(matrix.MAX_DENSITY_ROTATIONS + 1))
     assert (rc, out) == (1, "")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ova360 import goldbach
 from ova360.cli import dispatch
-from ova360.errors import BoundError, CounterexampleFound, DomainError
+from ova360.errors import BoundError, DomainError
 from ova360.goldbach import (
     GoldbachScanReport,
     HalfParity,
@@ -23,7 +23,6 @@ from ova360.goldbach import (
     interval_sum_check,
     ova_combination_check,
     scan,
-    scan_witnesses,
     symmetric_pair_check,
 )
 from ova360.primality import is_prime
@@ -110,12 +109,21 @@ def _reference_csv(limit, smallest_p):
     return ("n,p,q\n" + "".join(rows)).encode()
 
 
-def test_scan_witnesses_match_trial_division(oracle_goldbach_p):
-    ws = scan_witnesses(20000)
-    assert [(w.n, w.p, w.q) for w in ws] == [
-        (n, oracle_goldbach_p[n], n - oracle_goldbach_p[n])
-        for n in range(6, 20001, 2)
-    ]
+def _scan_smallest_p(limit):
+    """n -> smallest p for every even n in [6, limit], from the blocks
+    scan(limit) passes to on_block."""
+    got = {}
+
+    def collect(first, best):
+        got.update(zip(range(first, first + 2 * best.size, 2), best.tolist()))
+
+    scan(limit, on_block=collect)
+    return got
+
+
+def test_scan_blocks_match_trial_division(oracle_goldbach_p):
+    assert _scan_smallest_p(20000) == {
+        n: oracle_goldbach_p[n] for n in range(6, 20001, 2)}
 
 
 @st.composite
@@ -155,8 +163,6 @@ def _scan_blocks(scan_fn, limit):
 
 
 def test_scan_stream_matches_whole_bitmap(monkeypatch, reference_whole_bitmap_scan):
-    from functools import partial
-
     from ova360 import primality
 
     for limit in range(6, 3001, 2):
@@ -168,8 +174,7 @@ def test_scan_stream_matches_whole_bitmap(monkeypatch, reference_whole_bitmap_sc
             reference_whole_bitmap_scan, limit), limit
     # blocks that span several segments, and segments holding many blocks
     for segment_odds in (1, 7, 180, 1000):
-        monkeypatch.setattr(goldbach, "odd_prime_segments", partial(
-            primality.odd_prime_segments, segment_odds=segment_odds))
+        monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
         for block in (3, 64, goldbach.BLOCK_EVENS):
             monkeypatch.setattr(goldbach, "BLOCK_EVENS", block)
             for j in (1, 2, 5):
@@ -182,8 +187,6 @@ def test_scan_stream_matches_whole_bitmap(monkeypatch, reference_whole_bitmap_sc
 
 def test_scan_trial_fallback_matches_whole_bitmap(monkeypatch,
                                                   reference_whole_bitmap_scan):
-    from functools import partial
-
     from ova360 import primality
 
     def no_trial(n):
@@ -198,8 +201,7 @@ def test_scan_trial_fallback_matches_whole_bitmap(monkeypatch,
         return is_prime(n)
 
     monkeypatch.setattr(goldbach, "is_prime", counted)
-    monkeypatch.setattr(goldbach, "odd_prime_segments", partial(
-        primality.odd_prime_segments, segment_odds=180))
+    monkeypatch.setattr(primality, "SEGMENT_ODDS", 180)
     for block in (64, goldbach.BLOCK_EVENS):
         monkeypatch.setattr(goldbach, "BLOCK_EVENS", block)
         for window_p in (1, 3, 13, 97):
@@ -214,16 +216,14 @@ def test_scan_failure_is_reported_never_patched(bitmap_without_three):
     r = scan(100)
     assert 6 in r.failures
     assert r.checked == 48
-    with pytest.raises(CounterexampleFound, match=r"no decomposition for \[6"):
-        scan_witnesses(100)
+    assert _scan_smallest_p(100)[6] == 0
 
 
-def test_scan_witnesses_consistent():
-    ws = scan_witnesses(200)
-    assert [w.n for w in ws] == list(range(6, 201, 2))
-    for w in ws:
-        assert w.p + w.q == w.n
-        assert is_prime(w.p) and is_prime(w.q)
+def test_scan_blocks_consistent():
+    got = _scan_smallest_p(200)
+    assert list(got) == list(range(6, 201, 2))
+    for n, p in got.items():
+        assert is_prime(p) and is_prime(n - p)
 
 
 def test_bertrand_construction_examples():

@@ -121,6 +121,21 @@ def test_quad_families_unknown_residue():
         quad_families(360, [0])
 
 
+def test_quad_families_alpha_bound_fails_before_testing(monkeypatch):
+    from ova360 import landau
+
+    monkeypatch.setattr(landau, "is_prime_big", lambda n: False)
+    assert len(quad_families(37, range(landau.MAX_FAMILY_ALPHAS))) == (
+        5 * landau.MAX_FAMILY_ALPHAS)
+
+    def no_test(n):
+        raise AssertionError("tested past the alpha bound")
+
+    monkeypatch.setattr(landau, "is_prime_big", no_test)
+    with pytest.raises(BoundError, match="exceed bound"):
+        quad_families(37, range(landau.MAX_FAMILY_ALPHAS + 1))
+
+
 def test_quad_families_skips_negative_n():
     rows = [r for r in quad_families(1, [0]) if r.label == "A"]
     assert rows[0].skipped

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ova360 import goldens, matrix
+from ova360 import goldens, matrix, primality
 from ova360.errors import BoundError, DomainError
 from ova360.matrix import (
     build_matrix,
@@ -168,16 +168,42 @@ def test_density_keeps_a_sieving_prime_on_its_own_line(rotations):
 
 @pytest.mark.parametrize("ova", [1, 7, 353])
 def test_density_across_segment_boundaries(monkeypatch, ova):
-    monkeypatch.setattr(matrix, "DENSITY_SEGMENT", 64)
+    monkeypatch.setattr(primality, "SEGMENT_ODDS", 64)
     for rotations in (63, 64, 65, 127, 128, 129, 1000):
         assert density(ova, rotations) * rotations == _line_hits(ova, rotations)
 
 
+_COPRIME_CSTAR = sorted(z for z in residue_sets().Cstar if math.gcd(z, 360) == 1)
+
+
+def test_density_matches_line_strike_loop(reference_line_prime_bits):
+    for ova in _COPRIME_CSTAR:
+        hits = np.cumsum(reference_line_prime_bits(ova, 2000))
+        for rotations in range(1, 2001):
+            assert density(ova, rotations) * rotations == hits[rotations - 1], (
+                ova, rotations)
+        # from R = 375 on, 7 + 360 is a base prime lying on its own line
+        for rotations in (374, 375, 5001, 10**6):
+            assert density(ova, rotations) * rotations == np.count_nonzero(
+                reference_line_prime_bits(ova, rotations)), (ova, rotations)
+
+
+@pytest.mark.parametrize("segment", [7, 180, 1000])
+def test_density_matches_line_strike_loop_at_segment_ends(
+        monkeypatch, reference_line_prime_bits, segment):
+    monkeypatch.setattr(primality, "SEGMENT_ODDS", segment)
+    for ova in _COPRIME_CSTAR:
+        for j in (1, 2, 5):
+            for rotations in range(j * segment - 1, j * segment + 2):
+                assert density(ova, rotations) * rotations == np.count_nonzero(
+                    reference_line_prime_bits(ova, rotations)), (ova, rotations)
+
+
 def test_density_bound_fails_before_sieving(monkeypatch):
-    def no_sieve(limit):
+    def no_sieve(first, step, count, out=None):
         raise AssertionError("sieved past the rotations bound")
 
-    monkeypatch.setattr(matrix, "odd_prime_bitmap", no_sieve)
+    monkeypatch.setattr(matrix, "_sieve_segments", no_sieve)
     with pytest.raises(BoundError):
         density(7, matrix.MAX_DENSITY_ROTATIONS + 1)
 
@@ -235,10 +261,6 @@ def test_residue_counts_match_gathered_counts(reference_residue_counts):
 
 def test_residue_counts_stream_matches_whole_bitmap(monkeypatch,
                                                    reference_whole_bitmap_counts):
-    from functools import partial
-
-    from ova360 import primality
-
     counts = residue_counts.__wrapped__  # the cache would hide the stream
     for x in range(1, 3001):
         assert counts(x) == reference_whole_bitmap_counts(x), x
@@ -248,8 +270,7 @@ def test_residue_counts_stream_matches_whole_bitmap(monkeypatch,
     # segment ends (the last odd of segment j is 2 * j * segment_odds - 1),
     # with segments that do and do not start on a period of 180 odds
     for segment_odds in (7, 180, 1000, 15016):
-        monkeypatch.setattr(matrix, "odd_prime_segments", partial(
-            primality.odd_prime_segments, segment_odds=segment_odds))
+        monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
         for j in (1, 2, 5):
             for x in range(2 * j * segment_odds - 2, 2 * j * segment_odds + 3):
                 assert counts(x) == reference_whole_bitmap_counts(x), (segment_odds, x)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ova360 import goldens
-from ova360.errors import DomainError
+from ova360.errors import BoundError, DomainError
 from ova360.ova import (
     GenFuncFamily,
     ResidueClass,
@@ -181,9 +181,7 @@ def test_germain_matches_gathered_residues(reference_germain_residues):
 
 def test_germain_stream_matches_whole_bitmap(monkeypatch,
                                              reference_whole_bitmap_germain):
-    from functools import partial
-
-    from ova360 import ova, primality
+    from ova360 import primality
 
     for limit in range(7, 3001):
         assert germain_residues(limit) == reference_whole_bitmap_germain(limit), limit
@@ -194,8 +192,7 @@ def test_germain_stream_matches_whole_bitmap(monkeypatch,
         assert germain_residues(limit) == reference_whole_bitmap_germain(limit), limit
     # small segments, some starting off a byte of the packed bits
     for segment_odds in (1, 7, 180, 1000, 15016):
-        monkeypatch.setattr(ova, "odd_prime_segments", partial(
-            primality.odd_prime_segments, segment_odds=segment_odds))
+        monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
         limits = list(range(7, 200)) + [
             edge + d for j in (1, 2, 5) for edge in (2 * j * segment_odds,
                                                      4 * j * segment_odds)
@@ -280,6 +277,20 @@ def test_genfunc_family_aliases():
         genfunc_coefficients("nonsense", 3)
     with pytest.raises(DomainError):
         genfunc_coefficients("full", 0)
+
+
+def test_genfunc_count_bound_fails_before_computing(monkeypatch):
+    from ova360 import ova
+
+    top = ova.MAX_GENFUNC_COUNT
+    assert len(genfunc_coefficients("particular", top)) == top
+
+    def no_family(family):
+        raise AssertionError("computed past the count bound")
+
+    monkeypatch.setattr(ova, "_coerce_family", no_family)
+    with pytest.raises(BoundError, match="exceeds bound"):
+        genfunc_coefficients("particular", top + 1)
 
 
 def test_genfunc_against_sympy_series():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.ntheory.primetest import mr
 
+from ova360 import primality
 from ova360.errors import BoundError, DomainError
 from ova360.primality import (
     MAX_PRIME_LIST_LIMIT,
@@ -43,14 +44,17 @@ def test_sieve_millionth_count():
     assert sieve_primes(10**6).count == 78498
 
 
-def test_sieve_segment_size_irrelevant():
-    a = sieve_primes(10**5, segment_odds=1 << 8).primes
-    b = sieve_primes(10**5, segment_odds=1 << 20).primes
-    assert (a == b).all()
+def test_sieve_segment_size_irrelevant(monkeypatch):
     assert (10**7 + 1) // 2 > 3 * SEGMENT_ODDS  # four default segments
     c = sieve_primes(10**7).primes
+    monkeypatch.setattr(primality, "SEGMENT_ODDS", 1 << 8)
+    a = sieve_primes(10**5).primes
+    monkeypatch.setattr(primality, "SEGMENT_ODDS", 1 << 20)
+    b = sieve_primes(10**5).primes
+    assert (a == b).all()
     for segment_odds in (1 << 12, 15015, 1 << 20, 1 << 22):
-        assert (sieve_primes(10**7, segment_odds).primes == c).all()
+        monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
+        assert (sieve_primes(10**7).primes == c).all()
     assert c.size == 664579
 
 
@@ -75,59 +79,60 @@ def test_bitmap_matches_reference_at_every_small_limit(reference_odd_prime_bitma
         assert np.array_equal(got, reference_odd_prime_bitmap(limit)), limit
 
 
-def test_bitmap_matches_reference_at_period_and_segment_ends(reference_odd_prime_bitmap):
+def test_bitmap_matches_reference_at_period_and_segment_ends(monkeypatch,
+                                                            reference_odd_prime_bitmap):
     # the pre-sieve pattern repeats every 15015 odds, i.e. 30030 values
     for k in (1, 2, 3, 7):
         for limit in range(30030 * k - 2, 30030 * k + 3):
             assert np.array_equal(odd_prime_bitmap(limit),
                                   reference_odd_prime_bitmap(limit)), limit
-    # segment ends: the last odd of segment j is 2 * j * segment_odds - 1
-    for segment_odds in (180, 1000, 15015, 15016):
-        for j in (1, 2, 5):
-            for limit in range(2 * j * segment_odds - 3, 2 * j * segment_odds + 2):
-                got = odd_prime_bitmap(limit, segment_odds)
-                assert np.array_equal(got, reference_odd_prime_bitmap(limit)), (
-                    segment_odds, limit)
     for limit in (2 * SEGMENT_ODDS - 1, 2 * SEGMENT_ODDS + 1, 4 * SEGMENT_ODDS):
         assert np.array_equal(odd_prime_bitmap(limit),
                               reference_odd_prime_bitmap(limit)), limit
+    # segment ends: the last odd of segment j is 2 * j * segment_odds - 1
+    for segment_odds in (180, 1000, 15015, 15016):
+        monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
+        for j in (1, 2, 5):
+            for limit in range(2 * j * segment_odds - 3, 2 * j * segment_odds + 2):
+                got = odd_prime_bitmap(limit)
+                assert np.array_equal(got, reference_odd_prime_bitmap(limit)), (
+                    segment_odds, limit)
 
 
 def test_bitmap_matches_reference_at_1e7(reference_odd_prime_bitmap):
     assert np.array_equal(odd_prime_bitmap(10**7), reference_odd_prime_bitmap(10**7))
 
 
-def _streamed(limit, segment_odds=SEGMENT_ODDS):
+def _streamed(limit):
     """The stream's segments joined, checking that each starts where the
-    last ended and that all share one buffer."""
+    last ended and that all share one buffer of SEGMENT_ODDS bytes."""
     parts, buffer = [], None
-    for start, seg in odd_prime_segments(limit, segment_odds):
+    for start, seg in odd_prime_segments(limit):
         assert start == sum(p.size for p in parts)
-        assert seg.size == min(segment_odds, (limit + 1) // 2 - start)
+        assert seg.size == min(primality.SEGMENT_ODDS, (limit + 1) // 2 - start)
         buffer = seg if buffer is None else buffer
         assert np.shares_memory(seg, buffer)
         parts.append(seg.copy())
     return np.concatenate(parts)
 
 
-def test_segments_join_to_the_bitmap(reference_odd_prime_bitmap):
-    for limit in range(1, 400):
-        want = reference_odd_prime_bitmap(limit)
-        for segment_odds in (1, 2, 7, 180, 1000):
-            assert np.array_equal(_streamed(limit, segment_odds), want), (
-                segment_odds, limit)
-    for segment_odds in (180, 15015, 15016):
-        for j in (1, 2, 5):
-            for limit in range(2 * j * segment_odds - 3, 2 * j * segment_odds + 2):
-                assert np.array_equal(_streamed(limit, segment_odds),
-                                      reference_odd_prime_bitmap(limit)), limit
+def test_segments_join_to_the_bitmap(monkeypatch, reference_odd_prime_bitmap):
     for limit in (2 * SEGMENT_ODDS - 1, 2 * SEGMENT_ODDS + 1, 10**7):
         assert np.array_equal(_streamed(limit), odd_prime_bitmap(limit)), limit
+    for segment_odds in (1, 2, 7, 180, 1000):
+        monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
+        for limit in range(1, 400):
+            assert np.array_equal(_streamed(limit), reference_odd_prime_bitmap(
+                limit)), (segment_odds, limit)
+    for segment_odds in (180, 15015, 15016):
+        monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
+        for j in (1, 2, 5):
+            for limit in range(2 * j * segment_odds - 3, 2 * j * segment_odds + 2):
+                assert np.array_equal(_streamed(limit),
+                                      reference_odd_prime_bitmap(limit)), limit
 
 
 def test_stream_bound_fails_before_sieving(monkeypatch):
-    from ova360 import primality
-
     def no_sieve(limit):
         raise AssertionError("sieved past the bound")
 
