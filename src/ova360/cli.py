@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import functools
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
-from importlib import metadata
 
 import numpy as np
 
@@ -24,12 +25,15 @@ from . import goldbach, goldens, landau, matrix, mersenne, ova, primality
 from .errors import CounterexampleFound, DomainError, OvaError
 
 _FORMATS = ("plain", "csv", "json")
-# Lines per write in plain and csv output. One print per line made
-# `sieve --limit 1e7` three times slower as plain than as one csv line.
+# Items per write in plain and csv output, and rows per block of the
+# decimal renderer _int_text. One print per line made `sieve --limit
+# 1e7` three times slower as plain than as one csv line.
 EMIT_CHUNK = 1 << 16
 # Longest integer a report can hold, in decimal digits: a K-sequence
 # entry at its index bound, or the exact reciprocal sum at its term bound.
 _MAX_DIGITS = max(mersenne.KSEQ_MAX_DIGITS, mersenne.SUM_MAX_DIGITS)
+# A str as JSON, escaped as json.dumps escapes it (ensure_ascii).
+_quote = json.encoder.encode_basestring_ascii
 
 
 class _UsageError(Exception):
@@ -37,34 +41,132 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes an argument that starts with "-" for an option
+        # unless it looks like a negative number. Let anything that
+        # starts like one be a value, so `--alpha -5..0` parses as a
+        # range (no option of this CLI starts with "-" and a digit).
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise _UsageError(message)
 
 
-def _stringify(obj):
-    """Exact quantities become strings; structure is preserved."""
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each group value 0..9999 a uint32 holding 4 bytes: its ASCII
+    digits "0000".."9999"; which of them a number whose higher groups
+    are all zero keeps (none for 0); and the same for a number's last
+    group, which keeps the "0" of zero."""
+    q = np.arange(10**4)
+    digits = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1)
+    width = 1 + (q >= 10) + (q >= 100) + (q >= 1000)
+    last = np.arange(4) >= 4 - width[:, None]
+    lead = last.copy()
+    lead[0] = False
+    return tuple(t.astype(np.uint8).view(np.uint32).ravel()
+                 for t in (digits + ord("0"), lead, last))
+
+
+def _int_text(cols, seps) -> str:
+    """Rows of the integer columns as decimal text, seps[c] after each
+    value of column c: the bytes of "%d" formatting.
+
+    Non-negative int64 arrays take no Python work per integer. Each
+    value fills fixed-width 4-digit groups from a 10**4-entry table,
+    and one boolean compress per block of EMIT_CHUNK rows drops the
+    leading zeros. Anything else is formatted one value at a time.
+    """
+    if not all(isinstance(c, np.ndarray) and c.dtype == np.int64
+               and not (c.size and c.min() < 0) for c in cols):
+        fmt = "".join("%d" + s.replace("%", "%%") for s in seps)
+        return "".join([fmt % row for row in zip(*cols)])
+    n = len(cols[0])
+    if not n:
+        return ""
+    layout, width = [], 0  # (column, 4-digit groups, first byte, separator)
+    for c, s in zip(cols, seps):
+        groups = (len(str(int(c.max()))) + 3) // 4
+        layout.append((c, groups, width, s))
+        width += 4 * groups + len(s)
+    rows = min(n, EMIT_CHUNK)
+    text = np.empty((rows, width), np.uint8)
+    keep = np.ones((rows, width), bool)
+    for _, groups, a, s in layout:
+        end = a + 4 * groups
+        text[:, end:end + len(s)] = np.frombuffer(s.encode("ascii"), np.uint8)
+    digits, lead, last = _digit_tables()
+    every = np.uint32(0x01010101)
+    parts = []
+    for start in range(0, n, EMIT_CHUNK):
+        m = min(EMIT_CHUNK, n - start)
+        for c, groups, a, _ in layout:
+            v = c[start:start + m]
+            for k in range(groups - 1, -1, -1):  # least significant first
+                cell = slice(a + 4 * k, a + 4 * k + 4)
+                mask = last if k == groups - 1 else lead
+                if k:
+                    high = v // 10**4
+                    v, r = high, v - high * 10**4
+                    kept = np.where(high > 0, every, mask[r])
+                else:
+                    r, kept = v, mask[v]
+                text[:m, cell].view(np.uint32)[:, 0] = digits[r]
+                keep[:m, cell].view(np.uint32)[:, 0] = kept
+        parts.append(np.compress(keep[:m].ravel(), text[:m].ravel()).tobytes())
+    return b"".join(parts).decode("ascii")
+
+
+def _json_parts(obj, out: list, indent: str) -> None:
+    """Append to out the JSON text of obj at nesting indent: byte for
+    byte what json.dumps(indent=2, sort_keys=True) gives once exact
+    quantities are strings. Ints and Fractions become strings, int64
+    arrays lists of strings, dataclasses dicts, dict keys str(key);
+    sets are sorted and enums give their value."""
     if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, Fraction):
-        if obj.denominator == 1:
-            return str(obj.numerator)
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _stringify(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {str(k): _stringify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (int, Fraction)):  # a Fraction as "p" or "p/q"
+        out.append(_quote(str(obj)))
+    elif isinstance(obj, enum.Enum):
+        text = json.dumps(obj.value, indent=2, sort_keys=True)
+        out.append(text.replace("\n", "\n" + indent))
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _json_parts({f.name: getattr(obj, f.name)
+                     for f in dataclasses.fields(obj)}, out, indent)
+    elif isinstance(obj, dict):
+        fields = {str(k): v for k, v in obj.items()}
+        _json_container("{}", [(_quote(k) + ": ", fields[k])
+                               for k in sorted(fields)], out, indent)
+    elif isinstance(obj, (list, tuple, set, frozenset)):
         seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_stringify(v) for v in seq]
-    return obj
+        _json_container("[]", [("", v) for v in seq], out, indent)
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.int64:
+        inner = indent + "  "
+        values = _int_lines(obj, '",\n' + inner + '"')
+        out += (["[\n", inner, '"', *values, '"\n', indent, "]"]
+                if obj.size else ["[]"])
+    else:  # None, float, str; anything else raises TypeError
+        out.append(json.dumps(obj))
+
+
+def _json_container(brackets: str, items, out: list, indent: str) -> None:
+    """A JSON object or array of (prefix, value) items, where prefix is
+    an object's quoted key and ": ", or "" in an array."""
+    if not items:
+        out.append(brackets)
+        return
+    inner = indent + "  "
+    for i, (prefix, value) in enumerate(items):
+        out.append((",\n" if i else brackets[0] + "\n") + inner + prefix)
+        _json_parts(value, out, inner)
+    out += ["\n", indent, brackets[1]]
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(_stringify(payload), indent=2, sort_keys=True)
+    out = []
+    _json_parts(payload, out, "")
+    return "".join(out)
 
 
 def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
@@ -72,8 +174,9 @@ def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
     any other format (matrix's "bits") writes the plain lines.
 
     The line arguments may be lazy iterables: only the chosen one is
-    consumed, EMIT_CHUNK lines at a time, each chunk joined into one
-    write, so a handler can pass lines without building them all.
+    consumed, EMIT_CHUNK items at a time, each chunk joined into one
+    write, so a handler can pass lines without building them all. An
+    item may itself hold several "\n"-joined lines.
     Python's int -> str limit (4300 digits; none before 3.10.7) is
     raised to _MAX_DIGITS while it writes.
     """
@@ -97,20 +200,22 @@ def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
 
 def _witness_rows(first: int, best) -> str:
     """CSV rows "n,p,q" for one scan block; n without a witness is left out."""
-    ns = first + 2 * np.arange(best.size, dtype=np.int64)
-    found = best != 0
-    rows = np.empty((int(found.sum()), 3), dtype=np.int64)
-    rows[:, 0] = ns[found]
-    rows[:, 1] = best[found]
-    rows[:, 2] = rows[:, 0] - rows[:, 1]
-    return "%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist())
+    found = np.flatnonzero(best)
+    n = first + 2 * found
+    p = best[found]
+    return _int_text([n, p, n - p], [",", ",", "\n"])
 
 
-def _csv_line(values):
-    """The values as one comma-separated line, built when iterated;
-    no line for no values."""
-    if values:
-        yield ",".join(map(str, values))
+def _int_lines(values, sep="\n"):
+    """Lines of the int64 values, built when iterated: one value a line,
+    or with another sep one line of the values joined by it (none for no
+    values). An item holds up to EMIT_CHUNK lines."""
+    parts = (_int_text([values[i:i + EMIT_CHUNK]], [sep])[:-len(sep)]
+             for i in range(0, len(values), EMIT_CHUNK))
+    if sep == "\n":
+        yield from parts
+    elif len(values):
+        yield sep.join(parts)
 
 
 # ---------------------------------------------------------------- handlers
@@ -120,9 +225,9 @@ def _csv_line(values):
 
 def _cmd_sieve(args):
     table = primality.sieve_primes(args.limit)
-    primes = table.primes.tolist()
+    primes = table.primes
     payload = {"limit": table.limit, "count": table.count, "primes": primes}
-    return payload, map(str, primes), _csv_line(primes), 0
+    return payload, _int_lines(primes), _int_lines(primes, ","), 0
 
 
 def _cmd_interval(args):
@@ -369,9 +474,9 @@ def _cmd_landau_family(args):
 
 
 def _cmd_landau_enumerate(args):
-    primes = landau.enumerate_k2_plus_1(args.limit)
-    payload = {"limit": args.limit, "count": len(primes), "primes": primes}
-    return payload, [str(p) for p in primes], _csv_line(primes), 0
+    primes = np.array(landau.enumerate_k2_plus_1(args.limit), dtype=np.int64)
+    payload = {"limit": args.limit, "count": primes.size, "primes": primes}
+    return payload, _int_lines(primes), _int_lines(primes, ","), 0
 
 
 def _cmd_matrix(args):
@@ -482,7 +587,8 @@ def _build_parser() -> _Parser:
     _verb(lsub, "family", _cmd_landau_family,
           {"--ova": _INT, "--alpha": {
               "default": "0..14",
-              "help": "single value or inclusive range a..b"}})
+              "help": "single value or inclusive range a..b; "
+                      "either may be negative, as in -5..0"}})
     _verb(lsub, "enumerate", _cmd_landau_enumerate, {"--limit": _INT})
 
     _verb(sub, "matrix", _cmd_matrix,
@@ -500,6 +606,10 @@ def _build_parser() -> _Parser:
 
 
 def _version_line() -> str:
+    # imported here: importlib.metadata pulls in email, socket and more,
+    # which only --version needs
+    from importlib import metadata
+
     try:
         pkg_version = metadata.version("ova360")
     except metadata.PackageNotFoundError:

@@ -21,8 +21,10 @@ from .primality import is_prime_big
 
 # Largest limit accepted by enumerate_k2_plus_1; see there for the cost.
 MAX_LANDAU_LIMIT = 10**12
-# Most alpha values accepted by quad_families; see there for the cost.
+# Most alpha values, and largest |alpha|, accepted by quad_families;
+# see there for the cost.
 MAX_FAMILY_ALPHAS = 10**4
+MAX_FAMILY_ALPHA = 10**7
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,12 @@ def quad_families(ova: int, alphas) -> list[FamilyRow]:
     primality test: on a 2-core x86-64 VM `landau family --ova 37` (five
     families, the most of any residue) takes 0.9 s as plain and 2.0 s as
     JSON over MAX_FAMILY_ALPHAS = 1e4 alphas, and 8.3 s and 21 s over
-    1e5. More alphas raise BoundError before any test.
+    1e5. A test's cost grows with the digits of its value: one alpha of
+    1e1000 takes 0.5 s. Up to MAX_FAMILY_ALPHA = 1e7 every family value
+    is below 2**64, where Miller-Rabin has its exact fixed bases, and
+    1e4 alphas just below 1e7 take 2.6 s as plain and 4.1 s as JSON,
+    against 1.4 s and 2.5 s at 0..9999 in the same session. More alphas
+    or a larger |alpha| raise BoundError before any test.
     """
     fams = [f for f in link_families() if f.ova == ova]
     if not fams:
@@ -187,6 +194,9 @@ def quad_families(ova: int, alphas) -> list[FamilyRow]:
     if len(alphas) > MAX_FAMILY_ALPHAS:
         raise BoundError(
             f"{len(alphas)} alpha values exceed bound {MAX_FAMILY_ALPHAS}")
+    largest = max(map(abs, alphas), default=0)
+    if largest > MAX_FAMILY_ALPHA:
+        raise BoundError(f"|alpha| {largest} exceeds bound {MAX_FAMILY_ALPHA}")
     out = []
     for fam in fams:
         for alpha in alphas:

@@ -3,6 +3,9 @@ independent of the package internals."""
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import json
 import math
 import random
 from fractions import Fraction
@@ -384,3 +387,55 @@ def line_prime_bits(ova: int, rotations: int, segment: int = 1 << 20) -> np.ndar
 @pytest.fixture(scope="session")
 def reference_line_prime_bits():
     return line_prime_bits
+
+
+def _stringify(obj):
+    """Exact quantities become strings; structure is preserved."""
+    if isinstance(obj, np.ndarray) and obj.dtype == np.int64:
+        return _stringify(obj.tolist())
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, Fraction):
+        if obj.denominator == 1:
+            return str(obj.numerator)
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {k: _stringify(v) for k, v in dataclasses.asdict(obj).items()}
+    if isinstance(obj, dict):
+        return {str(k): _stringify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+        return [_stringify(v) for v in seq]
+    return obj
+
+
+def stringify_dump_json(payload) -> str:
+    """The CLI's JSON text the way it was first rendered: every exact
+    quantity stringified in a copy of the payload, then json.dumps. An
+    int64 array is rendered as its list."""
+    return json.dumps(_stringify(payload), indent=2, sort_keys=True)
+
+
+@pytest.fixture(scope="session")
+def reference_dump_json():
+    return stringify_dump_json
+
+
+def percent_witness_rows(first: int, best: np.ndarray) -> str:
+    """cli._witness_rows by "%d,%d,%d\\n" formatting of every row."""
+    ns = first + 2 * np.arange(best.size, dtype=np.int64)
+    found = best != 0
+    rows = np.empty((int(found.sum()), 3), dtype=np.int64)
+    rows[:, 0] = ns[found]
+    rows[:, 1] = best[found]
+    rows[:, 2] = rows[:, 0] - rows[:, 1]
+    return "%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist())
+
+
+@pytest.fixture(scope="session")
+def reference_witness_rows():
+    return percent_witness_rows

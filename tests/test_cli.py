@@ -29,6 +29,19 @@ def test_version(capsys):
     assert out.startswith("ova360 ")
 
 
+def test_import_leaves_out_importlib_metadata():
+    # only --version reads the package metadata; every other run of the
+    # CLI should not pay for importing it
+    src = str(Path(ova360.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ova360.cli; "
+         "print('importlib.metadata' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_help_exits_zero(capsys):
     rc, _, _ = run(capsys, "--help")
     assert rc == 0
@@ -124,20 +137,33 @@ def test_sieve_formats(capsys):
         assert run(capsys, "sieve", "--limit", "1", "--format", fmt) == (0, "", "")
 
 
-def test_emit_chunks_write_the_same_bytes(capsys, monkeypatch):
+def test_emit_chunks_write_the_same_bytes(capsys, monkeypatch, tmp_path):
     from ova360 import cli
 
     argvs = [("sieve", "--limit", "30"), ("sieve", "--limit", "1"),
              ("sieve", "--limit", "2"), ("genfunc", "--family", "twin",
                                          "--count", "5"),
-             ("dirichlet", "--x", "1000", "--all")]
+             ("dirichlet", "--x", "1000", "--all"),
+             ("landau", "enumerate", "--limit", "700"),
+             ("landau", "enumerate", "--limit", "4")]
     cases = [(*argv, "--format", fmt) for argv in argvs for fmt in ("plain", "csv")]
-    want = [run(capsys, *argv) for argv in cases]
-    lines = want[0][1].splitlines(keepends=True)
+    cases += [("sieve", "--limit", "30", "--format", "json"),
+              ("sieve", "--limit", "1", "--format", "json"),
+              ("landau", "enumerate", "--limit", "700", "--format", "json")]
+    witness = tmp_path / "w.csv"
+    scan = ("goldbach", "scan", "--limit", "100", "--emit-witnesses", str(witness))
+
+    def outputs():
+        return [run(capsys, *argv) for argv in cases], run(capsys, *scan), \
+            witness.read_bytes()
+
+    want = outputs()
+    lines = want[0][0][1].splitlines(keepends=True)
     assert lines[-1] == "29\n" and len(lines) == 10
+    assert want[2].count(b"\n") == 49
     for chunk in (1, 2, 3, 9, 10, 11):
         monkeypatch.setattr(cli, "EMIT_CHUNK", chunk)
-        assert [run(capsys, *argv) for argv in cases] == want, chunk
+        assert outputs() == want, chunk
 
 
 def test_interval(capsys):
@@ -331,7 +357,20 @@ def test_landau_family(capsys):
     assert rc == 1
 
 
-@pytest.mark.parametrize("alpha", ["x", "3..x", "3.."])
+@pytest.mark.parametrize("alpha, first", [
+    ("-5..0", "A alpha=-5 "), ("-5..-1", "A alpha=-5 "), ("-3", "A alpha=-3 ")])
+def test_landau_family_negative_alpha(capsys, alpha, first):
+    rc, out, _ = run(capsys, "landau", "family", "--ova", "37", "--alpha", alpha)
+    assert rc == 0
+    assert out.startswith(first)
+    assert run(capsys, "landau", "family", "--ova", "37",
+               f"--alpha={alpha}") == (rc, out, "")
+    lo, _, hi = alpha.partition("..")
+    alphas = range(int(lo), int(hi or lo) + 1)
+    assert len(out.splitlines()) == 5 * len(alphas)  # five families for 37
+
+
+@pytest.mark.parametrize("alpha", ["x", "3..x", "3..", "-3..x", "-1..-"])
 def test_landau_family_malformed_alpha_exits_1(capsys, alpha):
     rc, out, err = run(capsys, "landau", "family", "--ova", "161",
                        "--alpha", alpha)
@@ -352,6 +391,20 @@ def test_landau_family_alpha_bound_exits_1(capsys, monkeypatch):
     assert (rc, out) == (1, "")
     assert err == (f"error: {landau.MAX_FAMILY_ALPHAS + 1} alpha values "
                    f"exceed bound {landau.MAX_FAMILY_ALPHAS}\n")
+
+
+@pytest.mark.parametrize("alpha", ["10000001", "-10000001..-9999999"])
+def test_landau_family_alpha_magnitude_bound_exits_1(capsys, monkeypatch, alpha):
+    from ova360 import landau
+
+    def no_test(n):
+        raise AssertionError("tested past the alpha bound")
+
+    monkeypatch.setattr(landau, "is_prime_big", no_test)
+    rc, out, err = run(capsys, "landau", "family", "--ova", "161", "--alpha", alpha)
+    assert (rc, out) == (1, "")
+    assert err == (f"error: |alpha| {landau.MAX_FAMILY_ALPHA + 1} exceeds "
+                   f"bound {landau.MAX_FAMILY_ALPHA}\n")
 
 
 def test_genfunc_count_bound_exits_1(capsys, monkeypatch):

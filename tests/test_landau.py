@@ -136,6 +136,25 @@ def test_quad_families_alpha_bound_fails_before_testing(monkeypatch):
         quad_families(37, range(landau.MAX_FAMILY_ALPHAS + 1))
 
 
+def test_quad_families_alpha_magnitude_bound_fails_before_testing(monkeypatch):
+    from ova360 import landau
+
+    bound = landau.MAX_FAMILY_ALPHA
+    tested = []
+    monkeypatch.setattr(landau, "is_prime_big", lambda n: tested.append(n))
+    assert len(quad_families(37, [-bound, bound])) == 10
+    assert len(tested) == 10 and max(tested) < 2**64
+
+    def no_test(n):
+        raise AssertionError("tested past the alpha bound")
+
+    monkeypatch.setattr(landau, "is_prime_big", no_test)
+    for alphas in ([bound + 1], [0, -bound - 1], range(bound - 5, bound + 5),
+                   [10**1000]):
+        with pytest.raises(BoundError, match=r"\|alpha\| \d+ exceeds bound"):
+            quad_families(37, alphas)
+
+
 def test_quad_families_skips_negative_n():
     rows = [r for r in quad_families(1, [0]) if r.label == "A"]
     assert rows[0].skipped

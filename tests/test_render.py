@@ -1,0 +1,133 @@
+"""The CLI's bulk integer renderer and JSON writer against the
+per-value formatting they replaced (conftest oracles)."""
+
+from __future__ import annotations
+
+import dataclasses
+import enum
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ova360 import cli
+
+_EDGES = [0, 2**63 - 1] + [
+    10**k + d for k in range(19) for d in (-1, 0, 1) if 0 <= 10**k + d < 2**63
+]
+_INT64 = st.one_of(st.sampled_from(_EDGES), st.integers(0, 2**63 - 1))
+_SEPS = st.text(st.characters(min_codepoint=0, max_codepoint=127), max_size=6)
+
+
+def _percent(cols, seps) -> str:
+    return "".join("%d" % v + s for row in zip(*cols) for v, s in zip(row, seps))
+
+
+@given(st.data(), st.integers(1, 3), st.integers(0, 40), st.integers(1, 9))
+@settings(max_examples=300, deadline=None)
+def test_int_text_matches_percent_d(data, ncols, size, chunk):
+    cols = [np.array(data.draw(st.lists(_INT64, min_size=size, max_size=size)),
+                     dtype=np.int64) for _ in range(ncols)]
+    seps = [data.draw(_SEPS) for _ in range(ncols)]
+    with mock.patch.object(cli, "EMIT_CHUNK", chunk):
+        assert cli._int_text(cols, seps) == _percent(cols, seps)
+
+
+@pytest.mark.parametrize("size", [0, 1, cli.EMIT_CHUNK - 1, cli.EMIT_CHUNK,
+                                  cli.EMIT_CHUNK + 1])
+def test_int_text_at_sizes_and_the_chunk_edge(size):
+    rng = np.random.default_rng(size)
+    values = np.resize(np.array(_EDGES, dtype=np.int64), size)
+    cols = [values, rng.permutation(values), rng.integers(0, 2**63 - 1, size)]
+    seps = [",", '",\n    "', "\n"]
+    assert cli._int_text(cols, seps) == _percent(cols, seps)
+
+
+@given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=20), _SEPS)
+@settings(max_examples=100, deadline=None)
+def test_int_text_formats_other_input_per_value(values, sep):
+    # negative int64, other dtypes and plain lists take the per-value path
+    for col in (np.array(values, dtype=np.int64), values,
+                np.array(values, dtype=object)):
+        assert cli._int_text([col], [sep]) == _percent([values], [sep])
+
+
+@given(first=st.integers(3, 10**6).map(lambda x: 2 * x),
+       fractions=st.lists(st.floats(0, 1), max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_witness_rows_match_percent_rows(first, fractions, reference_witness_rows):
+    # best[i] is 0 (no witness) or a p <= n for n = first + 2i
+    best = np.array([int(f * (first + 2 * i)) for i, f in enumerate(fractions)],
+                    dtype=np.int64)
+    best[best < 3] = 0
+    for chunk in (1, 2, 7, cli.EMIT_CHUNK):
+        with mock.patch.object(cli, "EMIT_CHUNK", chunk):
+            assert cli._witness_rows(first, best) == reference_witness_rows(first, best)
+
+
+class _Tone(enum.Enum):
+    WORD = "a \"word\""
+    NUMBER = 3
+    PAIR = (1, "é")
+    TABLE = {"b": [1, 2], "a": None}
+
+
+@dataclasses.dataclass(frozen=True)
+class _Box:
+    label: str
+    value: object
+    extra: object = None
+
+
+_SCALARS = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(),
+    st.integers(-10**400, 10**400),
+    st.fractions(),
+    st.integers().map(Fraction),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.just(-0.0),
+    st.text(),
+    st.sampled_from(_Tone),
+    st.lists(st.one_of(_INT64, st.integers(-2**63, -1)), max_size=8).map(
+        lambda v: np.array(v, dtype=np.int64)),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers(-9, 99)),
+                        children, max_size=4),
+        st.sets(st.integers(), max_size=4),
+        st.frozensets(st.text(max_size=3), max_size=4),
+        st.builds(_Box, st.text(max_size=3), children, children),
+    )
+
+
+@given(payload=st.recursive(_SCALARS, _containers, max_leaves=25))
+@settings(max_examples=400, deadline=None)
+def test_dump_json_matches_stringify_oracle(payload, reference_dump_json):
+    assert cli._dump_json(payload) == reference_dump_json(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], (), set(), frozenset(), {"primes": np.zeros(0, dtype=np.int64)},
+    {"nested": {"empty": {}, "list": [[]]}}, np.arange(5, dtype=np.int64),
+    {3: "int key", "3": "str key", Fraction(-6, 4): "fraction key"},
+])
+def test_dump_json_empty_and_colliding_containers(payload, reference_dump_json):
+    assert cli._dump_json(payload) == reference_dump_json(payload)
+
+
+def test_dump_json_rejects_what_json_rejects(reference_dump_json):
+    for payload in ({"x": object()}, [np.zeros(2)], {"x": range(3)}):
+        with pytest.raises(TypeError):
+            reference_dump_json(payload)
+        with pytest.raises(TypeError):
+            cli._dump_json(payload)
