@@ -142,10 +142,18 @@ def _json_parts(obj, out: list, indent: str) -> None:
         seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
         _json_container("[]", [("", v) for v in seq], out, indent)
     elif isinstance(obj, np.ndarray) and obj.dtype == np.int64:
+        if not obj.size:
+            out.append("[]")
+            return
+        # one part per EMIT_CHUNK values, each ending in the separator:
+        # the array's text is never joined into one str
         inner = indent + "  "
-        values = _int_lines(obj, '",\n' + inner + '"')
-        out += (["[\n", inner, '"', *values, '"\n', indent, "]"]
-                if obj.size else ["[]"])
+        sep = '",\n' + inner + '"'
+        out += ["[\n", inner, '"']
+        out += (_int_text([obj[i:i + EMIT_CHUNK]], [sep])
+                for i in range(0, obj.size, EMIT_CHUNK))
+        out[-1] = out[-1][:-len(sep)]
+        out += ['"\n', indent, "]"]
     else:  # None, float, str; anything else raises TypeError
         out.append(json.dumps(obj))
 
@@ -161,12 +169,6 @@ def _json_container(brackets: str, items, out: list, indent: str) -> None:
         out.append((",\n" if i else brackets[0] + "\n") + inner + prefix)
         _json_parts(value, out, inner)
     out += ["\n", indent, brackets[1]]
-
-
-def _dump_json(payload) -> str:
-    out = []
-    _json_parts(payload, out, "")
-    return "".join(out)
 
 
 def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
@@ -185,8 +187,11 @@ def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
     if 0 < old < _MAX_DIGITS:
         sys.set_int_max_str_digits(_MAX_DIGITS)
     try:
-        if fmt == "json":
-            print(_dump_json(payload))
+        if fmt == "json":  # the parts as made, not joined into one str
+            out = []
+            _json_parts(payload, out, "")
+            out.append("\n")
+            sys.stdout.writelines(out)
             return
         if fmt == "csv" and csv_lines is not None:
             plain_lines = csv_lines
@@ -637,7 +642,7 @@ def dispatch(argv=None) -> int:
         _emit(args.format, payload, plain_lines, csv_lines)
         return rc
     except CounterexampleFound as exc:
-        print(_dump_json({"finding": str(exc)}))
+        _emit("json", {"finding": str(exc)}, ())
         return 2
     except OvaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,8 +38,11 @@ MAX_SYMMETRIC_N = 10**8
 # array stay in cache.
 BLOCK_EVENS = 1 << 16
 # Odd primes below this are peeled off each block with dense slices;
-# the rest by gathers over the n still unresolved.
-DENSE_PEEL_BELOW = 80
+# the rest by gathers over the n still unresolved. There must be at
+# most 255 of them (the uint8 count in _block_smallest_p); 256 keeps
+# 53 and was the fastest cutoff measured at 1e8, level with 128-320 at
+# 1e7.
+DENSE_PEEL_BELOW = 256
 # The largest p a scan block reads from its window of the stream; see
 # _smallest_p_blocks.
 MAX_WINDOW_P = 1 << 15
@@ -149,9 +152,9 @@ def scan(
     prime for n = first_n + 2i, or 0 if there is none. The primes are
     streamed, so memory is one segment, a window and one block, whatever
     the limit: on a 2-core x86-64 VM `ova360 goldbach scan --limit
-    100000000` takes 3.9-4.9 s and peaks at 41 MB RSS, interpreter and
-    numpy included, and at MAX_SCAN_LIMIT = 1e9 a scan takes 45 s and
-    36 MB.
+    100000000` takes 1.4-1.6 s and peaks at 37 MB RSS, interpreter and
+    numpy included, and at MAX_SCAN_LIMIT = 1e9 a scan takes 14 s and
+    38 MB.
 
     The report also carries a four-odd-primes spot witness for the
     largest even n >= 12 in range, built as 3 + 3 + p + q from the
@@ -226,24 +229,32 @@ def _block_smallest_p(
     bitmap as window[b - off].
 
     Within a block the evens are consecutive, so for a fixed p the bits
-    of n - p form one contiguous slice. Primes below DENSE_PEEL_BELOW
-    are peeled with whole-block slice and mask operations; the few n
-    they leave are then resolved by gathers over the ascending primes.
+    of n - p form one contiguous slice. The primes below
+    DENSE_PEEL_BELOW are peeled in ascending order with two in-place
+    ufuncs each over the whole block: one clears the n whose n - p is
+    prime from the unresolved mask, one counts in uint8 the primes tried
+    while n was unresolved. That count indexes n's smallest dense p, so
+    the peel writes no int64 per prime. The few n it leaves are resolved
+    by gathers over the ascending primes. On a 2-core x86-64 VM the 77
+    blocks of a scan to 1e7 spend 0.05-0.07 s in the peel and 0.02 s in
+    the gathers.
     """
     m = (last - first) // 2 + 1
     half = first >> 1
-    best = np.zeros(m, dtype=np.int64)
-    n_dense = bisect.bisect_left(primes, DENSE_PEEL_BELOW)
-    for p in primes[:n_dense]:
+    # the dense primes p <= last - 3, so some n - p >= 3 for each
+    dense = primes[:bisect.bisect_left(primes, min(DENSE_PEEL_BELOW, last - 2))]
+    unresolved = np.ones(m, dtype=bool)
+    tried = np.zeros(m, dtype=np.uint8)  # dense primes run while n unresolved
+    for p in dense:
         lo = half - ((p + 1) >> 1)  # bit of first_n - p
         skip = max(1 - lo, 0)  # leading n with n - p < 3
-        if skip >= m:
-            break
-        rows = best[skip:]
-        rows[window[lo + skip - off : lo + m - off] & (rows == 0)] = p
-    left = np.flatnonzero(best == 0)
+        rows = unresolved[skip:]
+        np.greater(rows, window[lo + skip - off : lo + m - off], out=rows)
+        np.add(tried, unresolved.view(np.uint8), out=tried)
+    best = np.array(dense + [0], dtype=np.int64)[tried]
+    left = np.flatnonzero(unresolved)
     qbase = half - off + left  # window index of n >> 1, every unresolved n
-    for p in primes[n_dense:]:
+    for p in primes[len(dense):]:
         if not left.size or p > last - 3:
             break
         qi = qbase - ((p + 1) >> 1)

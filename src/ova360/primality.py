@@ -34,8 +34,7 @@ MAX_SIEVE_LIMIT = 2 * 10**9
 MAX_STREAM_LIMIT = 10**10
 # sieve_primes lists every prime, and the `sieve` verb renders each one
 # as text: at 1e8 (5.76M primes) it takes 1.0-1.2 s and peaks at 227 MB
-# as plain, 222 MB as csv and 350 MB as json (1.6 s) on a 2-core x86-64
-# VM.
+# as plain, 222 MB as csv and 178 MB as json on a 2-core x86-64 VM.
 MAX_PRIME_LIST_LIMIT = 10**8
 MAX_FACTORIAL_N = 40
 

@@ -312,6 +312,49 @@ def _whole_bitmap_smallest_p_blocks(limit: int, bitmap: np.ndarray):
         yield first, best
 
 
+def masked_scatter_block_smallest_p(first, last, window, off, primes):
+    """goldbach._block_smallest_p with its dense peel as one compare, one
+    AND and one boolean-mask scatter of p into an int64 array per prime;
+    the gathers and the trial fallback are the module's own."""
+    import bisect
+
+    from ova360 import goldbach
+
+    m = (last - first) // 2 + 1
+    half = first >> 1
+    best = np.zeros(m, dtype=np.int64)
+    n_dense = bisect.bisect_left(primes, goldbach.DENSE_PEEL_BELOW)
+    for p in primes[:n_dense]:
+        lo = half - ((p + 1) >> 1)
+        skip = max(1 - lo, 0)
+        if skip >= m:
+            break
+        rows = best[skip:]
+        rows[window[lo + skip - off : lo + m - off] & (rows == 0)] = p
+    left = np.flatnonzero(best == 0)
+    qbase = half - off + left
+    for p in primes[n_dense:]:
+        if not left.size or p > last - 3:
+            break
+        qi = qbase - ((p + 1) >> 1)
+        if p > first - 3:
+            hit = window[np.maximum(qi, 0)] & (qi >= 1)
+        else:
+            hit = window[qi]
+        best[left[hit]] = p
+        miss = ~hit
+        left, qbase = left[miss], qbase[miss]
+    for j in left.tolist():
+        best[j] = goldbach._smallest_p_from(first + 2 * j,
+                                            (goldbach.MAX_WINDOW_P + 1) | 1)
+    return best
+
+
+@pytest.fixture(scope="session")
+def reference_block_smallest_p():
+    return masked_scatter_block_smallest_p
+
+
 def whole_bitmap_scan(limit: int, on_block=None):
     """goldbach.scan on one whole odd_prime_bitmap(limit), which it
     reads for every n - p and every p; limit must be a valid scan

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,6 +218,118 @@ def test_scan_failure_is_reported_never_patched(bitmap_without_three):
     assert 6 in r.failures
     assert r.checked == 48
     assert _scan_smallest_p(100)[6] == 0
+
+
+@pytest.mark.parametrize("dense_below", [goldbach.DENSE_PEEL_BELOW, 3])
+def test_scan_failure_is_reported_from_peel_and_gathers(bitmap_without_three,
+                                                        dense_below):
+    # 6 and 8 need p = 3: with the default cutoff the peel would resolve
+    # them, with 3 there is no dense prime and the gathers would
+    with mock.patch.object(goldbach, "DENSE_PEEL_BELOW", dense_below):
+        assert scan(100).failures == (6, 8)
+        got = _scan_smallest_p(100)
+    assert got[6] == got[8] == 0
+    assert got[10] == 5  # 3 + 7 is read without 3, so 5 + 5
+
+
+# 1621 is the largest cutoff with at most 255 odd primes below it, the
+# most the uint8 count in _block_smallest_p holds
+_DENSE_CUTOFFS = (3, 5, 80, goldbach.DENSE_PEEL_BELOW, 1621)
+_BLOCKS = (3, 64, goldbach.BLOCK_EVENS)
+
+
+def test_dense_prime_count_fits_the_uint8_counter(oracle_primes_10k):
+    def below(cutoff):  # exact up to 255: there are more below 1e4 alone
+        return len([p for p in oracle_primes_10k if 2 < p < cutoff])
+
+    top = np.iinfo(np.uint8).max
+    assert below(goldbach.DENSE_PEEL_BELOW) <= top
+    assert below(_DENSE_CUTOFFS[-1]) == top < below(_DENSE_CUTOFFS[-1] + 1)
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """(dense_below, window_p, first, last, off) for one block: the
+    first block (where n - p < 3 occurs) or a later one, cut short as a
+    scan's last block may be, with its window starting anywhere from 0
+    to the lowest bit the block reads."""
+    dense_below = draw(st.sampled_from(_DENSE_CUTOFFS))
+    block = draw(st.sampled_from(_BLOCKS))
+    # a small window_p leaves n to the trial fallback: only in small blocks
+    window_p = draw(st.sampled_from((goldbach.MAX_WINDOW_P,) if block > 64
+                                    else (goldbach.MAX_WINDOW_P, 97, 13)))
+    reach = (window_p + 1) >> 1
+    k = draw(st.one_of(st.just(0), st.integers(0, (2 * reach) // (2 * block) + 3)))
+    first = 6 + 2 * block * k
+    m = draw(st.one_of(st.just(block), st.integers(1, block)))
+    low = max((first >> 1) - reach, 0)
+    off = draw(st.one_of(st.just(low), st.integers(0, low)))
+    return dense_below, window_p, first, first + 2 * (m - 1), off
+
+
+@given(case=_kernel_inputs())
+@settings(max_examples=150, deadline=None)
+def test_block_kernel_matches_masked_scatter(case, reference_odd_prime_bitmap,
+                                             reference_block_smallest_p):
+    dense_below, window_p, first, last, off = case
+    bitmap = reference_odd_prime_bitmap(6 + 8 * goldbach.BLOCK_EVENS)
+    primes = [2 * i + 1 for i in np.flatnonzero(bitmap[: (window_p + 1) >> 1]).tolist()]
+    window = bitmap[off : (last >> 1) - 1].copy()  # to bit last/2 - 2, no further
+    with mock.patch.object(goldbach, "DENSE_PEEL_BELOW", dense_below), \
+            mock.patch.object(goldbach, "MAX_WINDOW_P", window_p):
+        got = goldbach._block_smallest_p(first, last, window, off, primes)
+        want = reference_block_smallest_p(first, last, window, off, primes)
+    assert got.dtype == want.dtype == np.int64
+    assert got.tolist() == want.tolist()
+
+
+def _past_reach(block: int) -> int:
+    """Half of a limit whose last block follows a segment of at most 1000
+    odds that ended past the window's reach, so that segment's trim
+    moved the window's offset past 0."""
+    return (goldbach.MAX_WINDOW_P >> 1) + 2 * block + 1002
+
+
+@st.composite
+def _scan_limits(draw):
+    """(dense_below, block, segment_odds, limit): a limit inside the
+    first few blocks, or, for blocks of 64 evens and more, one past
+    the first block whose window has an offset past 0."""
+    from ova360 import primality
+
+    dense_below = draw(st.sampled_from(_DENSE_CUTOFFS))
+    block = draw(st.sampled_from(_BLOCKS))
+    segment_odds = draw(st.sampled_from((180, 1000, primality.SEGMENT_ODDS)))
+    near = st.integers(3, min(3 * block + 3, 200))
+    far = _past_reach(block)
+    half = draw(near if block == 3 else st.one_of(near, st.integers(far, far + 2 * block)))
+    return dense_below, block, segment_odds, 2 * half
+
+
+@given(case=_scan_limits())
+@settings(max_examples=30, deadline=None)
+def test_scan_blocks_match_masked_scatter(case, reference_block_smallest_p):
+    from ova360 import primality
+
+    dense_below, block, segment_odds, limit = case
+    kernel = goldbach._block_smallest_p
+    offs = []
+
+    def both(first, last, window, off, primes):
+        got = kernel(first, last, window, off, primes)
+        want = reference_block_smallest_p(first, last, window, off, primes)
+        assert got.tolist() == want.tolist(), (first, last, off)
+        offs.append(off)
+        return got
+
+    with mock.patch.object(goldbach, "DENSE_PEEL_BELOW", dense_below), \
+            mock.patch.object(goldbach, "BLOCK_EVENS", block), \
+            mock.patch.object(primality, "SEGMENT_ODDS", segment_odds), \
+            mock.patch.object(goldbach, "_block_smallest_p", both):
+        scan(limit)
+    assert len(offs) == -(-((limit - 6) // 2 + 1) // block)
+    if segment_odds <= 1000 and limit >= 2 * _past_reach(block):
+        assert offs[-1] > 0
 
 
 def test_scan_blocks_consistent():

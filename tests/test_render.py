@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 from unittest import mock
 
@@ -20,6 +22,14 @@ _EDGES = [0, 2**63 - 1] + [
 ]
 _INT64 = st.one_of(st.sampled_from(_EDGES), st.integers(0, 2**63 - 1))
 _SEPS = st.text(st.characters(min_codepoint=0, max_codepoint=127), max_size=6)
+
+
+def _emitted_json(payload) -> str:
+    """What the CLI's emitter writes to stdout for payload as JSON."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        cli._emit("json", payload, ())
+    return buf.getvalue()
 
 
 def _percent(cols, seps) -> str:
@@ -113,7 +123,7 @@ def _containers(children):
 @given(payload=st.recursive(_SCALARS, _containers, max_leaves=25))
 @settings(max_examples=400, deadline=None)
 def test_dump_json_matches_stringify_oracle(payload, reference_dump_json):
-    assert cli._dump_json(payload) == reference_dump_json(payload)
+    assert _emitted_json(payload) == reference_dump_json(payload) + "\n"
 
 
 @pytest.mark.parametrize("payload", [
@@ -122,7 +132,7 @@ def test_dump_json_matches_stringify_oracle(payload, reference_dump_json):
     {3: "int key", "3": "str key", Fraction(-6, 4): "fraction key"},
 ])
 def test_dump_json_empty_and_colliding_containers(payload, reference_dump_json):
-    assert cli._dump_json(payload) == reference_dump_json(payload)
+    assert _emitted_json(payload) == reference_dump_json(payload) + "\n"
 
 
 def test_dump_json_rejects_what_json_rejects(reference_dump_json):
@@ -130,4 +140,4 @@ def test_dump_json_rejects_what_json_rejects(reference_dump_json):
         with pytest.raises(TypeError):
             reference_dump_json(payload)
         with pytest.raises(TypeError):
-            cli._dump_json(payload)
+            _emitted_json(payload)
