@@ -25,10 +25,14 @@ from . import goldbach, goldens, landau, matrix, mersenne, ova, primality
 from .errors import CounterexampleFound, DomainError, OvaError
 
 _FORMATS = ("plain", "csv", "json")
-# Items per write in plain and csv output, and rows per block of the
-# decimal renderer _int_text. One print per line made `sieve --limit
-# 1e7` three times slower as plain than as one csv line.
+# Rows per block of the decimal renderer _int_text, which is also the
+# lines per item of _int_lines and the values per JSON array part.
 EMIT_CHUNK = 1 << 16
+# Characters of plain or csv text gathered into one write. One print per
+# line made `sieve --limit 1e7` three times slower as plain than as one
+# csv line, and one write of all of `sieve --limit 1e8`'s lines peaked at
+# 227 MB against 167 MB.
+WRITE_CHARS = 1 << 16
 # Longest integer a report can hold, in decimal digits: a K-sequence
 # entry at its index bound, or the exact reciprocal sum at its term bound.
 _MAX_DIGITS = max(mersenne.KSEQ_MAX_DIGITS, mersenne.SUM_MAX_DIGITS)
@@ -176,9 +180,10 @@ def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
     any other format (matrix's "bits") writes the plain lines.
 
     The line arguments may be lazy iterables: only the chosen one is
-    consumed, EMIT_CHUNK items at a time, each chunk joined into one
-    write, so a handler can pass lines without building them all. An
-    item may itself hold several "\n"-joined lines.
+    consumed, and its items are joined into one write until they reach
+    WRITE_CHARS characters, so a handler can pass lines without building
+    them all. An item may itself hold several "\n"-joined lines; one
+    longer than WRITE_CHARS is written on its own.
     Python's int -> str limit (4300 digits; none before 3.10.7) is
     raised to _MAX_DIGITS while it writes.
     """
@@ -195,8 +200,14 @@ def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
             return
         if fmt == "csv" and csv_lines is not None:
             plain_lines = csv_lines
-        lines = iter(plain_lines)
-        while chunk := list(itertools.islice(lines, EMIT_CHUNK)):
+        chunk, size = [], 0
+        for line in plain_lines:
+            chunk.append(line)
+            size += len(line) + 1
+            if size >= WRITE_CHARS:
+                sys.stdout.write("\n".join(chunk) + "\n")
+                chunk, size = [], 0
+        if chunk:
             sys.stdout.write("\n".join(chunk) + "\n")
     finally:
         if get_limit:

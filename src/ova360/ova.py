@@ -184,6 +184,19 @@ def twin_residue_pairs() -> tuple[tuple[int, int], ...]:
     return tuple((a, a + 2) for a in sorted(c) if a + 2 in c)
 
 
+# The residues a safe prime 2q+1 can take. For q > 5 both q and 2q+1
+# are coprime to 30, and 2q+1 mod 360 depends only on q mod 180; q = 2,
+# 3 and 5 add 5, 7 and 11. These are 21 classes.
+SAFE_PRIME_CLASSES = frozenset(
+    (2 * q + 1) % MODULUS for q in range(MODULUS // 2)
+    if math.gcd(q * (2 * q + 1), 30) == 1
+) | {5, 7, 11}
+# The columns i mod 90 of the odd safe primes 4i+3 in those classes:
+# all but 5, which q = 2 adds.
+_SAFE_COLUMNS = np.array([i for i in range(_SAFE_PERIOD)
+                          if (4 * i + 3) % MODULUS in SAFE_PRIME_CLASSES])
+
+
 def germain_residues(limit: int) -> frozenset[int]:
     """Residues of safe primes 2q+1 <= limit over Germain primes q.
 
@@ -192,8 +205,15 @@ def germain_residues(limit: int) -> frozenset[int]:
     until bit 2i+1 streams past: the bits below m = (limit-3)//4 + 1 are
     kept packed, limit/32 bytes, and each segment's odd-indexed bits are
     ANDed with them. 4i+3 mod 360 has period 90 in i, so the pairs fold
-    into 90 columns. limit past MAX_STREAM_LIMIT raises BoundError
-    before anything is sieved.
+    into 90 columns.
+
+    The answer lies in SAFE_PRIME_CLASSES, so the pass stops once every
+    one of those classes has a witness: it cannot grow after that, and
+    it is the same for every larger limit. The last class, 323, is
+    reached at 3203 (q = 1601), inside the first segment, so from there
+    on a call sieves one segment, and of the packed bits, allocated as
+    zero pages, it writes only that segment's. limit past
+    MAX_STREAM_LIMIT raises BoundError before anything is sieved.
     """
     if limit < 7:
         raise DomainError(f"limit must be >= 7, got {limit}")
@@ -214,6 +234,8 @@ def germain_residues(limit: int) -> frozenset[int]:
         q_prime = np.unpackbits(low[i0 // 8 : (i1 + 7) // 8], count=i1 - (i0 & ~7))
         safe = q_prime[i0 % 8:].view(bool) & seg[2 * i0 + 1 - start :: 2][:i1 - i0]
         hits += period_counts(safe, i0, _SAFE_PERIOD)
+        if hits[_SAFE_COLUMNS].all():
+            break
     out = set(((4 * np.flatnonzero(hits) + 3) % MODULUS).tolist())
     out.add(5)  # q = 2 gives the safe prime 5
     return frozenset(out)

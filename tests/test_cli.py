@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ova360
-from ova360 import goldens
+from ova360 import goldens, primality
 from ova360.cli import dispatch
 
 
@@ -161,9 +161,46 @@ def test_emit_chunks_write_the_same_bytes(capsys, monkeypatch, tmp_path):
     lines = want[0][0][1].splitlines(keepends=True)
     assert lines[-1] == "29\n" and len(lines) == 10
     assert want[2].count(b"\n") == 49
+    write_sizes = (1, 7, cli.WRITE_CHARS)
     for chunk in (1, 2, 3, 9, 10, 11):
-        monkeypatch.setattr(cli, "EMIT_CHUNK", chunk)
-        assert outputs() == want, chunk
+        for write_chars in write_sizes:
+            monkeypatch.setattr(cli, "EMIT_CHUNK", chunk)
+            monkeypatch.setattr(cli, "WRITE_CHARS", write_chars)
+            assert outputs() == want, (chunk, write_chars)
+
+
+class _Writes:
+    def __init__(self):
+        self.texts = []
+
+    def write(self, text):
+        self.texts.append(text)
+
+
+def test_emit_writes_hold_items_up_to_write_chars(monkeypatch):
+    from ova360 import cli
+
+    primes = primality.sieve_primes(10**5).primes  # 9592 primes
+    monkeypatch.setattr(cli, "EMIT_CHUNK", 1000)  # items of 1000 lines
+    items = list(cli._int_lines(primes))
+    assert len(items) == 10
+    first = len(items[0]) + 1  # the first item's text with its newline
+    for write_chars in (1, first, first + 1, 10**4, 10**6):
+        monkeypatch.setattr(cli, "WRITE_CHARS", write_chars)
+        writes = _Writes()
+        monkeypatch.setattr(sys, "stdout", writes)
+        cli._emit("plain", None, cli._int_lines(primes))
+        # each write is whole items, taken until their text, newlines
+        # included, reaches write_chars; only the last write falls short
+        rest = iter(items)
+        for n, text in enumerate(writes.texts, 1):
+            taken = [next(rest)]
+            while sum(len(i) + 1 for i in taken) < len(text):
+                taken.append(next(rest))
+            assert "".join(i + "\n" for i in taken) == text, write_chars
+            assert len(text) - len(taken[-1]) - 1 < write_chars, write_chars
+            assert len(text) >= write_chars or n == len(writes.texts), write_chars
+        assert next(rest, None) is None, write_chars
 
 
 def test_interval(capsys):

@@ -395,6 +395,25 @@ def test_interval_sum_check_some_n_do_achieve_exactness():
     assert hits  # exactness does occur, just not universally
 
 
+def test_interval_sum_exact_pairs_never_when_4_divides_n():
+    # the upper window (w/2, w) at w = n/2 + 1 + 2k meets n minus the
+    # lower window only in (n/2 - 1 + 2k, n/2 + 1 + 2k), so the one
+    # candidate is rho = n/2 + 2k, which is even when n/2 is
+    for n in range(12, 4001, 4):
+        assert interval_sum_check(n).exact_pairs == (), n
+
+
+def test_interval_sum_exact_pairs_are_the_symmetric_pairs():
+    # for odd n/2 the exact pairs are n/2 + 2k, n/2 - 2k over the k of
+    # symmetric_pair_check: the windows reach n only where a Goldbach
+    # pair already sits symmetrically about n/2
+    for n in range(14, 2001, 4):
+        half = n // 2
+        got = sorted((rho, q) for _, rho, q in interval_sum_check(n).exact_pairs)
+        want = [(half + 2 * k, half - 2 * k) for k in symmetric_pair_check(n).k_values]
+        assert got == want, n
+
+
 @given(st.integers(min_value=6, max_value=400))
 @settings(max_examples=100, deadline=None)
 def test_interval_sum_inequality_3r(half):

@@ -59,6 +59,58 @@ def test_residues_match_golden_at_1e5():
     assert landau_residues(10**5) == set(golden_landau_residues())
 
 
+def _count_tests(monkeypatch, most):
+    """Patch landau.is_prime_big to count its calls, failing at once
+    past most."""
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        assert len(calls) <= most, f"{len(calls)} primality tests"
+        return is_prime_big(n)
+
+    monkeypatch.setattr(landau, "is_prime_big", counting)
+    return calls
+
+
+def test_k2_plus_1_classes_are_the_classes_that_occur():
+    # derived from the congruences alone, and equal to what the primes
+    # k^2 + 1 below 1e5 occupy and to the shipped list
+    occur = {v % 360 for v in enumerate_k2_plus_1(10**5)}
+    assert landau.K2_PLUS_1_CLASSES == occur == set(golden_landau_residues())
+
+
+def test_residues_match_the_enumeration():
+    firsts, seen = [], set()  # each prime that brings a new class
+    for v in enumerate_k2_plus_1(10**6):
+        if v % 360 not in seen:
+            seen.add(v % 360)
+            firsts.append(v)
+    assert firsts[-1] == 67601 == 260**2 + 1
+    limits = [*range(2, 3001), *(v + d for v in firsts for d in (-1, 0, 1)), 10**6]
+    for limit in limits:
+        if limit >= 2:
+            want = {v % 360 for v in enumerate_k2_plus_1(limit)}
+            assert landau_residues(limit) == want, limit
+
+
+def test_residues_stop_once_every_class_has_a_witness(monkeypatch):
+    calls = _count_tests(monkeypatch, most=130)  # k = 2, 4, ..., 260
+    assert landau_residues(10**12) == landau.K2_PLUS_1_CLASSES
+    assert len(calls) == 130
+    calls = _count_tests(monkeypatch, most=10**6)
+    enumerate_k2_plus_1(10**6)
+    assert len(calls) == 499  # one test per even k <= 999
+
+
+def test_residues_bound_fails_before_testing(monkeypatch):
+    _count_tests(monkeypatch, most=0)
+    with pytest.raises(BoundError):
+        landau_residues(landau.MAX_LANDAU_LIMIT + 1)
+    with pytest.raises(DomainError):
+        landau_residues(1)
+
+
 def test_golden_residue_set_shape():
     g = golden_landau_residues()
     assert len(g) == 18

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ova360 import goldens
+from ova360 import goldens, ova, primality
 from ova360.errors import BoundError, DomainError
 from ova360.ova import (
     GenFuncFamily,
@@ -202,6 +202,59 @@ def test_germain_stream_matches_whole_bitmap(monkeypatch,
             if limit >= 7:
                 assert germain_residues(limit) == reference_whole_bitmap_germain(
                     limit), (segment_odds, limit)
+
+
+def _count_segments(monkeypatch, most):
+    """Patch ova.odd_prime_segments to record the start of each segment
+    a scan takes, failing at once if it takes more than most."""
+    taken = []
+    real = ova.odd_prime_segments
+
+    def counting(limit):
+        segments = real(limit)  # the bound is still checked at the call
+
+        def recorded():
+            for start, seg in segments:
+                taken.append(start)
+                assert len(taken) <= most, f"took {len(taken)} segments"
+                yield start, seg
+        return recorded()
+
+    monkeypatch.setattr(ova, "odd_prime_segments", counting)
+    return taken
+
+
+def test_safe_prime_classes_are_the_classes_that_occur(reference_germain_residues):
+    # derived from the congruences alone, and equal to what safe primes
+    # below 1e5 occupy: no class is missing and none is impossible
+    assert ova.SAFE_PRIME_CLASSES == reference_germain_residues(10**5)
+    assert len(ova.SAFE_PRIME_CLASSES) == 21
+
+
+def test_germain_stops_once_every_class_has_a_witness(monkeypatch,
+                                                      reference_germain_residues):
+    # 323 is the last class to appear, at 3203 = 2 * 1601 + 1
+    for limit in range(3190, 3221):
+        got = germain_residues(limit)
+        assert got == reference_germain_residues(limit), limit
+        assert (got == ova.SAFE_PRIME_CLASSES) == (limit >= 3203), limit
+    taken = _count_segments(monkeypatch, most=1)
+    assert germain_residues(10**9) == ova.SAFE_PRIME_CLASSES
+    assert taken == [0]
+
+
+@pytest.mark.parametrize("segment_odds", [7, 180, 1000])
+def test_germain_stop_lands_mid_stream(monkeypatch, segment_odds,
+                                       reference_whole_bitmap_germain):
+    monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
+    taken = _count_segments(monkeypatch, most=10**5)
+    for limit in [*range(3190, 3221), 10**5]:
+        want = reference_whole_bitmap_germain(limit)
+        taken.clear()
+        assert germain_residues(limit) == want, limit
+        # the segment holding the safe prime 3203, bit 1601, is the last
+        segments = -(-((limit + 1) // 2) // segment_odds)
+        assert len(taken) == min(1601 // segment_odds + 1, segments), limit
 
 
 def test_germain_report_diffs():
