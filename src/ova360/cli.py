@@ -25,9 +25,13 @@ from . import goldbach, goldens, landau, matrix, mersenne, ova, primality
 from .errors import CounterexampleFound, DomainError, OvaError
 
 _FORMATS = ("plain", "csv", "json")
-# Rows per block of the decimal renderer _int_text, which is also the
-# lines per item of _int_lines and the values per JSON array part.
-EMIT_CHUNK = 1 << 16
+# Rows per part of the decimal renderer _int_text, which is also the
+# lines per item of _int_lines and the values per JSON array part. The
+# witness rows of `goldbach scan --limit 2000000` (fresh interpreter,
+# 2-core x86-64 VM, 7 runs each) took 0.12-0.13 s and 9.5k minor page
+# faults at 2^14 rows, about as at 2^12 and 2^13 (0.11-0.15 s, 7.7-7.9k
+# faults); 2^15 took 16k faults and 2^16 24k faults and 0.18-0.21 s.
+EMIT_CHUNK = 1 << 14
 # Characters of plain or csv text gathered into one write. One print per
 # line made `sieve --limit 1e7` three times slower as plain than as one
 # csv line, and one write of all of `sieve --limit 1e8`'s lines peaked at
@@ -59,67 +63,87 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each group value 0..9999 a uint32 holding 4 bytes: its ASCII
-    digits "0000".."9999"; which of them a number whose higher groups
-    are all zero keeps (none for 0); and the same for a number's last
-    group, which keeps the "0" of zero."""
+    """For each group value 0..9999 a uint32 holding 4 ASCII bytes: its
+    digits "0000".."9999"; the same with the leading zeros as NUL, for a
+    group with no nonzero group above it (all NUL for 0); and the same
+    for a number's last group, which keeps the "0" of zero."""
     q = np.arange(10**4)
     digits = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1)
+    digits += ord("0")
     width = 1 + (q >= 10) + (q >= 100) + (q >= 1000)
-    last = np.arange(4) >= 4 - width[:, None]
+    last = np.where(np.arange(4) >= 4 - width[:, None], digits, 0)
     lead = last.copy()
-    lead[0] = False
+    lead[0] = 0
     return tuple(t.astype(np.uint8).view(np.uint32).ravel()
-                 for t in (digits + ord("0"), lead, last))
+                 for t in (digits, lead, last))
 
 
-def _int_text(cols, seps) -> str:
+def _int_text(cols, seps):
     """Rows of the integer columns as decimal text, seps[c] after each
-    value of column c: the bytes of "%d" formatting.
+    value of column c: the bytes of "%d" formatting, yielded as str
+    parts of up to EMIT_CHUNK rows.
 
     Non-negative int64 arrays take no Python work per integer. Each
-    value fills fixed-width 4-digit groups from a 10**4-entry table,
-    and one boolean compress per block of EMIT_CHUNK rows drops the
-    leading zeros. Anything else is formatted one value at a time.
+    value fills fixed-width 4-digit groups from a 10**4-entry table, in
+    which the leading zeros are NUL bytes, and one translate per part
+    deletes them. The text buffer and the arrays between the steps are
+    allocated once per call and reused by every part, which keeps page
+    faults down: in a fresh interpreter on a 2-core x86-64 VM, the
+    witness file of `goldbach scan --limit 2000000` took 0.12-0.16 s and
+    9.5k minor page faults, and `sieve --limit 10000000 --format json`
+    0.06-0.07 s and 5.0-5.5k faults, where a compress of a kept-byte
+    mask into fresh arrays per block took 0.21 s and 11-13k, and 0.11 s
+    and 8.1-9.6k. Anything else, or a separator that holds a NUL (the
+    translate would delete it), is formatted one value at a time.
     """
-    if not all(isinstance(c, np.ndarray) and c.dtype == np.int64
-               and not (c.size and c.min() < 0) for c in cols):
-        fmt = "".join("%d" + s.replace("%", "%%") for s in seps)
-        return "".join([fmt % row for row in zip(*cols)])
     n = len(cols[0])
+    if any("\0" in s for s in seps) or not all(
+            isinstance(c, np.ndarray) and c.dtype == np.int64
+            and not (c.size and c.min() < 0) for c in cols):
+        fmt = "".join("%d" + s.replace("%", "%%") for s in seps)
+        for i in range(0, n, EMIT_CHUNK):
+            rows = zip(*(c[i:i + EMIT_CHUNK] for c in cols))
+            yield "".join([fmt % row for row in rows])
+        return
     if not n:
-        return ""
-    layout, width = [], 0  # (column, 4-digit groups, first byte, separator)
+        return
+    rows = min(n, EMIT_CHUNK)
+    buf, offsets = bytearray(), []  # a row; each column's 4-digit groups
     for c, s in zip(cols, seps):
         groups = (len(str(int(c.max()))) + 3) // 4
-        layout.append((c, groups, width, s))
-        width += 4 * groups + len(s)
-    rows = min(n, EMIT_CHUNK)
-    text = np.empty((rows, width), np.uint8)
-    keep = np.ones((rows, width), bool)
-    for _, groups, a, s in layout:
-        end = a + 4 * groups
-        text[:, end:end + len(s)] = np.frombuffer(s.encode("ascii"), np.uint8)
+        offsets.append(range(len(buf), len(buf) + 4 * groups, 4))
+        buf += b"\0" * (4 * groups) + s.encode("ascii")
+    width = len(buf)
+    buf *= rows
+    text = np.frombuffer(buf, np.uint8).reshape(rows, width)
+    # each column with its groups as uint32 views of text
+    layout = [(c, [text[:, a:a + 4].view(np.uint32)[:, 0] for a in cells])
+              for c, cells in zip(cols, offsets)]
     digits, lead, last = _digit_tables()
-    every = np.uint32(0x01010101)
-    parts = []
+    q, r = np.empty(rows, np.int64), np.empty(rows, np.int64)
+    short, partial = np.empty(rows, bool), np.empty(rows, np.uint32)
     for start in range(0, n, EMIT_CHUNK):
         m = min(EMIT_CHUNK, n - start)
-        for c, groups, a, _ in layout:
+        qm, rm, sm, pm = q[:m], r[:m], short[:m], partial[:m]
+        for c, cells in layout:
             v = c[start:start + m]
-            for k in range(groups - 1, -1, -1):  # least significant first
-                cell = slice(a + 4 * k, a + 4 * k + 4)
-                mask = last if k == groups - 1 else lead
-                if k:
-                    high = v // 10**4
-                    v, r = high, v - high * 10**4
-                    kept = np.where(high > 0, every, mask[r])
-                else:
-                    r, kept = v, mask[v]
-                text[:m, cell].view(np.uint32)[:, 0] = digits[r]
-                keep[:m, cell].view(np.uint32)[:, 0] = kept
-        parts.append(np.compress(keep[:m].ravel(), text[:m].ravel()).tobytes())
-    return b"".join(parts).decode("ascii")
+            for k in range(len(cells) - 1, 0, -1):  # least significant first
+                np.divmod(v, 10**4, out=(qm, rm))
+                v = qm
+                cell = cells[k][:m]
+                # each index is in 0..9999 by construction; take's
+                # default mode would buffer out= to check it
+                np.take(digits, rm, out=cell, mode="clip")
+                np.equal(qm, 0, out=sm)
+                if sm.any():  # rows with no nonzero group above this one
+                    table = last if k == len(cells) - 1 else lead
+                    np.take(table, rm, out=pm, mode="clip")
+                    np.copyto(cell, pm, where=sm)
+            table = lead if len(cells) > 1 else last
+            np.take(table, v, out=cells[0][:m], mode="clip")
+        if m < rows:  # the rows a short last part leaves hold no text
+            text[m:] = 0
+        yield buf.translate(None, b"\0").decode("ascii")
 
 
 def _json_parts(obj, out: list, indent: str) -> None:
@@ -149,13 +173,12 @@ def _json_parts(obj, out: list, indent: str) -> None:
         if not obj.size:
             out.append("[]")
             return
-        # one part per EMIT_CHUNK values, each ending in the separator:
-        # the array's text is never joined into one str
+        # the kernel's parts, each ending in the separator: the array's
+        # text is never joined into one str
         inner = indent + "  "
         sep = '",\n' + inner + '"'
         out += ["[\n", inner, '"']
-        out += (_int_text([obj[i:i + EMIT_CHUNK]], [sep])
-                for i in range(0, obj.size, EMIT_CHUNK))
+        out += _int_text([obj], [sep])
         out[-1] = out[-1][:-len(sep)]
         out += ['"\n', indent, "]"]
     else:  # None, float, str; anything else raises TypeError
@@ -183,7 +206,9 @@ def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
     consumed, and its items are joined into one write until they reach
     WRITE_CHARS characters, so a handler can pass lines without building
     them all. An item may itself hold several "\n"-joined lines; one
-    longer than WRITE_CHARS is written on its own.
+    longer than WRITE_CHARS is written on its own. An item that is not a
+    str is one line given as an iterable of parts: each part is written
+    as it comes, then "\n", so the line is never joined.
     Python's int -> str limit (4300 digits; none before 3.10.7) is
     raised to _MAX_DIGITS while it writes.
     """
@@ -202,6 +227,13 @@ def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
             plain_lines = csv_lines
         chunk, size = [], 0
         for line in plain_lines:
+            if not isinstance(line, str):
+                if chunk:
+                    sys.stdout.write("\n".join(chunk) + "\n")
+                    chunk, size = [], 0
+                sys.stdout.writelines(line)
+                sys.stdout.write("\n")
+                continue
             chunk.append(line)
             size += len(line) + 1
             if size >= WRITE_CHARS:
@@ -214,8 +246,9 @@ def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
             sys.set_int_max_str_digits(old)
 
 
-def _witness_rows(first: int, best) -> str:
-    """CSV rows "n,p,q" for one scan block; n without a witness is left out."""
+def _witness_rows(first: int, best):
+    """CSV rows "n,p,q" for one scan block, as the kernel's parts; n
+    without a witness is left out."""
     found = np.flatnonzero(best)
     n = first + 2 * found
     p = best[found]
@@ -224,14 +257,14 @@ def _witness_rows(first: int, best) -> str:
 
 def _int_lines(values, sep="\n"):
     """Lines of the int64 values, built when iterated: one value a line,
-    or with another sep one line of the values joined by it (none for no
-    values). An item holds up to EMIT_CHUNK lines."""
-    parts = (_int_text([values[i:i + EMIT_CHUNK]], [sep])[:-len(sep)]
-             for i in range(0, len(values), EMIT_CHUNK))
+    an item of up to EMIT_CHUNK lines; or with another sep one line of
+    the values joined by it (none for no values), given as its parts."""
     if sep == "\n":
-        yield from parts
-    elif len(values):
-        yield sep.join(parts)
+        for part in _int_text([values], [sep]):
+            yield part[:-1]
+    elif len(values):  # no sep after the last value
+        yield itertools.chain(_int_text([values[:-1]], [sep]),
+                              _int_text([values[-1:]], [""]))
 
 
 # ---------------------------------------------------------------- handlers
@@ -322,11 +355,11 @@ def _cmd_germain(args):
 
 
 def _cmd_genfunc(args):
-    coeffs = ova.genfunc_coefficients(args.family, args.count)
+    coeffs = np.array(ova.genfunc_coefficients(args.family, args.count),
+                      dtype=np.int64)
     payload = {"family": args.family, "count": args.count,
                "coefficients": coeffs}
-    return (payload, [str(c) for c in coeffs],
-            [",".join(str(c) for c in coeffs)], 0)
+    return payload, _int_lines(coeffs), _int_lines(coeffs, ","), 0
 
 
 def _cmd_goldbach_scan(args):
@@ -336,7 +369,8 @@ def _cmd_goldbach_scan(args):
             fh.write("n,p,q\n")
             report = goldbach.scan(
                 args.limit,
-                on_block=lambda first, best: fh.write(_witness_rows(first, best)),
+                on_block=lambda first, best: fh.writelines(
+                    _witness_rows(first, best)),
             )
         if report.failures:
             raise CounterexampleFound(
@@ -544,80 +578,119 @@ def _cmd_dirichlet(args):
 
 _INT = {"type": int, "required": True}
 _FLAG = {"action": "store_true"}
+_FAMILIES = {"choices": ("particular", "twin", "full"), "required": True}
+
+# The verbs in help order. A verb is (handler, flags, keywords for
+# _verb); a group is (help, its verbs).
+_VERBS = {
+    "sieve": (_cmd_sieve, {"--limit": _INT},
+              {"help": "primes up to a limit"}),
+    "interval": (_cmd_interval, {"--n": _INT, "--verify": _FLAG},
+                 {"help": "factorial composite interval"}),
+    "classify": (_cmd_classify, {"--value": _INT},
+                 {"help": "decompose and classify a value"}),
+    "sets": (_cmd_sets, {"--diff-golden": _FLAG},
+             {"help": "residue set cardinalities"}),
+    "inverse": (_cmd_inverse, {"--ova": _INT},
+                {"help": "inverse modulo 360"}),
+    "germain": (_cmd_germain, {"--limit": _INT},
+                {"help": "safe-prime residues and golden diff"}),
+    "genfunc": (_cmd_genfunc, {"--family": _FAMILIES, "--count": _INT},
+                {"help": "generating-function coefficients"}),
+    "goldbach": ("Goldbach scans and constructions", {
+        "scan": (_cmd_goldbach_scan,
+                 {"--limit": _INT, "--emit-witnesses": {"metavar": "PATH"}},
+                 {}),
+        "construct": (_cmd_goldbach_construct, {"--n": _INT}, {}),
+        "combine": (_cmd_goldbach_combine, {"--p1": _INT, "--p2": _INT}, {}),
+    }),
+    "mersenne": ("Mersenne residue classes", {
+        "classify": (_cmd_mersenne_classify, {"--p": _INT}, {}),
+        "filter": (_cmd_mersenne_filter, {}, {}),
+        "scan": (_cmd_mersenne_scan, {"--max": _INT}, {}),
+        "ll": (_cmd_mersenne_ll, {"--p": _INT}, {}),
+        "constant": (_cmd_mersenne_constant,
+                     {"--terms": _INT, "--digits": _INT}, {}),
+        "kseq": (_cmd_mersenne_kseq,
+                 {"--class": {"dest": "klass", "required": True},
+                  "--from": _INT, "--to": _INT}, {}),
+    }),
+    "landau": ("primes of the form k^2+1", {
+        "residues": (_cmd_landau_residues, {"--limit": _INT}, {}),
+        "family": (_cmd_landau_family, {"--ova": _INT, "--alpha": {
+            "default": "0..14",
+            "help": "single value or inclusive range a..b; "
+                    "either may be negative, as in -5..0"}}, {}),
+        "enumerate": (_cmd_landau_enumerate, {"--limit": _INT}, {}),
+    }),
+    "matrix": (_cmd_matrix, {"--ova": _INT, "--k": _INT,
+                             "--start": {"type": int, "default": 1}},
+               {"formats": ("bits", "csv", "json"),
+                "help": "prime-indicator matrix"}),
+    "density": (_cmd_density, {"--ova": _INT, "--rotations": _INT},
+                {"help": "exact prime density of a class"}),
+    "dirichlet": (_cmd_dirichlet, {"--x": _INT},
+                  {"exclusive": {"--ova": {"type": int}, "--all": _FLAG},
+                   "help": "class counts vs equidistribution"}),
+}
 
 
-def _verb(sub, name, handler, flags, formats=_FORMATS, **parser_kw):
-    """Add verb ``name`` with its flags, --format and handler."""
+def _verb(sub, name, handler, flags, formats=_FORMATS, exclusive=None,
+          **parser_kw):
+    """Add verb ``name`` with its flags, --format, the flags of which it
+    needs exactly one, and its handler."""
     s = sub.add_parser(name, **parser_kw)
     for flag, kw in flags.items():
         s.add_argument(flag, **kw)
     s.add_argument("--format", choices=formats, default=formats[0])
+    if exclusive:
+        group = s.add_mutually_exclusive_group(required=True)
+        for flag, kw in exclusive.items():
+            group.add_argument(flag, **kw)
     s.set_defaults(handler=handler)
-    return s
 
 
-def _build_parser() -> _Parser:
+def _add_verbs(parser, dest: str, verbs: dict, path) -> None:
+    """Add the verbs to parser, or only path[0] with its own path[1:]."""
+    sub = parser.add_subparsers(dest=dest)
+    for name in path[:1] or verbs:
+        spec = verbs[name]
+        if isinstance(spec[0], str):
+            _add_verbs(sub.add_parser(name, help=spec[0]), "subcommand",
+                       spec[1], path[1:])
+        else:
+            handler, flags, kw = spec
+            _verb(sub, name, handler, flags, **kw)
+
+
+def _branch(argv) -> list[str]:
+    """The verb, and a group's subverb, that argv names, or [] where the
+    whole tree is needed: for -h/--help, no verb or an unknown one, whose
+    help and errors list every verb. Only --version may come first."""
+    if any(a.startswith(("-h", "--h")) for a in argv):
+        return []
+    args = list(itertools.dropwhile(
+        lambda a: a.startswith("--v") and "--version".startswith(a), argv))
+    path, verbs = [], _VERBS
+    for name in args[:2]:
+        if name not in verbs:
+            break
+        path.append(name)
+        if not isinstance(verbs[name][0], str):
+            break
+        verbs = verbs[name][1]
+    return path
+
+
+def _build_parser(argv=None) -> _Parser:
+    """The CLI's parser: the whole tree, or with argv only the branch
+    of the verb it names. In a fresh interpreter on a 2-core x86-64 VM,
+    building and parsing with the whole tree took 5.8-9.3 ms, with one
+    branch 2.5-3.8 ms."""
     p = _Parser(prog="ova360", description=__doc__)
     p.add_argument("--version", action="store_true",
                    help="print toolkit and data versions")
-    sub = p.add_subparsers(dest="command")
-
-    _verb(sub, "sieve", _cmd_sieve, {"--limit": _INT},
-          help="primes up to a limit")
-    _verb(sub, "interval", _cmd_interval, {"--n": _INT, "--verify": _FLAG},
-          help="factorial composite interval")
-    _verb(sub, "classify", _cmd_classify, {"--value": _INT},
-          help="decompose and classify a value")
-    _verb(sub, "sets", _cmd_sets, {"--diff-golden": _FLAG},
-          help="residue set cardinalities")
-    _verb(sub, "inverse", _cmd_inverse, {"--ova": _INT},
-          help="inverse modulo 360")
-    _verb(sub, "germain", _cmd_germain, {"--limit": _INT},
-          help="safe-prime residues and golden diff")
-    families = {"choices": ("particular", "twin", "full"), "required": True}
-    _verb(sub, "genfunc", _cmd_genfunc, {"--family": families, "--count": _INT},
-          help="generating-function coefficients")
-
-    g = sub.add_parser("goldbach", help="Goldbach scans and constructions")
-    gsub = g.add_subparsers(dest="subcommand")
-    _verb(gsub, "scan", _cmd_goldbach_scan,
-          {"--limit": _INT, "--emit-witnesses": {"metavar": "PATH"}})
-    _verb(gsub, "construct", _cmd_goldbach_construct, {"--n": _INT})
-    _verb(gsub, "combine", _cmd_goldbach_combine, {"--p1": _INT, "--p2": _INT})
-
-    m = sub.add_parser("mersenne", help="Mersenne residue classes")
-    msub = m.add_subparsers(dest="subcommand")
-    _verb(msub, "classify", _cmd_mersenne_classify, {"--p": _INT})
-    _verb(msub, "filter", _cmd_mersenne_filter, {})
-    _verb(msub, "scan", _cmd_mersenne_scan, {"--max": _INT})
-    _verb(msub, "ll", _cmd_mersenne_ll, {"--p": _INT})
-    _verb(msub, "constant", _cmd_mersenne_constant,
-          {"--terms": _INT, "--digits": _INT})
-    _verb(msub, "kseq", _cmd_mersenne_kseq,
-          {"--class": {"dest": "klass", "required": True},
-           "--from": _INT, "--to": _INT})
-
-    l = sub.add_parser("landau", help="primes of the form k^2+1")
-    lsub = l.add_subparsers(dest="subcommand")
-    _verb(lsub, "residues", _cmd_landau_residues, {"--limit": _INT})
-    _verb(lsub, "family", _cmd_landau_family,
-          {"--ova": _INT, "--alpha": {
-              "default": "0..14",
-              "help": "single value or inclusive range a..b; "
-                      "either may be negative, as in -5..0"}})
-    _verb(lsub, "enumerate", _cmd_landau_enumerate, {"--limit": _INT})
-
-    _verb(sub, "matrix", _cmd_matrix,
-          {"--ova": _INT, "--k": _INT, "--start": {"type": int, "default": 1}},
-          formats=("bits", "csv", "json"), help="prime-indicator matrix")
-    _verb(sub, "density", _cmd_density, {"--ova": _INT, "--rotations": _INT},
-          help="exact prime density of a class")
-    s = _verb(sub, "dirichlet", _cmd_dirichlet, {"--x": _INT},
-              help="class counts vs equidistribution")
-    group = s.add_mutually_exclusive_group(required=True)
-    group.add_argument("--ova", type=int)
-    group.add_argument("--all", action="store_true")
-
+    _add_verbs(p, "command", _VERBS, [] if argv is None else _branch(argv))
     return p
 
 
@@ -634,7 +707,7 @@ def _version_line() -> str:
 
 
 def dispatch(argv=None) -> int:
-    parser = _build_parser()
+    parser = _build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
@@ -645,8 +718,8 @@ def dispatch(argv=None) -> int:
     if args.version:
         _emit("plain", None, [_version_line()])
         return 0
-    if not hasattr(args, "handler"):
-        parser.print_usage(sys.stderr)
+    if not hasattr(args, "handler"):  # the usage lists every verb
+        _build_parser().print_usage(sys.stderr)
         return 1
     try:
         payload, plain_lines, csv_lines, rc = args.handler(args)

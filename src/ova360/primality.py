@@ -35,8 +35,8 @@ MAX_SIEVE_LIMIT = 2 * 10**9
 # start-up included.
 MAX_STREAM_LIMIT = 10**10
 # sieve_primes lists every prime, and the `sieve` verb renders each one
-# as text: at 1e8 (5.76M primes) it takes 0.8-1.0 s and peaks at 167 MB
-# as plain, 222 MB as csv and 178 MB as json on a 2-core x86-64 VM.
+# as text: at 1e8 (5.76M primes) it takes 0.7-0.9 s and peaks at 167 MB
+# in every format on a 2-core x86-64 VM, start-up included.
 MAX_PRIME_LIST_LIMIT = 10**8
 MAX_FACTORIAL_N = 40
 

@@ -482,3 +482,56 @@ def percent_witness_rows(first: int, best: np.ndarray) -> str:
 @pytest.fixture(scope="session")
 def reference_witness_rows():
     return percent_witness_rows
+
+
+def compress_int_text(cols, seps, chunk: int = 1 << 16) -> str:
+    """cli._int_text as it was before it rendered into reused buffers:
+    for non-negative int64 columns, fixed-width 4-digit groups and a
+    mask of the bytes to keep, which one np.compress per block of chunk
+    rows applies; separators must be ASCII."""
+    n = len(cols[0])
+    if not n:
+        return ""
+    q = np.arange(10**4)
+    table = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1)
+    width = 1 + (q >= 10) + (q >= 100) + (q >= 1000)
+    last = np.arange(4) >= 4 - width[:, None]
+    lead = last.copy()
+    lead[0] = False
+    digits, lead, last = (t.astype(np.uint8).view(np.uint32).ravel()
+                          for t in (table + ord("0"), lead, last))
+    layout, width = [], 0  # (column, 4-digit groups, first byte, separator)
+    for c, s in zip(cols, seps):
+        groups = (len(str(int(c.max()))) + 3) // 4
+        layout.append((c, groups, width, s))
+        width += 4 * groups + len(s)
+    rows = min(n, chunk)
+    text = np.empty((rows, width), np.uint8)
+    keep = np.ones((rows, width), bool)
+    for _, groups, a, s in layout:
+        end = a + 4 * groups
+        text[:, end:end + len(s)] = np.frombuffer(s.encode("ascii"), np.uint8)
+    every = np.uint32(0x01010101)
+    parts = []
+    for start in range(0, n, chunk):
+        m = min(chunk, n - start)
+        for c, groups, a, _ in layout:
+            v = c[start:start + m]
+            for k in range(groups - 1, -1, -1):  # least significant first
+                cell = slice(a + 4 * k, a + 4 * k + 4)
+                mask = last if k == groups - 1 else lead
+                if k:
+                    high = v // 10**4
+                    v, r = high, v - high * 10**4
+                    kept = np.where(high > 0, every, mask[r])
+                else:
+                    r, kept = v, mask[v]
+                text[:m, cell].view(np.uint32)[:, 0] = digits[r]
+                keep[:m, cell].view(np.uint32)[:, 0] = kept
+        parts.append(np.compress(keep[:m].ravel(), text[:m].ravel()).tobytes())
+    return b"".join(parts).decode("ascii")
+
+
+@pytest.fixture(scope="session")
+def reference_int_text():
+    return compress_int_text

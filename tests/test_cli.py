@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -51,6 +52,87 @@ def test_no_command_is_usage_error(capsys):
     rc, _, err = run(capsys)
     assert rc == 1
     assert "usage" in err
+
+
+# sha256 (first 16 hex digits) of [rc, stdout, stderr] as JSON, per
+# argv, at COLUMNS=80 under CPython 3.11's argparse: every --help and
+# the usage errors, whichever part of the parser tree dispatch builds.
+_PARSER_TEXT_DIGESTS = {
+    "--help": "1f3d04eabfeed323",
+    "-h": "1f3d04eabfeed323",
+    "goldbach --help": "3f3d3ecd2c040a45",
+    "mersenne -h": "87ff46001bb6a7e4",
+    "landau --help": "0b5e8150a6d48527",
+    "sieve --help": "d86b8ba12cb28fd5",
+    "interval --help": "39896a88724af0f8",
+    "classify --help": "0328e4f96e9dc683",
+    "sets --help": "7e55c8bd90b8e1a2",
+    "inverse --help": "70769634114a28f6",
+    "germain --help": "5d8fe81fab8c17c8",
+    "genfunc --help": "c95a679a116b795f",
+    "goldbach scan --help": "66fc9dc71d5314d2",
+    "goldbach construct --help": "7f191c5ae91c2965",
+    "goldbach combine --help": "ef040e1908f01a8c",
+    "mersenne classify --help": "2f905e6ea0a9130a",
+    "mersenne filter --help": "c0625230b13a3612",
+    "mersenne scan --help": "688adc5f546f6e24",
+    "mersenne ll --help": "56ce1c0356f081ad",
+    "mersenne constant --help": "67aa36d6a40862dd",
+    "mersenne kseq --help": "3634d04399e27d18",
+    "landau residues --help": "fd108f8bdcec18a0",
+    "landau family --help": "b363575a14a4d5a0",
+    "landau enumerate --help": "59de8949249f325a",
+    "matrix --help": "0288ebd975e9dbcf",
+    "density --help": "048ef01187dac93b",
+    "dirichlet --help": "4c064103d3a4b062",
+    "": "c7678e4612beb79b",
+    "frobnicate": "db2505af5398294f",
+    "goldbach": "c7678e4612beb79b",
+    "goldbach frobnicate": "3298d1f8c7cfde1c",
+    "sieve": "cd2f1bad79d7fa5c",
+    "sieve --limit x": "21db9f05b0ca1bb2",
+    "goldbach construct": "e55bed9f4ea0c52d",
+    "goldbach combine --p1 5 --p2 y": "19d680cba441907b",
+    "dirichlet --x 100": "3f033fd10f7a1993",
+    "dirichlet --x 100 --ova 7 --all": "d6fe7b112d8fd291",
+    "sieve --limit 5 extra": "b5dafd507a31d15d",
+    "-5 sieve --limit 3": "483fc7ce42a0480f",
+    "--vers sieve --limit x": "21db9f05b0ca1bb2",
+    "goldbach --version scan --limit 8": "a3526f8feb24e755",
+    "sieve --lim 10": "975989583f0323ec",
+    "matrix --ova 7 --k 2 --format plain": "d3d13c13d52b836e",
+}
+
+
+def _parser_texts(capsys, monkeypatch, argvs) -> dict:
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = {}
+    for argv in argvs:
+        rc, out, err = run(capsys, *argv.split())
+        record = json.dumps([rc, out, err]).encode()
+        texts[argv] = hashlib.sha256(record).hexdigest()[:16]
+    return texts
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="help layout differs between argparse versions")
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch):
+    texts = _parser_texts(capsys, monkeypatch, _PARSER_TEXT_DIGESTS)
+    assert texts == _PARSER_TEXT_DIGESTS
+
+
+def test_branch_parser_matches_the_whole_tree(capsys, monkeypatch):
+    # the same texts when dispatch is made to build the whole tree
+    from ova360 import cli
+
+    argvs = list(_PARSER_TEXT_DIGESTS) + [
+        "sieve --limit 30", "goldbach construct --n 20",
+        "landau family --ova 161 --alpha -2..0", "-- sieve --limit 3",
+        "goldbach -- scan --limit 8", "sieve -hx", "--he"]
+    branch = _parser_texts(capsys, monkeypatch, argvs)
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv=None: build())
+    assert _parser_texts(capsys, monkeypatch, argvs) == branch
 
 
 def test_unknown_command(capsys):
@@ -167,6 +249,20 @@ def test_emit_chunks_write_the_same_bytes(capsys, monkeypatch, tmp_path):
             monkeypatch.setattr(cli, "EMIT_CHUNK", chunk)
             monkeypatch.setattr(cli, "WRITE_CHARS", write_chars)
             assert outputs() == want, (chunk, write_chars)
+    # a line given as parts is written part by part, after the lines
+    # gathered before it: a csv line is never joined into one str
+    primes = primality.sieve_primes(1000).primes  # 168 primes
+    monkeypatch.setattr(cli, "EMIT_CHUNK", 10)
+    for write_chars in write_sizes:
+        monkeypatch.setattr(cli, "WRITE_CHARS", write_chars)
+        writes = _Writes()
+        monkeypatch.setattr(sys, "stdout", writes)
+        cli._emit("csv", None, (), cli._int_lines(primes, ","))
+        cli._emit("plain", None, ["a", "b", iter(["c", "", "d"]), "e"])
+        csv_line = ",".join(str(p) for p in primes) + "\n"
+        assert "".join(writes.texts) == csv_line + "a\nb\ncd\ne\n"
+        k = writes.texts.index("\n")  # the csv line's parts come before
+        assert k > 1 and max(map(len, writes.texts[:k])) <= 10 * len("997,")
 
 
 class _Writes:
@@ -175,6 +271,10 @@ class _Writes:
 
     def write(self, text):
         self.texts.append(text)
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
 
 
 def test_emit_writes_hold_items_up_to_write_chars(monkeypatch):

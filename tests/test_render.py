@@ -43,7 +43,7 @@ def test_int_text_matches_percent_d(data, ncols, size, chunk):
                      dtype=np.int64) for _ in range(ncols)]
     seps = [data.draw(_SEPS) for _ in range(ncols)]
     with mock.patch.object(cli, "EMIT_CHUNK", chunk):
-        assert cli._int_text(cols, seps) == _percent(cols, seps)
+        assert "".join(cli._int_text(cols, seps)) == _percent(cols, seps)
 
 
 @pytest.mark.parametrize("size", [0, 1, cli.EMIT_CHUNK - 1, cli.EMIT_CHUNK,
@@ -53,7 +53,7 @@ def test_int_text_at_sizes_and_the_chunk_edge(size):
     values = np.resize(np.array(_EDGES, dtype=np.int64), size)
     cols = [values, rng.permutation(values), rng.integers(0, 2**63 - 1, size)]
     seps = [",", '",\n    "', "\n"]
-    assert cli._int_text(cols, seps) == _percent(cols, seps)
+    assert "".join(cli._int_text(cols, seps)) == _percent(cols, seps)
 
 
 @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=20), _SEPS)
@@ -62,7 +62,68 @@ def test_int_text_formats_other_input_per_value(values, sep):
     # negative int64, other dtypes and plain lists take the per-value path
     for col in (np.array(values, dtype=np.int64), values,
                 np.array(values, dtype=object)):
-        assert cli._int_text([col], [sep]) == _percent([values], [sep])
+        assert "".join(cli._int_text([col], [sep])) == _percent([values], [sep])
+
+
+_GROUP_EDGES = [0, 9, 10, 9999, 10**4 - 1, 10**4, 10**4 + 1, 10**8 - 1,
+                10**8, 10**8 + 1, 10**12, 2**63 - 1]
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    # the first difference in context: a diff of whole texts this long
+    # would take pytest minutes
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+             min(len(got), len(want)))
+    assert (len(got), got[i - 30:i + 30]) == (len(want), want[i - 30:i + 30])
+
+
+def _kernel_matches_oracles(cols, seps, chunk, reference_int_text):
+    parts = list(cli._int_text(cols, seps))
+    assert len(parts) == -(-len(cols[0]) // chunk)
+    text = "".join(parts)
+    _assert_same_text(text, _percent(cols, seps))
+    if not any("\0" in s for s in seps):
+        _assert_same_text(text, reference_int_text(cols, seps, chunk))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, cli.EMIT_CHUNK])
+def test_int_text_parts_at_group_edges_and_part_sizes(chunk, monkeypatch,
+                                                      reference_int_text):
+    # columns of 1, 2, 3 and 5 groups and one of every edge, at sizes
+    # one row either side of each multiple of the part size up to three
+    monkeypatch.setattr(cli, "EMIT_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    edges = np.array(_GROUP_EDGES, dtype=np.int64)
+    for size in sorted({k * chunk + d for k in (1, 2, 3) for d in (-1, 1)}):
+        cols = [np.resize(edges, size),
+                rng.integers(0, 10**4, size),
+                rng.integers(0, 10**8, size),
+                rng.integers(0, 10**12, size),
+                rng.permutation(np.resize(edges, size))]
+        cols[1][::3] = 0
+        seps = [",", ";", '",\n  "', "", "\n"]
+        _kernel_matches_oracles(cols, seps, chunk, reference_int_text)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, cli.EMIT_CHUNK])
+def test_int_text_short_last_part_leaks_no_stale_row(chunk, monkeypatch,
+                                                     reference_int_text):
+    # a full part of the widest values, then one row that is shorter in
+    # every group: a row left over from the full part would show
+    monkeypatch.setattr(cli, "EMIT_CHUNK", chunk)
+    for tail in (0, 7, 10**4):
+        col = np.full(chunk + 1, 2**63 - 1, dtype=np.int64)
+        col[-1] = tail
+        _kernel_matches_oracles([col, col[::-1].copy()], ["-", "\n"], chunk,
+                                reference_int_text)
+
+
+@pytest.mark.parametrize("seps", [["\0"], ["a\0b", "\n"], ["\0\0", "\0"]])
+def test_int_text_keeps_separators_that_hold_nul(seps, monkeypatch):
+    monkeypatch.setattr(cli, "EMIT_CHUNK", 3)
+    values = np.array(_GROUP_EDGES, dtype=np.int64)
+    cols = [values, values[::-1].copy()][:len(seps)]
+    assert "".join(cli._int_text(cols, seps)) == _percent(cols, seps)
 
 
 @given(first=st.integers(3, 10**6).map(lambda x: 2 * x),
@@ -75,7 +136,8 @@ def test_witness_rows_match_percent_rows(first, fractions, reference_witness_row
     best[best < 3] = 0
     for chunk in (1, 2, 7, cli.EMIT_CHUNK):
         with mock.patch.object(cli, "EMIT_CHUNK", chunk):
-            assert cli._witness_rows(first, best) == reference_witness_rows(first, best)
+            rows = "".join(cli._witness_rows(first, best))
+            assert rows == reference_witness_rows(first, best)
 
 
 class _Tone(enum.Enum):
