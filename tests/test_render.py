@@ -46,8 +46,10 @@ def test_int_text_matches_percent_d(data, ncols, size, chunk):
         assert "".join(cli._int_text(cols, seps)) == _percent(cols, seps)
 
 
-@pytest.mark.parametrize("size", [0, 1, cli.EMIT_CHUNK - 1, cli.EMIT_CHUNK,
-                                  cli.EMIT_CHUNK + 1])
+@pytest.mark.parametrize("size", sorted({
+    0, 1, cli.EMIT_CHUNK - 1, cli.EMIT_CHUNK, cli.EMIT_CHUNK + 1,
+    # one row either side of 2^16 rows: a whole number of parts
+    65535, 65536, 65537}))
 def test_int_text_at_sizes_and_the_chunk_edge(size):
     rng = np.random.default_rng(size)
     values = np.resize(np.array(_EDGES, dtype=np.int64), size)
