@@ -30,10 +30,18 @@ from .primality import (
 
 # The scan streams the primes, so time, not memory, bounds it: see scan.
 MAX_SCAN_LIMIT = 10**9
-# Largest n accepted by interval_sum_check and symmetric_pair_check;
-# their docstrings give the measured cost.
-MAX_INTERVAL_SUM_N = 4 * 10**4
+# Largest n accepted by interval_sum_check and symmetric_pair_check.
+# On a 2-core x86-64 VM interval_sum_check(1e7) takes 0.66 s and peaks
+# at 257 MB RSS (VmHWM), most of it int64 arrays of one entry per
+# window; symmetric_pair_check's docstring gives its cost.
+MAX_INTERVAL_SUM_N = 10**7
 MAX_SYMMETRIC_N = 10**8
+# Largest n accepted by bertrand_construction, which tests the odd
+# numbers down from n - 3 with is_prime_big, so its cost grows with
+# the digits of n and the distance to the prime. On a 2-core x86-64 VM
+# ten n near 1e300 took 0.2-1.0 s (the slowest one 1615 above its
+# prime), and four n near 1e400 0.7-5.0 s.
+MAX_CONSTRUCT_N = 10**300
 # Evens per scan block: the block's slices of the bitmap and its result
 # array stay in cache.
 BLOCK_EVENS = 1 << 16
@@ -274,6 +282,8 @@ def bertrand_construction(n: int) -> BertrandConstruction:
     """Largest prime rho_f in [n/2, n-2), with f and k solved from
     rho_f = n - (2f+1) and the parity-split k formula."""
     _check_even(n, 8)
+    if n > MAX_CONSTRUCT_N:
+        raise BoundError(f"n {n} exceeds construction bound {MAX_CONSTRUCT_N}")
     half = n // 2
     rho_f = None
     for c in range(n - 3, half - 1, -1):
@@ -296,66 +306,91 @@ def bertrand_construction(n: int) -> BertrandConstruction:
     return BertrandConstruction(n, rho_f, f, k, parity)
 
 
-def _bertrand_window(bitmap: np.ndarray, w: int) -> list[int]:
-    """Primes strictly between w/2 and w, ascending; the bitmap covers
-    the odd numbers below w."""
-    first, last = w // 2 + 1, w - 1
-    lo = first >> 1  # bitmap index of the least odd >= first
-    odd = 2 * (np.flatnonzero(bitmap[lo : ((last - 1) >> 1) + 1]) + lo) + 1
-    return ([2] if first <= 2 <= last else []) + odd.tolist()
+def _window_bounds(primes: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Index ranges [lo, hi) of the ascending primes that lie in the
+    open windows (w/2, w), one per w."""
+    return np.searchsorted(primes, w // 2, "right"), np.searchsorted(primes, w, "left")
 
 
-def interval_sum_check(n: int, samples: int | None = None) -> IntervalSumReport:
-    """Enumerate prime pairs from the two open windows around n/2 for
-    each admissible f, and check n/2 + 1 < sum <= n for every pair.
+def _symmetric_ks(bitmap: np.ndarray, half: int) -> np.ndarray:
+    """Ascending k whose pair about half, half +- 2k (odd half, k >= 0)
+    or half +- (2k-1) (even half, k >= 1), is two odd primes; the
+    bitmap covers the odd numbers up to 2 * half.
+
+    Counted from the odd numbers nearest half, the lower members run
+    down one reversed slice and the upper members up one forward
+    slice, so one AND finds every k.
+    """
+    below = (half - 1) >> 1  # bitmap index of the largest odd <= half
+    above = half >> 1  # bitmap index of the least odd >= half
+    both = bitmap[below:0:-1] & bitmap[above : above + below]
+    return np.flatnonzero(both) + (1 - half % 2)
+
+
+def interval_sum_check(n: int) -> IntervalSumReport:
+    """Check n/2 + 1 < rho + q <= n for every prime pair drawn from the
+    two open windows around n/2, for each admissible f.
 
     With k = n/4 - 1/2 - f (odd n/2) or n/4 - f (even n/2), an integer
     either way, the windows are (n/4 + 1/2 + k, n/2 + 1 + 2k) and
     (n/4 + 1/2 - k, n/2 + 1 - 2k): each is (w/2, w) for the integer w
-    = n/2 + 1 +- 2k, and its primes are read from one bitmap of the odd
-    numbers up to n. The bound holds for all pairs of a window pair iff
-    it holds for the two smallest and the two largest members.
+    = n/2 + 1 +- 2k. Each window is an index range of one ascending
+    prime array, found for every f at once by a binary search, so its
+    size and its extremes are lookups. The bound holds for all pairs
+    of a window pair iff it holds for the two smallest and the two
+    largest members.
 
     Violations cannot occur (the bound is an arithmetic consequence of
     the window endpoints); they are enumerated pair by pair when the
     extremes fail, rather than asserted, so an implementation fault
     would surface as data. Whether some pair sums to n exactly is
-    reported as an observation: for n = 100 no window pair does,
-    because the lower window is open at its upper endpoint and excludes
-    the matching prime. The work grows as n**2 over an n/2-byte bitmap:
-    at MAX_INTERVAL_SUM_N = 4e4 a call takes 2.1 s and 29 MB peak RSS
-    on a 2-core x86-64 VM (1e5 would take 12.4 s).
+    reported as an observation. The upper window meets n minus the
+    lower one in (n/2 - 1 + 2k, n/2 + 1 + 2k), so the one candidate is
+    rho = n/2 + 2k: there are none when n/2 is even, and for odd n/2
+    they are the pairs n/2 +- 2k that symmetric_pair_check finds, read
+    from the same AND. pairs_checked is summed exactly, as a Python
+    int: at 1e8 it would be 3.5e19, past 2**63. On a 2-core x86-64 VM
+    a call takes 2 ms at 4e4, 0.06 s at 1e6, and 0.66 s with 257 MB
+    peak RSS (VmHWM) at MAX_INTERVAL_SUM_N = 1e7.
     """
     _check_even(n, 12)
     if n > MAX_INTERVAL_SUM_N:
         raise BoundError(f"n {n} exceeds interval-sum bound {MAX_INTERVAL_SUM_N}")
     half = n // 2
-    fs = range(1, (n - 2) // 4 + 1)
-    if samples is not None:
-        fs = fs[:samples]
     bitmap = odd_prime_bitmap(n)
-    pairs = empty = 0
-    viol_list: list[tuple[int, int, int]] = []
-    exact: list[tuple[int, int, int]] = []
-    for f in fs:
-        k = half // 2 - f
-        upper = _bertrand_window(bitmap, half + 1 + 2 * k)
-        lower = _bertrand_window(bitmap, half + 1 - 2 * k)
-        if not upper or not lower:
-            empty += 1
-            continue
-        pairs += len(upper) * len(lower)
-        if not (half + 1 < upper[0] + lower[0] and upper[-1] + lower[-1] <= n):
-            viol_list += [(f, rho, q) for rho in upper for q in lower
-                          if not half + 1 < rho + q <= n]
-        in_lower = set(lower)
-        exact += [(f, rho, n - rho) for rho in upper if n - rho in in_lower]
+    primes = np.concatenate(([2], 2 * np.flatnonzero(bitmap) + 1))
+    # Every window is (w/2, w) for one w = n/2 + 1 + 2j, |j| <= top. The
+    # pair of f = i + 1 is j = +-(top - i), so a per-window array read
+    # backwards and forwards lines up the pairs in ascending f.
+    top, sampled = half // 2 - 1, (n - 2) // 4
+    lo, hi = _window_bounds(
+        primes, np.arange(half + 1 - 2 * top, half + 2 + 2 * top, 2))
+
+    def by_f(op: np.ufunc, per_window: np.ndarray) -> np.ndarray:
+        return op(per_window[::-1][:sampled], per_window[:sampled])
+
+    size = hi - lo
+    filled = by_f(np.minimum, size) > 0
+    # an empty window's ends may lie past the array: clip, filled masks them
+    inside = ~filled | ((by_f(np.add, primes.take(lo, mode="clip")) > half + 1)
+                        & (by_f(np.add, primes.take(hi - 1, mode="clip")) <= n))
+    # each product is below 2**63 and there are fewer than 2**31, so
+    # neither sum of their 32-bit halves overflows int64
+    high, low = np.divmod(by_f(np.multiply, size), 1 << 32)
+    pairs = (int(high.sum()) << 32) + int(low.sum())
+    violations = []
+    for i in np.flatnonzero(~inside).tolist():
+        us, ls = (primes[lo[j] : hi[j]].tolist() for j in (2 * top - i, i))
+        violations += [(i + 1, rho, q) for rho in us for q in ls
+                       if not half + 1 < rho + q <= n]
+    ks = _symmetric_ks(bitmap, half)[::-1].tolist() if half % 2 else []
+    exact = [(half // 2 - k, half + 2 * k, half - 2 * k) for k in ks]
     return IntervalSumReport(
         n=n,
-        sampled=len(fs),
+        sampled=sampled,
         pairs_checked=pairs,
-        violations=tuple(viol_list),
-        empty_windows=empty,
+        violations=tuple(violations),
+        empty_windows=sampled - int(np.count_nonzero(filled)),
         exact_pairs=tuple(exact),
     )
 
@@ -367,22 +402,14 @@ def symmetric_pair_check(n: int) -> SymmetricPairReport:
     are n/2 +- (2k-1) (k >= 1), keeping both members odd. All working
     k up to n/4 are returned; existence is equivalent to n having a
     Goldbach decomposition. Both members are read from one bitmap of
-    the odd numbers up to n: counted from the odd numbers nearest n/2,
-    the lower members run down one reversed slice and the upper members
-    up one forward slice, so one AND finds every k. At MAX_SYMMETRIC_N
-    = 1e8 a call takes 0.42 s and 113 MB peak RSS on a 2-core x86-64 VM
-    (1e9 would take 4.7 s and 848 MB).
+    the odd numbers up to n by one AND (_symmetric_ks). At
+    MAX_SYMMETRIC_N = 1e8 a call takes 0.42 s and 113 MB peak RSS on
+    a 2-core x86-64 VM (1e9 would take 4.7 s and 848 MB).
     """
     _check_even(n, 6)
     if n > MAX_SYMMETRIC_N:
         raise BoundError(f"n {n} exceeds symmetric-pair bound {MAX_SYMMETRIC_N}")
-    half = n // 2
-    bitmap = odd_prime_bitmap(n)
-    below = (half - 1) >> 1  # bitmap index of the largest odd <= n/2
-    above = half >> 1  # bitmap index of the least odd >= n/2
-    both = bitmap[below:0:-1] & bitmap[above : above + below]
-    first_k = 1 - half % 2
-    ks = (np.flatnonzero(both) + first_k).tolist()
+    ks = _symmetric_ks(odd_prime_bitmap(n), n // 2).tolist()
     return SymmetricPairReport(n, bool(ks), tuple(ks))
 
 

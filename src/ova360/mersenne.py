@@ -41,6 +41,8 @@ MAX_SUM_TERMS = 30
 # MAX_SUM_TERMS known exponents: the 2**p - 1 are distinct primes, so
 # the sum's denominator is their product and its numerator is smaller
 SUM_MAX_DIGITS = math.floor(488247 * math.log10(2)) + 1
+# mersenne_properties tests M + 6n - 4 for |n| <= FAMILY_SAMPLE_RANGE
+FAMILY_SAMPLE_RANGE = 50
 
 
 class MersenneClass(enum.Enum):
@@ -252,8 +254,8 @@ def _trial_factor(p: int, m: int) -> int | None:
     return None
 
 
-def lucas_lehmer(p: int, max_p: int = MAX_LL_EXPONENT) -> bool:
-    """True iff 2**p - 1 is prime, for odd prime p <= max_p.
+def lucas_lehmer(p: int) -> bool:
+    """True iff 2**p - 1 is prime, for odd prime p <= MAX_LL_EXPONENT.
 
     A trial-factoring prefilter runs first (as GIMPS does,
     https://www.mersenne.org/various/math.php): a divisor 2kp + 1 below
@@ -262,8 +264,9 @@ def lucas_lehmer(p: int, max_p: int = MAX_LL_EXPONENT) -> bool:
     2**p - 1 by folding the high bits (s & m) + (s >> p), which keeps
     every intermediate below 2m.
     """
-    if p > max_p:
-        raise BoundError(f"exponent {p} exceeds Lucas-Lehmer bound {max_p}")
+    if p > MAX_LL_EXPONENT:
+        raise BoundError(
+            f"exponent {p} exceeds Lucas-Lehmer bound {MAX_LL_EXPONENT}")
     if p == 2 or not is_prime(p):
         raise DomainError(f"exponent {p} must be an odd prime")
     m = (1 << p) - 1
@@ -278,7 +281,7 @@ def lucas_lehmer(p: int, max_p: int = MAX_LL_EXPONENT) -> bool:
     return s == 0
 
 
-def scan_exponents(max_p: int, max_ll: int = MAX_LL_EXPONENT) -> ScanReport:
+def scan_exponents(max_p: int) -> ScanReport:
     """Search exponents <= max_p for Mersenne primes.
 
     Walks the exponents e >= 5 coprime to 6, which are exactly the
@@ -290,8 +293,9 @@ def scan_exponents(max_p: int, max_ll: int = MAX_LL_EXPONENT) -> ScanReport:
     """
     if max_p < 2:
         raise DomainError(f"max_p must be >= 2, got {max_p}")
-    if max_p > max_ll:
-        raise BoundError(f"max_p {max_p} exceeds Lucas-Lehmer bound {max_ll}")
+    if max_p > MAX_LL_EXPONENT:
+        raise BoundError(
+            f"max_p {max_p} exceeds Lucas-Lehmer bound {MAX_LL_EXPONENT}")
     found = [2] if is_prime_big(3) else []
     tested = 1
     if max_p >= 3:
@@ -306,7 +310,7 @@ def scan_exponents(max_p: int, max_ll: int = MAX_LL_EXPONENT) -> ScanReport:
             skipped += 1
             continue
         tested += 1
-        if lucas_lehmer(e, max_ll):
+        if lucas_lehmer(e):
             found.append(e)
     return ScanReport(max_p, tested, tuple(sorted(found)), skipped)
 
@@ -384,22 +388,20 @@ def inverse_sum_fraction(num_terms: int) -> Fraction:
     return total
 
 
-def mersenne_properties(
-    p: int, sample_range: int = 50, max_ll: int = MAX_LL_EXPONENT
-) -> MersenneProperties:
+def mersenne_properties(p: int) -> MersenneProperties:
     """Evaluate the congruence and neighbor-compositeness theorems
     for the Mersenne prime 2**p - 1.
 
     Raises NotMersennePrime when 2**p - 1 is composite. The 6n-4
-    family is sampled over |n| <= sample_range (members equal to 3 or
-    below 4 are outside the claim and skipped). The mod-6 and 6n-4
+    family is sampled over |n| <= FAMILY_SAMPLE_RANGE (members equal to
+    3 or below 4 are outside the claim and skipped). The mod-6 and 6n-4
     fields are None at p=2, where M=3 is not 1 mod 6.
     """
     _require_prime(p)
     if p == 2:
         m = 3
     else:
-        if not lucas_lehmer(p, max_ll):
+        if not lucas_lehmer(p):
             raise NotMersennePrime(f"2**{p}-1 is composite")
         m = (1 << p) - 1
     cls = classify_exponent(p)
@@ -414,7 +416,7 @@ def mersenne_properties(
     if p > 2:
         family = all(
             not is_prime_big(m + 6 * n - 4)
-            for n in range(-sample_range, sample_range + 1)
+            for n in range(-FAMILY_SAMPLE_RANGE, FAMILY_SAMPLE_RANGE + 1)
             if m + 6 * n - 4 >= 4
         )
     return MersenneProperties(

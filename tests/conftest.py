@@ -104,7 +104,7 @@ def plain_lucas_lehmer(p: int) -> bool:
     return s == 0
 
 
-def fraction_interval_sum_check(n: int, prime_set: set[int], samples: int | None = None):
+def fraction_interval_sum_check(n: int, prime_set: set[int]):
     """goldbach.interval_sum_check computed the long way: Fraction
     window endpoints, a primality lookup per integer, and the bound and
     exactness checked for every pair on its own (as one outer sum).
@@ -120,8 +120,6 @@ def fraction_interval_sum_check(n: int, prime_set: set[int], samples: int | None
     quarter = Fraction(n, 4)
     odd_half = (n // 2) % 2 == 1
     fs = range(1, int(quarter - Fraction(1, 2)) + 1)
-    if samples is not None:
-        fs = fs[:samples]
     pairs = empty = 0
     violations, exact = [], []
     for f in fs:
@@ -154,9 +152,53 @@ def reference_lucas_lehmer():
     return plain_lucas_lehmer
 
 
+def loop_interval_sum_check(n: int):
+    """goldbach.interval_sum_check as a loop over f: both windows'
+    primes listed from odd_prime_bitmap(n), the extremes tested, every
+    pair enumerated if they fail, and each upper prime looked up in a
+    set of the lower ones."""
+    from ova360.goldbach import IntervalSumReport
+    from ova360.primality import odd_prime_bitmap
+
+    def window(bitmap, w):
+        # primes strictly between w/2 and w, ascending
+        first, last = w // 2 + 1, w - 1
+        lo = first >> 1  # bitmap index of the least odd >= first
+        odd = 2 * (np.flatnonzero(bitmap[lo : ((last - 1) >> 1) + 1]) + lo) + 1
+        return ([2] if first <= 2 <= last else []) + odd.tolist()
+
+    half = n // 2
+    fs = range(1, (n - 2) // 4 + 1)
+    bitmap = odd_prime_bitmap(n)
+    pairs = empty = 0
+    violations, exact = [], []
+    for f in fs:
+        k = half // 2 - f
+        upper = window(bitmap, half + 1 + 2 * k)
+        lower = window(bitmap, half + 1 - 2 * k)
+        if not upper or not lower:
+            empty += 1
+            continue
+        pairs += len(upper) * len(lower)
+        if not (half + 1 < upper[0] + lower[0] and upper[-1] + lower[-1] <= n):
+            violations += [(f, rho, q) for rho in upper for q in lower
+                           if not half + 1 < rho + q <= n]
+        in_lower = set(lower)
+        exact += [(f, rho, n - rho) for rho in upper if n - rho in in_lower]
+    return IntervalSumReport(
+        n=n, sampled=len(fs), pairs_checked=pairs, violations=tuple(violations),
+        empty_windows=empty, exact_pairs=tuple(exact),
+    )
+
+
 @pytest.fixture(scope="session")
 def reference_interval_sum_check():
     return fraction_interval_sum_check
+
+
+@pytest.fixture(scope="session")
+def reference_interval_sum_loop():
+    return loop_interval_sum_check
 
 
 def segmented_odd_prime_bitmap(limit: int, segment_odds: int = 1 << 22) -> np.ndarray:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import io
+import json
 import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -407,7 +409,7 @@ def test_interval_sum_exact_pairs_are_the_symmetric_pairs():
     # for odd n/2 the exact pairs are n/2 + 2k, n/2 - 2k over the k of
     # symmetric_pair_check: the windows reach n only where a Goldbach
     # pair already sits symmetrically about n/2
-    for n in range(14, 2001, 4):
+    for n in range(14, 4001, 4):
         half = n // 2
         got = sorted((rho, q) for _, rho, q in interval_sum_check(n).exact_pairs)
         want = [(half + 2 * k, half - 2 * k) for k in symmetric_pair_check(n).k_values]
@@ -429,33 +431,67 @@ def test_interval_sum_check_matches_fraction_oracle(
     for n in range(12, 801, 2):
         assert interval_sum_check(n) == reference_interval_sum_check(
             n, oracle_prime_set_10k), n
-    for samples in (0, 1, 7, 500):
-        assert interval_sum_check(798, samples) == reference_interval_sum_check(
-            798, oracle_prime_set_10k, samples)
+
+
+def _assert_same_report(got, want):
+    # the canonical JSON is what a digest of the report pins: a numpy
+    # scalar field compares equal but renders as a quoted string
+    def canonical(report):
+        return json.dumps(dataclasses.asdict(report), sort_keys=True, default=str)
+
+    assert got == want and canonical(got) == canonical(want), want.n
+
+
+def test_interval_sum_check_matches_loop_oracle(reference_interval_sum_loop):
+    for n in [*range(12, 2001, 2), 39998, 40000]:
+        _assert_same_report(interval_sum_check(n), reference_interval_sum_loop(n))
+
+
+@given(st.integers(min_value=6, max_value=2 * 10**4))
+@settings(max_examples=5, deadline=None)
+def test_interval_sum_check_matches_loop_oracle_sampled(
+        reference_interval_sum_loop, half):
+    n = 2 * half
+    _assert_same_report(interval_sum_check(n), reference_interval_sum_loop(n))
 
 
 def test_interval_sum_check_enumerates_violating_pairs(monkeypatch):
-    # a fault that puts 1 and w + 1000 into every window (w/2, w) must
-    # come out as the exact list of violating pairs
-    window = goldbach._bertrand_window
+    # a fault that widens every window (w/2, w) by one prime on each
+    # side must come out as the exact list of violating pairs
+    bounds = goldbach._window_bounds
 
-    def faulty(bitmap, w):
-        return [1] + window(bitmap, w) + [w + 1000]
+    def widened(primes, w):
+        lo, hi = bounds(primes, w)
+        return np.maximum(lo - 1, 0), np.minimum(hi + 1, primes.size)
 
-    monkeypatch.setattr(goldbach, "_bertrand_window", faulty)
+    monkeypatch.setattr(goldbach, "_window_bounds", widened)
     n = 100
-    bitmap = goldbach.odd_prime_bitmap(n)
+    primes = [p for p in range(2, n + 1) if is_prime(p)]
     want, pairs = [], 0
     for f in range(1, (n - 2) // 4 + 1):
         k = n // 4 - f
-        upper = faulty(bitmap, n // 2 + 1 + 2 * k)
-        lower = faulty(bitmap, n // 2 + 1 - 2 * k)
+        windows = []
+        for w in (n // 2 + 1 + 2 * k, n // 2 + 1 - 2 * k):
+            inside = [i for i, p in enumerate(primes) if w < 2 * p < 2 * w]
+            windows.append(primes[max(inside[0] - 1, 0) : inside[-1] + 2])
+        upper, lower = windows
         pairs += len(upper) * len(lower)
         want += [(f, rho, q) for rho in upper for q in lower
                  if not n // 2 + 1 < rho + q <= n]
     r = interval_sum_check(n)
     assert r.violations == tuple(want)
-    assert (1, 1, 1) in want and r.pairs_checked == pairs
+    # both sides of the bound: 47 + 2 <= n/2 + 1 and 97 + 5 > n
+    assert {(1, 47, 2), (2, 97, 5)} <= set(want) and r.pairs_checked == pairs
+
+
+def test_interval_sum_pairs_checked_is_exact_past_int64(monkeypatch):
+    # a fault that makes every window 3e9 primes long: the two f of
+    # n = 12 then check 2 * 9e18 pairs, more than 2**63
+    monkeypatch.setattr(goldbach, "_window_bounds", lambda primes, w: (
+        np.zeros_like(w), np.full_like(w, 3 * 10**9)))
+    r = interval_sum_check(12)
+    assert type(r.pairs_checked) is int
+    assert r.pairs_checked == 2 * (3 * 10**9) ** 2
 
 
 def test_window_checks_fail_before_sieving(monkeypatch):
@@ -467,6 +503,18 @@ def test_window_checks_fail_before_sieving(monkeypatch):
         interval_sum_check(goldbach.MAX_INTERVAL_SUM_N + 2)
     with pytest.raises(BoundError):
         symmetric_pair_check(goldbach.MAX_SYMMETRIC_N + 2)
+
+
+def test_construction_bound_fails_before_testing(monkeypatch):
+    top = goldbach.MAX_CONSTRUCT_N
+    assert bertrand_construction(top).n == top
+
+    def no_test(n):
+        raise AssertionError("tested past the bound")
+
+    monkeypatch.setattr(goldbach, "is_prime_big", no_test)
+    with pytest.raises(BoundError):
+        bertrand_construction(top + 2)
 
 
 def test_symmetric_pair_examples():

@@ -139,6 +139,9 @@ def test_readme_cli_example(capsys, tmp_path, example, fmt):
      "limit {} exceeds scan bound {}"),
     (("mersenne", "scan", "--max"), mersenne.MAX_LL_EXPONENT,
      "max_p {} exceeds Lucas-Lehmer bound {}"),
+    # a 301-digit bound would make a 301-digit test id
+    pytest.param(("goldbach", "construct", "--n"), goldbach.MAX_CONSTRUCT_N,
+                 "n {} exceeds construction bound {}", id="goldbach-construct"),
 ])
 def test_past_bound_message_names_the_library_bound(capsys, argv, bound, message):
     past = bound + 2  # even, for goldbach scan

@@ -55,7 +55,7 @@ def test_int_text_at_sizes_and_the_chunk_edge(size):
     values = np.resize(np.array(_EDGES, dtype=np.int64), size)
     cols = [values, rng.permutation(values), rng.integers(0, 2**63 - 1, size)]
     seps = [",", '",\n    "', "\n"]
-    assert "".join(cli._int_text(cols, seps)) == _percent(cols, seps)
+    _assert_same_text("".join(cli._int_text(cols, seps)), _percent(cols, seps))
 
 
 @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=20), _SEPS)
