@@ -319,13 +319,12 @@ def _cmd_sets(args):
     if args.diff_golden:
         diffs = {}
         for name, computed in (("set_a.txt", sets.A), ("set_b.txt", sets.B)):
-            golden = set(goldens.load_int_lines(name))
-            missing = tuple(sorted(golden - computed))
-            extra = tuple(sorted(computed - golden))
-            diffs[name] = {"missing_from_computed": missing,
-                           "extra_in_computed": extra}
-            lines.append(f"{name}: missing={list(missing)} extra={list(extra)}")
-            if missing or extra:
+            d = goldens.diff(name, computed)
+            diffs[name] = {"missing_from_computed": d.missing_from_computed,
+                           "extra_in_computed": d.extra_in_computed}
+            lines.append(f"{name}: missing={list(d.missing_from_computed)} "
+                         f"extra={list(d.extra_in_computed)}")
+            if not d.clean:
                 rc = 2
         payload["golden_diff"] = diffs
         lines.append("golden diff: " + ("MISMATCH" if rc else "clean"))

@@ -16,7 +16,8 @@ class DomainError(OvaError, ValueError):
 
 
 class BoundError(OvaError, ValueError):
-    """An argument exceeds a configured resource bound."""
+    """An argument exceeds a resource bound: a module constant (the
+    MAX_* names) measured on a 2-core x86-64 VM."""
 
 
 class NotMersennePrime(DomainError):

@@ -8,8 +8,10 @@ environment variable; the default is the packaged ``data/`` directory.
 
 from __future__ import annotations
 
+import collections
 import csv
 import os
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -80,6 +82,35 @@ def load_pairs(name: str) -> tuple[tuple[int, int], ...]:
 def load_csv_rows(name: str) -> list[dict[str, str]]:
     text = _read_text(name)
     return list(csv.DictReader(text.splitlines()))
+
+
+@dataclass(frozen=True)
+class GoldenDiff:
+    golden_name: str
+    golden: tuple[int, ...]
+    duplicates_in_golden: tuple[int, ...]
+    missing_from_computed: tuple[int, ...]
+    extra_in_computed: tuple[int, ...]
+
+    @property
+    def clean(self) -> bool:
+        return not self.missing_from_computed and not self.extra_in_computed
+
+
+def diff(name: str, computed) -> GoldenDiff:
+    """The integer list `name` (load_int_lines) against the computed
+    members: the list as read, the members it repeats, and what each
+    side lacks of the other, each sorted."""
+    golden = load_int_lines(name)
+    gs, cs = set(golden), set(computed)
+    return GoldenDiff(
+        golden_name=name,
+        golden=golden,
+        duplicates_in_golden=tuple(sorted(
+            x for x, n in collections.Counter(golden).items() if n > 1)),
+        missing_from_computed=tuple(sorted(gs - cs)),
+        extra_in_computed=tuple(sorted(cs - gs)),
+    )
 
 
 def data_version() -> str:

@@ -189,14 +189,13 @@ class LandauDiff:
 
 def landau_diff(limit: int) -> LandauDiff:
     computed = tuple(sorted(landau_residues(limit)))
-    golden = goldens.load_int_lines("landau_residues.txt")
-    cs, gs = set(computed), set(golden)
+    d = goldens.diff("landau_residues.txt", computed)
     return LandauDiff(
         limit=limit,
         computed=computed,
-        golden=golden,
-        missing_from_computed=tuple(sorted(gs - cs)),
-        extra_in_computed=tuple(sorted(cs - gs)),
+        golden=d.golden,
+        missing_from_computed=d.missing_from_computed,
+        extra_in_computed=d.extra_in_computed,
     )
 
 

@@ -20,10 +20,15 @@ import numpy as np
 
 from . import goldens
 from .errors import BoundError, DomainError
-from .primality import is_prime, is_prime_big, odd_prime_segments, period_counts
+from .primality import (
+    MAX_STREAM_LIMIT,
+    _check_sieve_limit,
+    is_prime,
+    is_prime_big,
+    odd_prime_bitmap,
+)
 
 MODULUS = 360
-_SAFE_PERIOD = MODULUS // 4
 # Most coefficients genfunc_coefficients computes; see there for the cost.
 MAX_GENFUNC_COUNT = 10**6
 
@@ -192,97 +197,55 @@ SAFE_PRIME_CLASSES = frozenset(
     (2 * q + 1) % MODULUS for q in range(MODULUS // 2)
     if math.gcd(q * (2 * q + 1), 30) == 1
 ) | {5, 7, 11}
-# The columns i mod 90 of the odd safe primes 4i+3 in those classes:
-# all but 5, which q = 2 adds.
-_SAFE_COLUMNS = np.array([i for i in range(_SAFE_PERIOD)
-                          if (4 * i + 3) % MODULUS in SAFE_PRIME_CLASSES])
+# odd_prime_bitmap of this limit holds every safe prime up to it, which
+# gives each of the 21 classes a witness: the last, 323, at 3203.
+_SAFE_PREFIX = 4096
 
 
 def germain_residues(limit: int) -> frozenset[int]:
     """Residues of safe primes 2q+1 <= limit over Germain primes q.
 
-    One pass over odd_prime_segments(limit). The odd Germain prime
-    q = 2i+1 has its safe prime 4i+3 at bit 2i+1, so bit i must be kept
-    until bit 2i+1 streams past: the bits below m = (limit-3)//4 + 1 are
-    kept packed, limit/32 bytes, and each segment's odd-indexed bits are
-    ANDed with them. 4i+3 mod 360 has period 90 in i, so the pairs fold
-    into 90 columns.
+    Read from one odd_prime_bitmap(min(limit, 4096)): the odd Germain
+    prime q = 2i+1 has its safe prime 4i+3 at bit 2i+1, so the safe
+    primes are the i with bits i and 2i+1 both set.
 
-    The answer lies in SAFE_PRIME_CLASSES, so the pass stops once every
-    one of those classes has a witness: it cannot grow after that, and
-    it is the same for every larger limit. The last class, 323, is
-    reached at 3203 (q = 1601), inside the first segment, so from there
-    on a call sieves one segment, and of the packed bits, allocated as
-    zero pages, it writes only that segment's. limit past
-    MAX_STREAM_LIMIT raises BoundError before anything is sieved.
+    The answer lies in SAFE_PRIME_CLASSES, and every one of those
+    classes has a witness by 3203 (q = 1601 gives the last, 323), so
+    from there on it is the same for every limit; above 4096 a missing
+    class raises AssertionError. limit past MAX_STREAM_LIMIT raises
+    BoundError before anything is sieved.
     """
     if limit < 7:
         raise DomainError(f"limit must be >= 7, got {limit}")
-    segments = odd_prime_segments(limit)  # checks the bound before low exists
-    m = (limit - 3) // 4 + 1
-    low = np.zeros((m + 7) // 8, dtype=np.uint8)  # bits 0 .. m-1, packed
-    hits = np.zeros(_SAFE_PERIOD, dtype=np.int64)
-    for start, seg in segments:
-        end = start + seg.size
-        if start < m:
-            # pad to a byte boundary, so the packed bits OR into place
-            pad = start % 8
-            bits = np.concatenate((np.zeros(pad, dtype=bool), seg[:m - start]))
-            low[start // 8 : start // 8 + (bits.size + 7) // 8] |= np.packbits(bits)
-        i0, i1 = start // 2, min(m, end // 2)  # the i with start <= 2i+1 < end
-        if i0 >= m:
-            break
-        q_prime = np.unpackbits(low[i0 // 8 : (i1 + 7) // 8], count=i1 - (i0 & ~7))
-        safe = q_prime[i0 % 8:].view(bool) & seg[2 * i0 + 1 - start :: 2][:i1 - i0]
-        hits += period_counts(safe, i0, _SAFE_PERIOD)
-        if hits[_SAFE_COLUMNS].all():
-            break
-    out = set(((4 * np.flatnonzero(hits) + 3) % MODULUS).tolist())
-    out.add(5)  # q = 2 gives the safe prime 5
-    return frozenset(out)
-
-
-@dataclass(frozen=True)
-class GermainDiff:
-    golden_name: str
-    golden: tuple[int, ...]
-    duplicates_in_golden: tuple[int, ...]
-    missing_from_computed: tuple[int, ...]
-    extra_in_computed: tuple[int, ...]
+    _check_sieve_limit(limit, MAX_STREAM_LIMIT)
+    bits = odd_prime_bitmap(min(limit, _SAFE_PREFIX))
+    safe = np.flatnonzero(bits[:bits.size // 2] & bits[1::2])
+    out = frozenset(((4 * safe + 3) % MODULUS).tolist()) | {5}  # q = 2 gives 5
+    if limit > _SAFE_PREFIX and not out >= SAFE_PRIME_CLASSES:
+        raise AssertionError(
+            f"safe primes to {_SAFE_PREFIX} miss classes "
+            f"{sorted(SAFE_PRIME_CLASSES - out)}"
+        )
+    return out
 
 
 @dataclass(frozen=True)
 class GermainReport:
     limit: int
     computed: tuple[int, ...]
-    diffs: tuple[GermainDiff, ...]
+    diffs: tuple[goldens.GoldenDiff, ...]
 
     @property
     def clean(self) -> bool:
-        return all(
-            not d.missing_from_computed and not d.extra_in_computed
-            for d in self.diffs
-        )
+        return all(d.clean for d in self.diffs)
 
 
 def germain_report(limit: int) -> GermainReport:
     """Computed Germain residues diffed against both golden lists."""
     computed = tuple(sorted(germain_residues(limit)))
-    cs = set(computed)
-    diffs = []
-    for name in ("germain_v1.txt", "germain_v2.txt"):
-        raw = goldens.load_int_lines(name)
-        seen: set[int] = set()
-        dups = tuple(sorted({x for x in raw if x in seen or seen.add(x)}))
-        gset = set(raw)
-        diffs.append(GermainDiff(
-            golden_name=name,
-            golden=raw,
-            duplicates_in_golden=dups,
-            missing_from_computed=tuple(sorted(gset - cs)),
-            extra_in_computed=tuple(sorted(cs - gset)),
-        ))
-    return GermainReport(limit=limit, computed=computed, diffs=tuple(diffs))
+    diffs = tuple(goldens.diff(name, computed)
+                  for name in ("germain_v1.txt", "germain_v2.txt"))
+    return GermainReport(limit=limit, computed=computed, diffs=diffs)
 
 
 def _coerce_family(family) -> GenFuncFamily:

@@ -30,9 +30,10 @@ from .errors import BoundError, CounterexampleFound, DomainError
 MAX_SIEVE_LIMIT = 2 * 10**9
 # odd_prime_segments holds one segment, so time, not memory, bounds it.
 # At 1e10 on the same VM, `dirichlet --all` takes 54 s and peaks at
-# 35 MB. `germain` stops in the first segment once every class a safe
-# prime can take has a witness: at 1e10 it takes 0.27 s and 37 MB,
-# start-up included.
+# 35 MB. `germain` keeps this bound, though it reads only one
+# odd_prime_bitmap(4096), which already holds a safe prime in every
+# class one can take: at 1e10 it takes 0.26-0.31 s and 31 MB, start-up
+# included.
 MAX_STREAM_LIMIT = 10**10
 # sieve_primes lists every prime, and the `sieve` verb renders each one
 # as text: at 1e8 (5.76M primes) it takes 0.7-0.9 s and peaks at 167 MB

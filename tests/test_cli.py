@@ -187,6 +187,53 @@ def test_sets_golden_override_mismatch(capsys, tmp_path, monkeypatch):
     assert "extra=[359]" in out
 
 
+@pytest.fixture
+def altered_goldens(tmp_path, monkeypatch):
+    """A copy of the golden lists in which each list repeats a member,
+    loses one and gains a class that cannot occur."""
+    shutil.copytree(goldens.golden_dir(), tmp_path, dirs_exist_ok=True)
+    for name, drop, repeat, impossible in (
+        ("set_a.txt", 7, 3, 9),
+        ("set_b.txt", 1, 49, 4),
+        ("germain_v1.txt", 23, 47, 9),
+        ("germain_v2.txt", 359, 11, 2),
+        ("landau_residues.txt", 101, 17, 3),
+    ):
+        kept = [x for x in goldens.load_int_lines(name) if x != drop]
+        (tmp_path / name).write_text(
+            "".join(f"{x}\n" for x in (*kept, repeat, impossible)))
+    monkeypatch.setenv("OVA360_GOLDEN", str(tmp_path))
+
+
+def test_residue_set_verbs_diff_altered_goldens(capsys, altered_goldens):
+    rc, out, _ = run(capsys, "sets", "--diff-golden")
+    assert (rc, out.splitlines()[1:]) == (2, [
+        "set_a.txt: missing=[9] extra=[7]",
+        "set_b.txt: missing=[4] extra=[1]",
+        "golden diff: MISMATCH",
+    ])
+    rc, out, _ = run(capsys, "germain", "--limit", "1000000")
+    assert (rc, out.splitlines()[1:]) == (2, [
+        "germain_v1.txt: missing_from_computed=[9, 187, 191] "
+        "extra_in_computed=[23] duplicates_in_golden=[47]",
+        "germain_v2.txt: missing_from_computed=[2, 187, 191] "
+        "extra_in_computed=[359] duplicates_in_golden=[11, 23]",
+        "golden diff: MISMATCH",
+    ])
+    # landau residues fails only on a computed class the list lacks:
+    # below 101 = 10**2 + 1 no prime k**2 + 1 is 101 mod 360
+    rc, out, _ = run(capsys, "landau", "residues", "--limit", "100")
+    assert (rc, out.splitlines()[1:]) == (0, [
+        "missing_from_computed=[1, 3, 41, 77, 137, 161, 181, 197, 217, 221, "
+        "257, 281, 317, 341] extra_in_computed=[]",
+    ])
+    rc, out, _ = run(capsys, "landau", "residues", "--limit", "100000")
+    assert (rc, out.splitlines()[1:]) == (2, [
+        "missing_from_computed=[3] extra_in_computed=[101]",
+        "FINDING: computed residues escape the golden set",
+    ])
+
+
 def test_classify(capsys):
     rc, out, _ = run(capsys, "classify", "--value", "1129")
     assert rc == 0
@@ -777,7 +824,8 @@ print(json.dumps({"rc": rc, "out": out.getvalue(), "peak_kb": peak_kb}))
 ])
 def test_streamed_verbs_peak_under_100_mb(argv, rc):
     # A fresh interpreter runs the verb in-process and reports its own
-    # peak RSS (the whole bitmap alone would be 500 MB at 1e9). The peak
+    # peak RSS (dirichlet's whole bitmap alone would be 500 MB at 1e9;
+    # germain reads a 2 KB bitmap prefix at any limit). The peak
     # is VmHWM, the high-water mark of the memory the interpreter got at
     # exec. getrusage would not do: RUSAGE_CHILDREN holds every earlier
     # child's peak, and on Linux RUSAGE_SELF keeps, across fork and exec,

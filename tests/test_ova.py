@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ova360 import goldens, ova, primality
+from ova360 import goldens, ova
 from ova360.errors import BoundError, DomainError
 from ova360.ova import (
     GenFuncFamily,
@@ -186,42 +186,21 @@ def test_germain_stream_matches_whole_bitmap(monkeypatch,
     for limit in range(7, 3001):
         assert germain_residues(limit) == reference_whole_bitmap_germain(limit), limit
     seg = primality.SEGMENT_ODDS
-    # the default segment ends, and the kept bits' end m = (limit-3)//4 + 1
-    # crossing a segment end
+    # past the 4096 prefix, around the default segment ends
     for limit in (2 * seg - 1, 2 * seg + 1, 4 * seg - 1, 4 * seg + 3, 4 * seg + 7):
         assert germain_residues(limit) == reference_whole_bitmap_germain(limit), limit
-    # small segments, some starting off a byte of the packed bits
+    # the prefix and the whole bitmap sieved in small segments
     for segment_odds in (1, 7, 180, 1000, 15016):
         monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
         limits = list(range(7, 200)) + [
             edge + d for j in (1, 2, 5) for edge in (2 * j * segment_odds,
                                                      4 * j * segment_odds)
             for d in (-2, -1, 0, 1, 2, 3)]
-        limits += list(range(360 * 29 - 4, 360 * 29 + 5))  # a period of 90 odds
+        limits += list(range(360 * 29 - 4, 360 * 29 + 5))
         for limit in limits:
             if limit >= 7:
                 assert germain_residues(limit) == reference_whole_bitmap_germain(
                     limit), (segment_odds, limit)
-
-
-def _count_segments(monkeypatch, most):
-    """Patch ova.odd_prime_segments to record the start of each segment
-    a scan takes, failing at once if it takes more than most."""
-    taken = []
-    real = ova.odd_prime_segments
-
-    def counting(limit):
-        segments = real(limit)  # the bound is still checked at the call
-
-        def recorded():
-            for start, seg in segments:
-                taken.append(start)
-                assert len(taken) <= most, f"took {len(taken)} segments"
-                yield start, seg
-        return recorded()
-
-    monkeypatch.setattr(ova, "odd_prime_segments", counting)
-    return taken
 
 
 def test_safe_prime_classes_are_the_classes_that_occur(reference_germain_residues):
@@ -238,23 +217,25 @@ def test_germain_stops_once_every_class_has_a_witness(monkeypatch,
         got = germain_residues(limit)
         assert got == reference_germain_residues(limit), limit
         assert (got == ova.SAFE_PRIME_CLASSES) == (limit >= 3203), limit
-    taken = _count_segments(monkeypatch, most=1)
-    assert germain_residues(10**9) == ova.SAFE_PRIME_CLASSES
-    assert taken == [0]
+    calls = []
+    real = ova.odd_prime_bitmap
+    monkeypatch.setattr(ova, "odd_prime_bitmap",
+                        lambda limit: calls.append(limit) or real(limit))
+    for limit in (7, 3202, 3203, 4096, 4097, 10**9, 10**10):
+        calls.clear()
+        got = germain_residues(limit)
+        assert calls == [min(limit, 4096)], limit
+        assert (got == ova.SAFE_PRIME_CLASSES) == (limit >= 3203), limit
 
 
-@pytest.mark.parametrize("segment_odds", [7, 180, 1000])
-def test_germain_stop_lands_mid_stream(monkeypatch, segment_odds,
-                                       reference_whole_bitmap_germain):
-    monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
-    taken = _count_segments(monkeypatch, most=10**5)
-    for limit in [*range(3190, 3221), 10**5]:
-        want = reference_whole_bitmap_germain(limit)
-        taken.clear()
-        assert germain_residues(limit) == want, limit
-        # the segment holding the safe prime 3203, bit 1601, is the last
-        segments = -(-((limit + 1) // 2) // segment_odds)
-        assert len(taken) == min(1601 // segment_odds + 1, segments), limit
+def test_germain_past_the_prefix_checks_every_class(monkeypatch):
+    # 187 cannot occur (q = 93 mod 180 is divisible by 3), so with it
+    # among the classes the prefix cannot stand for a larger limit
+    classes = ova.SAFE_PRIME_CLASSES
+    monkeypatch.setattr(ova, "SAFE_PRIME_CLASSES", classes | {187})
+    with pytest.raises(AssertionError, match=r"miss classes \[187\]"):
+        germain_residues(10**6)
+    assert germain_residues(4096) == classes
 
 
 def test_germain_report_diffs():
@@ -271,6 +252,21 @@ def test_germain_report_diffs():
     v2 = by_name["germain_v2.txt"]
     assert v2.missing_from_computed == (187, 191)
     assert v2.duplicates_in_golden == (23,)
+
+
+def test_golden_diff_sorts_and_reports_duplicates(tmp_path, monkeypatch):
+    (tmp_path / "list.txt").write_text("9\n3\n7\n3\n9\n9\n1\n")
+    monkeypatch.setenv("OVA360_GOLDEN", str(tmp_path))
+    d = goldens.diff("list.txt", [8, 1, 2, 7])
+    assert d == goldens.GoldenDiff(
+        golden_name="list.txt",
+        golden=(9, 3, 7, 3, 9, 9, 1),
+        duplicates_in_golden=(3, 9),
+        missing_from_computed=(3, 9),
+        extra_in_computed=(2, 8),
+    )
+    assert not d.clean
+    assert goldens.diff("list.txt", frozenset({1, 3, 7, 9})).clean
 
 
 def test_germain_impossible_members():
