@@ -273,9 +273,8 @@ def _int_lines(values, sep="\n"):
 
 
 def _cmd_sieve(args):
-    table = primality.sieve_primes(args.limit)
-    primes = table.primes
-    payload = {"limit": table.limit, "count": table.count, "primes": primes}
+    primes = primality.sieve_primes(args.limit)
+    payload = {"limit": args.limit, "count": primes.size, "primes": primes}
     return payload, _int_lines(primes), _int_lines(primes, ","), 0
 
 

@@ -210,10 +210,11 @@ def quad_families(ova: int, alphas) -> list[FamilyRow]:
     JSON over MAX_FAMILY_ALPHAS = 1e4 alphas, and 8.3 s and 21 s over
     1e5. A test's cost grows with the digits of its value: one alpha of
     1e1000 takes 0.5 s. Up to MAX_FAMILY_ALPHA = 1e7 every family value
-    is below 2**64, where Miller-Rabin has its exact fixed bases, and
+    is below 2**64, well inside Miller-Rabin's exact fixed bases, and
     1e4 alphas just below 1e7 take 2.6 s as plain and 4.1 s as JSON,
     against 1.4 s and 2.5 s at 0..9999 in the same session. More alphas
-    or a larger |alpha| raise BoundError before any test.
+    or a larger |alpha| raise BoundError before any test. Each value is
+    k(alpha)**2 + 1 and ova mod 360 by LinkFamily.verify.
     """
     fams = [f for f in link_families() if f.ova == ova]
     if not fams:
@@ -230,20 +231,12 @@ def quad_families(ova: int, alphas) -> list[FamilyRow]:
             k = fam.k(alpha)
             n = fam.n(alpha)
             v = fam.value(alpha)
-            if v != k * k + 1:
-                raise AssertionError(
-                    f"{ova}/{fam.label}: value({alpha}) != k^2+1"
-                )
             if n < 0:
                 out.append(FamilyRow(
                     ova, fam.label, alpha, k, n, None, v, None,
                     skipped=True, note=f"n({alpha}) = {n} < 0",
                 ))
                 continue
-            if v % MODULUS != ova % MODULUS:
-                raise AssertionError(
-                    f"{ova}/{fam.label}: value({alpha}) mod 360 != ova"
-                )
             out.append(FamilyRow(
                 ova, fam.label, alpha, k, n, n + fam.gamma0, v,
                 is_prime_big(v), skipped=False, note=None,

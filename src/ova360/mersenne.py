@@ -58,31 +58,24 @@ class MersenneClass(enum.Enum):
         return _CLASS_RESIDUE[self]
 
 
-_CLASS_RESIDUE = {
-    MersenneClass.SINGULAR_3: 3,
-    MersenneClass.SINGULAR_7: 7,
-    MersenneClass.CLASS_31: 31,
-    MersenneClass.CLASS_127: 127,
-    MersenneClass.CLASS_247: 247,
-    MersenneClass.CLASS_271: 271,
-}
-
-# p mod 12 -> class, for prime p > 3
-_MOD12_CLASS = {
-    1: MersenneClass.CLASS_271,
-    5: MersenneClass.CLASS_31,
-    7: MersenneClass.CLASS_127,
-    11: MersenneClass.CLASS_247,
-}
-
 # class -> (progression offset c with exponent = 12*i - c, K subtrahend t)
-# where K_i = (2**(exponent-3) - t) / 45 and residue = 8t - 1
+# where K_i = (2**(exponent-3) - t) / 45, residue = 8t - 1 and the
+# exponent p = -c (mod 12)
 _CLASS_SEQ = {
     MersenneClass.CLASS_31: (7, 4),
     MersenneClass.CLASS_127: (5, 16),
     MersenneClass.CLASS_247: (1, 31),
     MersenneClass.CLASS_271: (11, 34),
 }
+
+_CLASS_RESIDUE = {
+    MersenneClass.SINGULAR_3: 3,
+    MersenneClass.SINGULAR_7: 7,
+    **{label: 8 * t - 1 for label, (_, t) in _CLASS_SEQ.items()},
+}
+
+# p mod 12 -> class, for prime p > 3
+_MOD12_CLASS = {-c % 12: label for label, (c, _) in _CLASS_SEQ.items()}
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,14 @@
 Provides one segmented sieve over an arithmetic progression: over the
 odd numbers it is streamed one segment at a time or written into one
 numpy bitmap, and matrix.density runs it over a residue line z + 360*G.
-Also one Miller-Rabin core behind two entry points, and the factorial
+Also one Miller-Rabin body behind two entry points, and the factorial
 construction of prime-free intervals together with the gap identity
-around them. Both entry points answer
-n < 256 from a table and reject any larger n sharing a factor with
-251#. Below 2**64 the bases come from the exact bound table of
-Jaeschke (Math. Comp. 61, 1993) and Sorenson & Webster (Math. Comp.
-86, 2017); above it, bases 2 and 3 are followed by bases drawn lazily
-from a generator seeded by n.
+around them. The body answers n < 256 from a table and rejects any
+larger n sharing a factor with 251#. Below psi_13 ~ 3.3e24 the bases
+come from the exact bound table of Jaeschke (Math. Comp. 61, 1993) and
+Sorenson & Webster (Math. Comp. 86, 2017); from psi_13 up, bases 2 and
+3 are followed by 38 bases drawn lazily from a generator seeded by n,
+so a verdict there is probable, with error below 4**-40.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,9 @@ MAX_SIEVE_LIMIT = 2 * 10**9
 # included.
 MAX_STREAM_LIMIT = 10**10
 # sieve_primes lists every prime, and the `sieve` verb renders each one
-# as text: at 1e8 (5.76M primes) it takes 0.7-0.9 s and peaks at 167 MB
-# in every format on a 2-core x86-64 VM, start-up included.
+# as text: at 1e8 (5.76M primes) it takes 0.6-0.8 s and peaks at 122 MB
+# as plain or csv and 162 MB as JSON on a 2-core x86-64 VM, start-up
+# included.
 MAX_PRIME_LIST_LIMIT = 10**8
 MAX_FACTORIAL_N = 40
 
@@ -46,9 +47,9 @@ _SMALL_PRIMES = frozenset(
     n for n in range(2, 256) if all(n % d for d in range(2, math.isqrt(n) + 1))
 )
 _PRIMORIAL_251 = math.prod(_SMALL_PRIMES)
-# (bound, bases): Miller-Rabin with these bases is exact for n < bound.
-# Each bound but the last is the least strong pseudoprime to its row's
-# bases.
+# (bound, bases): Miller-Rabin with these bases is exact for n < bound,
+# the least strong pseudoprime to all of them. The last two bounds are
+# psi_12 and psi_13.
 _BASES_BELOW = (
     (2047, (2,)),
     (1373653, (2, 3)),
@@ -58,26 +59,10 @@ _BASES_BELOW = (
     (3474749660383, (2, 3, 5, 7, 11, 13)),
     (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
     (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (_U64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (318665857834031151167461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
-
-
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes <= limit, ascending."""
-
-    limit: int
-    primes: np.ndarray = field(repr=False)
-
-    @property
-    def count(self) -> int:
-        return int(self.primes.size)
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        return iter(self.primes.tolist())
+_PSI_13 = _BASES_BELOW[-1][0]
 
 
 @dataclass(frozen=True)
@@ -224,18 +209,22 @@ def period_counts(bits: np.ndarray, start: int, period: int) -> np.ndarray:
     return np.roll(cols, start % period)
 
 
-def sieve_primes(limit: int) -> PrimeTable:
-    """All primes <= limit as a PrimeTable. limit >= 0."""
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, as an int64 array. limit >= 0."""
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     if limit > MAX_PRIME_LIST_LIMIT:
         raise BoundError(f"limit {limit} exceeds prime list bound {MAX_PRIME_LIST_LIMIT}")
     if limit < 2:
-        return PrimeTable(limit, np.empty(0, dtype=np.int64))
+        return np.empty(0, dtype=np.int64)
     bm = odd_prime_bitmap(limit)
-    odds = 2 * np.flatnonzero(bm).astype(np.int64) + 1
-    primes = np.concatenate(([2], odds))
-    return PrimeTable(limit, primes)
+    bm[0] = True  # the value 1 stands for 2
+    # index i is 2i+1, mapped in place so the list is one allocation
+    primes = np.flatnonzero(bm)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def _strong_probable_prime(n: int, d: int, r: int, a: int) -> bool:
@@ -257,42 +246,48 @@ def _odd_part(n: int) -> tuple[int, int]:
     return d >> r, r
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for 0 <= n < 2**64."""
-    if n >= _U64:
-        raise DomainError(f"{n} >= 2**64; use is_prime_big")
+def _miller_rabin(n: int) -> bool:
+    """The body behind is_prime and is_prime_big: exact below psi_13,
+    probable from there up."""
     if n < 256:
         return n in _SMALL_PRIMES
     if math.gcd(n, _PRIMORIAL_251) != 1:
         return False
+    d, r = _odd_part(n)
     for bound, bases in _BASES_BELOW:
         if n < bound:
             break
-    d, r = _odd_part(n)
+    else:
+        bases = (2, 3)
     for a in bases:
         if not _strong_probable_prime(n, d, r, a):
+            return False
+    if n < _PSI_13:
+        return True
+    rng = random.Random(n & (_U64 - 1))  # seeding costs half a round: not before
+    for _ in range(38):
+        if not _strong_probable_prime(n, d, r, rng.randrange(2, n - 1)):
             return False
     return True
 
 
-def is_prime_big(n: int, rounds: int = 40) -> bool:
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for 0 <= n < psi_13 ~ 3.3e24;
+    a larger n raises DomainError."""
+    if n >= _PSI_13:
+        raise DomainError(f"{n} >= psi_13 = {_PSI_13}; use is_prime_big")
+    return _miller_rabin(n)
+
+
+def is_prime_big(n: int) -> bool:
     """Primality for arbitrary integers.
 
-    Exact below 2**64; above that, Miller-Rabin with bases 2 and 3 and
-    then ``rounds - 2`` bases drawn, as they are needed, from a
-    generator seeded by n, so repeat calls agree. The error probability
-    is below 4**-rounds.
+    Exact below psi_13 ~ 3.3e24, as is_prime. From psi_13 up,
+    Miller-Rabin with bases 2 and 3 and then 38 bases drawn, as they are
+    needed, from a generator seeded by n, so repeat calls agree. Those
+    verdicts are probable: the error probability is below 4**-40.
     """
-    if n < _U64:
-        return is_prime(n)
-    if math.gcd(n, _PRIMORIAL_251) != 1:
-        return False
-    d, r = _odd_part(n)
-    if not all(_strong_probable_prime(n, d, r, a) for a in (2, 3)):
-        return False
-    rng = random.Random(n & (_U64 - 1))  # seeding costs half a round: not before
-    return all(_strong_probable_prime(n, d, r, rng.randrange(2, n - 1))
-               for _ in range(rounds - 2))
+    return _miller_rabin(n)
 
 
 def composite_interval(n: int, verify: bool = False) -> CompositeInterval:

@@ -69,18 +69,23 @@ def bitmap_without_three(monkeypatch):
     monkeypatch.setattr(goldbach, "odd_prime_segments", without_three)
 
 
-def eager_is_prime_big(n: int, rounds: int = 40) -> bool:
-    """Miller-Rabin for n >= 2**64 with bases 2, 3 and rounds - 2 bases
-    drawn up front from random.Random(n mod 2**64): the eager form of
+# psi_13, the least strong pseudoprime to the prime bases 2 to 41
+# (Sorenson & Webster 2017): from here up is_prime_big draws random bases
+PSI_13 = 3317044064679887385961981
+
+
+def eager_is_prime_big(n: int) -> bool:
+    """Miller-Rabin for n >= psi_13 with bases 2, 3 and 38 bases drawn
+    up front from random.Random(n mod 2**64): the eager form of
     primality.is_prime_big, which draws the same bases lazily."""
-    assert n >= 1 << 64
+    assert n >= PSI_13
     if n % 2 == 0:
         return False
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
     rng = random.Random(n & ((1 << 64) - 1))
-    bases = [2, 3] + [rng.randrange(2, n - 1) for _ in range(max(rounds - 2, 0))]
+    bases = [2, 3] + [rng.randrange(2, n - 1) for _ in range(38)]
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

@@ -298,7 +298,7 @@ def test_emit_chunks_write_the_same_bytes(capsys, monkeypatch, tmp_path):
             assert outputs() == want, (chunk, write_chars)
     # a line given as parts is written part by part, after the lines
     # gathered before it: a csv line is never joined into one str
-    primes = primality.sieve_primes(1000).primes  # 168 primes
+    primes = primality.sieve_primes(1000)  # 168 primes
     monkeypatch.setattr(cli, "EMIT_CHUNK", 10)
     for write_chars in write_sizes:
         monkeypatch.setattr(cli, "WRITE_CHARS", write_chars)
@@ -327,7 +327,7 @@ class _Writes:
 def test_emit_writes_hold_items_up_to_write_chars(monkeypatch):
     from ova360 import cli
 
-    primes = primality.sieve_primes(10**5).primes  # 9592 primes
+    primes = primality.sieve_primes(10**5)  # 9592 primes
     monkeypatch.setattr(cli, "EMIT_CHUNK", 1000)  # items of 1000 lines
     items = list(cli._int_lines(primes))
     assert len(items) == 10

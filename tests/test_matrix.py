@@ -244,7 +244,7 @@ def test_residue_counts_oracle():
     x = 10**4
     counts = residue_counts(x)
     want = [0] * 360
-    for p in sieve_primes(x):
+    for p in sieve_primes(x).tolist():
         want[p % 360] += 1
     assert list(counts) == want
 

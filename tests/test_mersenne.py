@@ -39,7 +39,7 @@ def test_residue_requires_prime_exponent():
 
 
 def test_residue_matches_modular_power():
-    for p in sieve_primes(5000).primes.tolist():
+    for p in sieve_primes(5000).tolist():
         assert mersenne_residue(p) == (pow(2, p, 360) - 1) % 360, p
 
 
@@ -146,7 +146,7 @@ def test_lucas_lehmer_examples():
 
 
 def test_lucas_lehmer_matches_plain_squaring(reference_lucas_lehmer):
-    for p in sieve_primes(1300).primes.tolist()[1:]:
+    for p in sieve_primes(1300).tolist()[1:]:
         assert lucas_lehmer(p) == reference_lucas_lehmer(p), p
 
 
@@ -159,7 +159,7 @@ def test_lucas_lehmer_known_exponents_to_4423():
 
 def test_trial_factor_is_a_proper_divisor():
     found = []
-    for p in sieve_primes(1300).primes.tolist()[1:]:
+    for p in sieve_primes(1300).tolist()[1:]:
         m = (1 << p) - 1
         q = mersenne._trial_factor(p, m)
         if q is not None:

@@ -12,8 +12,7 @@ from ova360.primality import is_prime, is_prime_big, sieve_primes
 
 
 def test_sieve_matches_trial_division(oracle_primes_10k):
-    table = sieve_primes(10**4)
-    assert table.primes.tolist() == oracle_primes_10k
+    assert sieve_primes(10**4).tolist() == oracle_primes_10k
 
 
 def test_is_prime_matches_trial_division(oracle_prime_set_10k):

@@ -378,7 +378,7 @@ def test_gcd_condition_examples():
 
 
 def test_equivalence_relation_on_residues():
-    primes = sieve_primes(10**5).primes.tolist()
+    primes = sieve_primes(10**5).tolist()
     import random
 
     rng = random.Random(5)
@@ -396,7 +396,7 @@ def test_reflection_symmetry():
 
 def test_prime_residues_land_in_cstar():
     s = residue_sets()
-    for p in sieve_primes(10**5).primes.tolist():
+    for p in sieve_primes(10**5).tolist():
         assert decompose(p).ova in s.Cstar
         if p > 360:
             assert math.gcd(decompose(p).ova, 360) == 1

@@ -30,31 +30,31 @@ from ova360.primality import (
 
 
 def test_sieve_empty_below_two():
-    assert sieve_primes(0).count == 0
-    assert sieve_primes(1).count == 0
+    assert sieve_primes(0).size == 0
+    assert sieve_primes(1).size == 0
 
 
 def test_sieve_small():
-    assert sieve_primes(30).primes.tolist() == [
+    assert sieve_primes(30).tolist() == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
     ]
 
 
 def test_sieve_millionth_count():
-    assert sieve_primes(10**6).count == 78498
+    assert sieve_primes(10**6).size == 78498
 
 
 def test_sieve_segment_size_irrelevant(monkeypatch):
     assert (10**7 + 1) // 2 > 3 * SEGMENT_ODDS  # four default segments
-    c = sieve_primes(10**7).primes
+    c = sieve_primes(10**7)
     monkeypatch.setattr(primality, "SEGMENT_ODDS", 1 << 8)
-    a = sieve_primes(10**5).primes
+    a = sieve_primes(10**5)
     monkeypatch.setattr(primality, "SEGMENT_ODDS", 1 << 20)
-    b = sieve_primes(10**5).primes
+    b = sieve_primes(10**5)
     assert (a == b).all()
     for segment_odds in (1 << 12, 15015, 1 << 20, 1 << 22):
         monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
-        assert (sieve_primes(10**7).primes == c).all()
+        assert (sieve_primes(10**7) == c).all()
     assert c.size == 664579
 
 
@@ -167,9 +167,14 @@ def test_bitmap_indexing():
     assert bm[48]  # 97
 
 
-def test_is_prime_rejects_beyond_64bit():
+def test_is_prime_rejects_from_psi_13():
+    with pytest.raises(DomainError, match="psi_13"):
+        is_prime(PSI_13)
     with pytest.raises(DomainError):
-        is_prime(1 << 64)
+        is_prime(1 << 100)
+    # psi_12 passes bases 2 to 37; the psi_13 row's base 41 rejects it
+    assert not is_prime(PSI_12)
+    assert not is_prime(1 << 64) and is_prime((1 << 64) + 13)
 
 
 def test_is_prime_big_delegates_below_64bit():
@@ -236,7 +241,7 @@ def test_bertrand_rejects_small():
 
 
 def test_bertrand_exhaustive_to_1e5():
-    primes = sieve_primes(2 * 10**5 + 10).primes
+    primes = sieve_primes(2 * 10**5 + 10)
     import numpy as np
 
     for n in range(2, 10**5 + 1, 997):  # stride keeps runtime low
@@ -246,7 +251,7 @@ def test_bertrand_exhaustive_to_1e5():
 
 
 def test_bertrand_dense_small_range():
-    primes = sieve_primes(4 * 10**3).primes.tolist()
+    primes = sieve_primes(4 * 10**3).tolist()
     ps = set(primes)
     for n in range(2, 2000):
         p = bertrand_prime(n)
@@ -254,8 +259,12 @@ def test_bertrand_dense_small_range():
         assert all(m not in ps for m in range(n + 1, p))
 
 
-# Least strong pseudoprimes to the bases 2, 2..3, ..., 2..17 and 2..23
-# (Jaeschke 1993; Sorenson & Webster 2017), with those bases.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+# Least strong pseudoprimes to the bases 2, 2..3, ..., 2..17, 2..23,
+# 2..37 (psi_12) and 2..41 (psi_13) (Jaeschke 1993; Sorenson & Webster
+# 2017), with those bases. From psi_13 up, is_prime_big draws seeded
+# random bases after 2 and 3.
 STRONG_PSEUDOPRIME_BOUNDS = (
     (2047, (2,)),
     (1373653, (2, 3)),
@@ -265,27 +274,35 @@ STRONG_PSEUDOPRIME_BOUNDS = (
     (3474749660383, (2, 3, 5, 7, 11, 13)),
     (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
     (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+    (PSI_12, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (PSI_13, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
-# Strong pseudoprimes to all prime bases up to 31 and up to 37; both
-# lie above 2**64, where is_prime_big draws random bases after 2 and 3.
-PSI_12 = 318665857834031151167461
-PSI_13 = 3317044064679887385961981
 
 
 def test_is_prime_matches_sympy_around_base_bounds():
     for bound, bases in STRONG_PSEUDOPRIME_BOUNDS + ((1 << 64, ()),):
-        for n in range(bound - 200, min(bound + 201, 1 << 64)):
-            assert is_prime(n) == sympy.isprime(n), n
+        for n in range(bound - 200, bound + 201):
+            if n < PSI_13:
+                assert is_prime(n) == sympy.isprime(n), n
+            else:
+                with pytest.raises(DomainError):
+                    is_prime(n)
+                assert is_prime_big(n) == sympy.isprime(n), n
         if bases:
-            assert mr(bound, list(bases)) and not is_prime(bound)
+            assert mr(bound, list(bases)) and not is_prime_big(bound)
+    assert not mr(PSI_12, [41])
 
 
-@given(st.integers(2, 64).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)))
+@given(st.integers(2, 82).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)))
 @settings(max_examples=300, deadline=None)
 def test_is_prime_matches_sympy_by_bit_length(n):
-    assert is_prime(n) == sympy.isprime(n)
+    want = sympy.isprime(n)
+    assert is_prime_big(n) == want
+    if n < PSI_13:
+        assert is_prime(n) == want
     p = sympy.nextprime(n)
-    if p < 1 << 64:
+    assert is_prime_big(p)
+    if p < PSI_13:
         assert is_prime(p)
 
 
@@ -297,14 +314,16 @@ def test_is_prime_big_matches_eager_bases(reference_is_prime_big):
         n = rng.getrandbits(b) | (1 << (b - 1)) | 1
         samples += [n, int(sympy.nextprime(n))]
     for n in samples:
-        assert is_prime_big(n) == reference_is_prime_big(n) == sympy.isprime(n), n
-    for rounds in (0, 2, 3, 5):
-        for n in samples[:40]:
-            assert is_prime_big(n, rounds) == reference_is_prime_big(n, rounds), (n, rounds)
+        if n < PSI_13:  # the fixed bases
+            assert is_prime_big(n) == is_prime(n) == sympy.isprime(n), n
+        else:
+            assert is_prime_big(n) == reference_is_prime_big(n) == sympy.isprime(n), n
 
 
-def test_is_prime_big_rounds_are_bases_beyond_2_and_3():
-    # the strong pseudoprimes pass bases 2 and 3, so only the seeded
-    # random bases can expose them
-    assert is_prime_big(PSI_12, rounds=2) and is_prime_big(PSI_13, rounds=2)
-    assert not is_prime_big(PSI_12) and not is_prime_big(PSI_13)
+def test_psi_13_passes_bases_2_and_3_alone():
+    # psi_13 passes every fixed base, so only the seeded random bases
+    # can expose it
+    d, r = primality._odd_part(PSI_13)
+    for a in STRONG_PSEUDOPRIME_BOUNDS[-1][1]:
+        assert primality._strong_probable_prime(PSI_13, d, r, a), a
+    assert not is_prime_big(PSI_13)
