@@ -174,31 +174,6 @@ def landau_residues(limit: int) -> frozenset[int]:
     return frozenset(found)
 
 
-@dataclass(frozen=True)
-class LandauDiff:
-    limit: int
-    computed: tuple[int, ...]
-    golden: tuple[int, ...]
-    missing_from_computed: tuple[int, ...]
-    extra_in_computed: tuple[int, ...]
-
-    @property
-    def is_subset(self) -> bool:
-        return not self.extra_in_computed
-
-
-def landau_diff(limit: int) -> LandauDiff:
-    computed = tuple(sorted(landau_residues(limit)))
-    d = goldens.diff("landau_residues.txt", computed)
-    return LandauDiff(
-        limit=limit,
-        computed=computed,
-        golden=d.golden,
-        missing_from_computed=d.missing_from_computed,
-        extra_in_computed=d.extra_in_computed,
-    )
-
-
 def quad_families(ova: int, alphas) -> list[FamilyRow]:
     """Evaluate every family registered under ova at each alpha.
 

@@ -18,7 +18,6 @@ from functools import cache
 
 import numpy as np
 
-from . import goldens
 from .errors import BoundError, DomainError
 from .primality import (
     MAX_STREAM_LIMIT,
@@ -227,25 +226,6 @@ def germain_residues(limit: int) -> frozenset[int]:
             f"{sorted(SAFE_PRIME_CLASSES - out)}"
         )
     return out
-
-
-@dataclass(frozen=True)
-class GermainReport:
-    limit: int
-    computed: tuple[int, ...]
-    diffs: tuple[goldens.GoldenDiff, ...]
-
-    @property
-    def clean(self) -> bool:
-        return all(d.clean for d in self.diffs)
-
-
-def germain_report(limit: int) -> GermainReport:
-    """Computed Germain residues diffed against both golden lists."""
-    computed = tuple(sorted(germain_residues(limit)))
-    diffs = tuple(goldens.diff(name, computed)
-                  for name in ("germain_v1.txt", "germain_v2.txt"))
-    return GermainReport(limit=limit, computed=computed, diffs=diffs)
 
 
 def _coerce_family(family) -> GenFuncFamily:

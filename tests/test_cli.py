@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -232,6 +233,26 @@ def test_residue_set_verbs_diff_altered_goldens(capsys, altered_goldens):
         "missing_from_computed=[3] extra_in_computed=[101]",
         "FINDING: computed residues escape the golden set",
     ])
+    rc, out, _ = run(capsys, "germain", "--limit", "1000000",
+                     "--format", "json")
+    doc = json.loads(out)
+    assert (rc, sorted(doc)) == (2, ["clean", "computed", "diffs", "limit"])
+    assert doc["clean"] is False
+    assert [(d["golden_name"], d["duplicates_in_golden"],
+             d["missing_from_computed"], d["extra_in_computed"])
+            for d in doc["diffs"]] == [
+        ("germain_v1.txt", ["47"], ["9", "187", "191"], ["23"]),
+        ("germain_v2.txt", ["11", "23"], ["2", "187", "191"], ["359"]),
+    ]
+    rc, out, _ = run(capsys, "landau", "residues", "--limit", "100000",
+                     "--format", "json")
+    doc = json.loads(out)
+    assert (rc, sorted(doc)) == (2, [
+        "computed", "extra_in_computed", "golden", "is_subset", "limit",
+        "missing_from_computed"])
+    assert (doc["missing_from_computed"], doc["extra_in_computed"],
+            doc["is_subset"]) == (["3"], ["101"], False)
+    assert doc["golden"].count("17") == 2  # the list's repeat is kept
 
 
 def test_classify(capsys):
@@ -402,11 +423,18 @@ def test_goldbach_scan_failure_exits_2(capsys, tmp_path,
                 if line.startswith("FAILURES: ")]
     assert len(failures) == 1
     assert 6 in json.loads(failures[0].removeprefix("FAILURES: "))
+    # a witness file changes nothing in the report; it has no row for
+    # a failed n
+    path = tmp_path / "w.csv"
+    assert run(capsys, "goldbach", "scan", "--limit", "100",
+               "--emit-witnesses", str(path)) == (rc, out, "")
+    rows = path.read_text().splitlines()
+    assert rows[0] == "n,p,q"
+    assert not {6, 8} & {int(row.split(",")[0]) for row in rows[1:]}
     rc, out, _ = run(capsys, "goldbach", "scan", "--limit", "100",
-                     "--emit-witnesses", str(tmp_path / "w.csv"))
+                     "--emit-witnesses", str(path), "--format", "json")
     assert rc == 2
-    finding = json.loads(out)["finding"]
-    assert finding.startswith("no decomposition for [6, ")
+    assert json.loads(out)["failures"][:2] == ["6", "8"]
 
 
 def test_goldbach_witness_file(capsys, tmp_path):
@@ -554,7 +582,8 @@ def test_landau_family_negative_alpha(capsys, alpha, first):
     assert len(out.splitlines()) == 5 * len(alphas)  # five families for 37
 
 
-@pytest.mark.parametrize("alpha", ["x", "3..x", "3..", "-3..x", "-1..-"])
+@pytest.mark.parametrize("alpha", ["x", "3..x", "3..", "-3..x", "-1..-",
+                                   "5..3", "-1..-3"])
 def test_landau_family_malformed_alpha_exits_1(capsys, alpha):
     rc, out, err = run(capsys, "landau", "family", "--ova", "161",
                        "--alpha", alpha)
@@ -801,6 +830,55 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("ova360 ")
+
+
+# The benchmark's fixed-argument operations (perfbench/workloads.py):
+# id, argv with "{file}" for the witness file, exit code. A None argv
+# is the call goldbach.interval_sum_check(800).
+_RECORDED_OPS = [
+    ("goldbach_scan_1e7", ["goldbach", "scan", "--limit", "10000000"], 0),
+    ("dirichlet_all_1e8", ["dirichlet", "--x", "100000000", "--all"], 0),
+    ("germain_1e8", ["germain", "--limit", "100000000"], 2),
+    ("landau_enumerate_1e11",
+     ["landau", "enumerate", "--limit", "100000000000"], 0),
+    ("interval_sum_check_800", None, 0),
+    ("mersenne_scan_2300", ["mersenne", "scan", "--max", "2300"], 0),
+    ("mersenne_ll_9941", ["mersenne", "ll", "--p", "9941"], 0),
+    ("goldbach_scan_witnesses_2e6", ["goldbach", "scan", "--limit", "2000000",
+                                     "--emit-witnesses", "{file}"], 0),
+    ("sieve_json_1e7",
+     ["sieve", "--limit", "10000000", "--format", "json"], 0),
+]
+
+
+@pytest.mark.parametrize("op_id, argv, rc",
+                         _RECORDED_OPS, ids=[op[0] for op in _RECORDED_OPS])
+def test_benchmark_outputs_match_recorded_digests(capsys, tmp_path,
+                                                  op_id, argv, rc):
+    # the exit code and the sha256 of stdout and of the witness file
+    # that the benchmark records in perfbench/expected.json and checks
+    # every operation's output against
+    path = Path(__file__).parents[1] / "perfbench" / "expected.json"
+    if not path.exists():
+        pytest.skip("no recorded digests")
+    want = json.loads(path.read_text())["digests"].get(op_id)
+    if want is None:
+        pytest.skip(f"no recorded digest for {op_id}")
+    witness = tmp_path / "witnesses.csv"
+    if argv is None:  # rendered as perfbench/child.py renders a call
+        from ova360 import goldbach
+
+        report = goldbach.interval_sum_check(800)
+        got_rc, out = 0, json.dumps(dataclasses.asdict(report),
+                                    sort_keys=True, default=str) + "\n"
+    else:
+        argv = [str(witness) if a == "{file}" else a for a in argv]
+        got_rc, out, _ = run(capsys, *argv)
+    file_sha = (hashlib.sha256(witness.read_bytes()).hexdigest()
+                if witness.exists() else None)
+    assert got_rc == rc
+    assert {"stdout": hashlib.sha256(out.encode()).hexdigest(),
+            "file": file_sha} == want
 
 
 _PEAK_RSS_PROBE = """

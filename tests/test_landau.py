@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ova360 import landau
+from ova360 import goldens, landau
 from ova360.errors import BoundError, DomainError, UnknownOva
 from ova360.landau import (
     enumerate_k2_plus_1,
     golden_161_rows,
     golden_landau_residues,
-    landau_diff,
     landau_residues,
     link_families,
     link_family_161,
@@ -119,8 +118,7 @@ def test_golden_residue_set_shape():
 
 
 def test_diff_report():
-    d = landau_diff(2000)
-    assert d.is_subset
+    d = goldens.diff("landau_residues.txt", landau_residues(2000))
     assert not d.extra_in_computed
     assert 341 in d.missing_from_computed  # first hit 16901 > 2000
 
