@@ -25,17 +25,22 @@ from . import goldbach, goldens, landau, matrix, mersenne, ova, primality
 from .errors import CounterexampleFound, DomainError, OvaError
 
 _FORMATS = ("plain", "csv", "json")
-# Rows per part of the decimal renderer _int_text, which is also the
-# lines per item of _int_lines and the values per JSON array part. The
+# Rows per bytes part of the decimal renderer _int_text, which is also
+# the lines per part of _int_lines and the values per JSON array part;
+# each part is written as it is made, so no format holds more of an
+# array's text than one part. The
 # witness rows of `goldbach scan --limit 2000000` (fresh interpreter,
 # 2-core x86-64 VM, 7 runs each) took 0.12-0.13 s and 9.5k minor page
 # faults at 2^14 rows, about as at 2^12 and 2^13 (0.11-0.15 s, 7.7-7.9k
 # faults); 2^15 took 16k faults and 2^16 24k faults and 0.18-0.21 s.
 EMIT_CHUNK = 1 << 14
-# Characters of plain or csv text gathered into one write. One print per
-# line made `sieve --limit 1e7` three times slower as plain than as one
-# csv line, and one write of all of `sieve --limit 1e8`'s lines peaked at
-# 227 MB against 167 MB.
+# Characters of str text (plain or csv lines, JSON pieces) joined and
+# encoded into one write; the kernel's bytes parts are written as they
+# are. One print per line made `sieve --limit 1e7` three times slower as
+# plain than as one csv line, and one write of all of `sieve --limit
+# 1e8`'s lines peaked at 227 MB against 167 MB. JSON's small pieces are
+# joined too: encoding and writing each on its own made `landau family`'s
+# JSON slower than the text stream that did so before.
 WRITE_CHARS = 1 << 16
 # Longest integer a report can hold, in decimal digits: a K-sequence
 # entry at its index bound, or the exact reciprocal sum at its term bound.
@@ -80,21 +85,26 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _int_text(cols, seps):
     """Rows of the integer columns as decimal text, seps[c] after each
-    value of column c: the bytes of "%d" formatting, yielded as str
-    parts of up to EMIT_CHUNK rows.
+    value of column c: the bytes of "%d" formatting, yielded as ASCII
+    bytes parts of up to EMIT_CHUNK rows, each a new object that the
+    caller writes as it is.
 
     Non-negative int64 arrays take no Python work per integer. Each
     value fills fixed-width 4-digit groups from a 10**4-entry table, in
     which the leading zeros are NUL bytes, and one translate per part
-    deletes them. The text buffer and the arrays between the steps are
-    allocated once per call and reused by every part, which keeps page
-    faults down: in a fresh interpreter on a 2-core x86-64 VM, the
-    witness file of `goldbach scan --limit 2000000` took 0.12-0.16 s and
-    9.5k minor page faults, and `sieve --limit 10000000 --format json`
-    0.06-0.07 s and 5.0-5.5k faults, where a compress of a kept-byte
-    mask into fresh arrays per block took 0.21 s and 11-13k, and 0.11 s
-    and 8.1-9.6k. Anything else, or a separator that holds a NUL (the
-    translate would delete it), is formatted one value at a time.
+    deletes them; the translated bytearray is the part. The text buffer
+    and the arrays between the steps are allocated once per call and
+    reused by every part, which keeps page faults down: in a fresh
+    interpreter on a 2-core x86-64 VM, the witness file of `goldbach
+    scan --limit 2000000` took 0.12-0.16 s and 9.5k minor page faults,
+    and `sieve --limit 10000000 --format json` 0.06-0.07 s and 5.0-5.5k
+    faults, where a compress of a kept-byte mask into fresh arrays per
+    block took 0.21 s and 11-13k, and 0.11 s and 8.1-9.6k. A group is
+    split off with floor_divide, multiply and subtract: int64 divmod has
+    no fast path for a constant divisor, and took 71 us per part of
+    16384 values against 33 us. Anything else, or a separator that
+    holds a NUL (the translate would delete it), is formatted one value
+    at a time.
     """
     n = len(cols[0])
     if any("\0" in s for s in seps) or not all(
@@ -103,7 +113,7 @@ def _int_text(cols, seps):
         fmt = "".join("%d" + s.replace("%", "%%") for s in seps)
         for i in range(0, n, EMIT_CHUNK):
             rows = zip(*(c[i:i + EMIT_CHUNK] for c in cols))
-            yield "".join([fmt % row for row in rows])
+            yield "".join([fmt % row for row in rows]).encode("ascii")
         return
     if not n:
         return
@@ -120,15 +130,20 @@ def _int_text(cols, seps):
     layout = [(c, [text[:, a:a + 4].view(np.uint32)[:, 0] for a in cells])
               for c, cells in zip(cols, offsets)]
     digits, lead, last = _digit_tables()
-    q, r = np.empty(rows, np.int64), np.empty(rows, np.int64)
+    # two quotient rows, used in turn so that a quotient never
+    # overwrites the dividend it is computed from
+    q, r = np.empty((2, rows), np.int64), np.empty(rows, np.int64)
     short, partial = np.empty(rows, bool), np.empty(rows, np.uint32)
     for start in range(0, n, EMIT_CHUNK):
         m = min(EMIT_CHUNK, n - start)
-        qm, rm, sm, pm = q[:m], r[:m], short[:m], partial[:m]
+        rm, sm, pm = r[:m], short[:m], partial[:m]
         for c, cells in layout:
             v = c[start:start + m]
             for k in range(len(cells) - 1, 0, -1):  # least significant first
-                np.divmod(v, 10**4, out=(qm, rm))
+                qm = q[k % 2, :m]
+                np.floor_divide(v, 10**4, out=qm)
+                np.multiply(qm, 10**4, out=rm)
+                np.subtract(v, rm, out=rm)
                 v = qm
                 cell = cells[k][:m]
                 # each index is in 0..9999 by construction; take's
@@ -143,7 +158,14 @@ def _int_text(cols, seps):
             np.take(table, v, out=cells[0][:m], mode="clip")
         if m < rows:  # the rows a short last part leaves hold no text
             text[m:] = 0
-        yield buf.translate(None, b"\0").decode("ascii")
+        yield buf.translate(None, b"\0")
+
+
+def _joined(values, sep: str, end: str):
+    """The int64 values joined by sep, then end, as the kernel's bytes
+    parts, built when iterated: nothing for no values."""
+    return itertools.chain(_int_text([values[:-1]], [sep]),
+                           _int_text([values[-1:]], [end]))
 
 
 def _json_parts(obj, out: list, indent: str) -> None:
@@ -151,7 +173,12 @@ def _json_parts(obj, out: list, indent: str) -> None:
     byte what json.dumps(indent=2, sort_keys=True) gives once exact
     quantities are strings. Ints and Fractions become strings, int64
     arrays lists of strings, dataclasses dicts, dict keys str(key);
-    sets are sorted and enums give their value."""
+    sets are sorted and enums give their value.
+
+    Every item appended is a str, except that a non-empty int64 array's
+    values are one lazy item: the kernel's bytes parts, rendered only
+    as _write consumes them, so an array streams the way the plain
+    lines do."""
     if isinstance(obj, bool):
         out.append(json.dumps(obj))
     elif isinstance(obj, (int, Fraction)):  # a Fraction as "p" or "p/q"
@@ -173,14 +200,9 @@ def _json_parts(obj, out: list, indent: str) -> None:
         if not obj.size:
             out.append("[]")
             return
-        # the kernel's parts, each ending in the separator: the array's
-        # text is never joined into one str
         inner = indent + "  "
-        sep = '",\n' + inner + '"'
-        out += ["[\n", inner, '"']
-        out += _int_text([obj], [sep])
-        out[-1] = out[-1][:-len(sep)]
-        out += ['"\n', indent, "]"]
+        out += ["[\n", inner, '"', _joined(obj, '",\n' + inner + '"', ""),
+                '"\n', indent, "]"]
     else:  # None, float, str; anything else raises TypeError
         out.append(json.dumps(obj))
 
@@ -203,12 +225,11 @@ def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
     any other format (matrix's "bits") writes the plain lines.
 
     The line arguments may be lazy iterables: only the chosen one is
-    consumed, and its items are joined into one write until they reach
-    WRITE_CHARS characters, so a handler can pass lines without building
-    them all. An item may itself hold several "\n"-joined lines; one
-    longer than WRITE_CHARS is written on its own. An item that is not a
-    str is one line given as an iterable of parts: each part is written
-    as it comes, then "\n", so the line is never joined.
+    consumed, as it is written, so a handler can pass lines without
+    building them all. A str item is a line, or several "\n"-joined
+    lines, and gets its last "\n" here; a bytes item (the kernel's
+    parts, as _int_lines gives them) holds its own newlines. Every
+    format is written by _write.
     Python's int -> str limit (4300 digits; none before 3.10.7) is
     raised to _MAX_DIGITS while it writes.
     """
@@ -217,33 +238,47 @@ def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
     if 0 < old < _MAX_DIGITS:
         sys.set_int_max_str_digits(_MAX_DIGITS)
     try:
-        if fmt == "json":  # the parts as made, not joined into one str
-            out = []
-            _json_parts(payload, out, "")
-            out.append("\n")
-            sys.stdout.writelines(out)
-            return
-        if fmt == "csv" and csv_lines is not None:
-            plain_lines = csv_lines
-        chunk, size = [], 0
-        for line in plain_lines:
-            if not isinstance(line, str):
-                if chunk:
-                    sys.stdout.write("\n".join(chunk) + "\n")
-                    chunk, size = [], 0
-                sys.stdout.writelines(line)
-                sys.stdout.write("\n")
-                continue
-            chunk.append(line)
-            size += len(line) + 1
-            if size >= WRITE_CHARS:
-                sys.stdout.write("\n".join(chunk) + "\n")
-                chunk, size = [], 0
-        if chunk:
-            sys.stdout.write("\n".join(chunk) + "\n")
+        if fmt == "json":
+            items = []
+            _json_parts(payload, items, "")
+            items.append("\n")
+        else:
+            if fmt == "csv" and csv_lines is not None:
+                plain_lines = csv_lines
+            items = (line + "\n" if isinstance(line, str) else line
+                     for line in plain_lines)
+        _write(items)
     finally:
         if get_limit:
             sys.set_int_max_str_digits(old)
+
+
+def _write(items) -> None:
+    """Write the items to sys.stdout's binary buffer, after one flush of
+    its text layer, so that text a caller wrote to sys.stdout comes
+    first. A bytes item is written as it is. A run of str items is
+    joined and encoded once, in the stream's encoding, and written when
+    it reaches WRITE_CHARS characters or meets an item that is not a
+    str. Any other item is an iterable of bytes, written as it comes."""
+    stream = sys.stdout
+    stream.flush()
+    out = stream.buffer
+    run, size = [], 0
+    for item in items:
+        if isinstance(item, str):
+            run.append(item)
+            size += len(item)
+            if size < WRITE_CHARS:
+                continue
+        if run:
+            out.write("".join(run).encode(stream.encoding, stream.errors))
+            run, size = [], 0
+        if isinstance(item, (bytes, bytearray)):
+            out.write(item)
+        elif not isinstance(item, str):
+            out.writelines(item)
+    if run:
+        out.write("".join(run).encode(stream.encoding, stream.errors))
 
 
 def _witness_rows(first: int, best):
@@ -256,15 +291,13 @@ def _witness_rows(first: int, best):
 
 
 def _int_lines(values, sep="\n"):
-    """Lines of the int64 values, built when iterated: one value a line,
-    an item of up to EMIT_CHUNK lines; or with another sep one line of
-    the values joined by it (none for no values), given as its parts."""
+    """Lines of the int64 values as the kernel's bytes parts for _emit,
+    built when iterated, each line ending in "\n": one value a line, in
+    parts of up to EMIT_CHUNK lines; or with another sep one line of the
+    values joined by it (none for no values)."""
     if sep == "\n":
-        for part in _int_text([values], [sep]):
-            yield part[:-1]
-    elif len(values):  # no sep after the last value
-        yield itertools.chain(_int_text([values[:-1]], [sep]),
-                              _int_text([values[-1:]], [""]))
+        return _int_text([values], [sep])
+    return _joined(values, sep, "\n")
 
 
 # ---------------------------------------------------------------- handlers
@@ -366,8 +399,8 @@ def _cmd_genfunc(args):
 def _cmd_goldbach_scan(args):
     if args.emit_witnesses:
         goldbach.check_scan_limit(args.limit)  # before the file is created
-        with open(args.emit_witnesses, "w") as fh:
-            fh.write("n,p,q\n")
+        with open(args.emit_witnesses, "wb") as fh:
+            fh.write(b"n,p,q\n")
             report = goldbach.scan(
                 args.limit,
                 on_block=lambda first, best: fh.writelines(
@@ -730,7 +763,7 @@ def dispatch(argv=None) -> int:
         _emit(args.format, payload, plain_lines, csv_lines)
         return rc
     except CounterexampleFound as exc:
-        _emit("json", {"finding": str(exc)}, ())
+        _emit(args.format, {"finding": str(exc)}, [f"FINDING: {exc}"])
         return 2
     except OvaError as exc:
         print(f"error: {exc}", file=sys.stderr)

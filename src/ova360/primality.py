@@ -36,9 +36,11 @@ MAX_SIEVE_LIMIT = 2 * 10**9
 # included.
 MAX_STREAM_LIMIT = 10**10
 # sieve_primes lists every prime, and the `sieve` verb renders each one
-# as text: at 1e8 (5.76M primes) it takes 0.6-0.8 s and peaks at 122 MB
-# as plain or csv and 162 MB as JSON on a 2-core x86-64 VM, start-up
-# included.
+# as text: at 1e8 (5.76M primes) it takes 0.7-0.9 s and peaks at 126 MB
+# in every format on a 2-core x86-64 VM (VmHWM, stdout to a file,
+# start-up included): the bitmap (50 MB) and the int64 primes (46 MB),
+# with the text written part by part. JSON peaked at 166 MB while it
+# gathered the array's text before writing it.
 MAX_PRIME_LIST_LIMIT = 10**8
 MAX_FACTORIAL_N = 40
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -25,6 +26,15 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
+def _child_env() -> dict:
+    """The environment for a child interpreter that imports the package
+    under test, also where pytest's pythonpath setting (not the
+    environment) put it on sys.path."""
+    src = str(Path(ova360.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_version(capsys):
     rc, out, _ = run(capsys, "--version")
     assert rc == 0
@@ -34,12 +44,10 @@ def test_version(capsys):
 def test_import_leaves_out_importlib_metadata():
     # only --version reads the package metadata; every other run of the
     # CLI should not pay for importing it
-    src = str(Path(ova360.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, ova360.cli; "
          "print('importlib.metadata' in sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=_child_env(),
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
@@ -317,8 +325,8 @@ def test_emit_chunks_write_the_same_bytes(capsys, monkeypatch, tmp_path):
             monkeypatch.setattr(cli, "EMIT_CHUNK", chunk)
             monkeypatch.setattr(cli, "WRITE_CHARS", write_chars)
             assert outputs() == want, (chunk, write_chars)
-    # a line given as parts is written part by part, after the lines
-    # gathered before it: a csv line is never joined into one str
+    # the kernel's bytes parts are written part by part, after the lines
+    # gathered before them: a csv line is never joined into one str
     primes = primality.sieve_primes(1000)  # 168 primes
     monkeypatch.setattr(cli, "EMIT_CHUNK", 10)
     for write_chars in write_sizes:
@@ -326,23 +334,32 @@ def test_emit_chunks_write_the_same_bytes(capsys, monkeypatch, tmp_path):
         writes = _Writes()
         monkeypatch.setattr(sys, "stdout", writes)
         cli._emit("csv", None, (), cli._int_lines(primes, ","))
-        cli._emit("plain", None, ["a", "b", iter(["c", "", "d"]), "e"])
+        cli._emit("plain", None, ["a", "b", b"cd\n", "e"])
         csv_line = ",".join(str(p) for p in primes) + "\n"
-        assert "".join(writes.texts) == csv_line + "a\nb\ncd\ne\n"
-        k = writes.texts.index("\n")  # the csv line's parts come before
-        assert k > 1 and max(map(len, writes.texts[:k])) <= 10 * len("997,")
+        assert b"".join(writes.texts) == (csv_line + "a\nb\ncd\ne\n").encode()
+        # the csv line's parts come before the first write that ends a line
+        k = next(i for i, t in enumerate(writes.texts) if t.endswith(b"\n"))
+        assert k > 1 and max(map(len, writes.texts[:k + 1])) <= 10 * len("997,")
+        assert b"cd\n" in writes.texts[k + 1:]  # a bytes item is one write
 
 
 class _Writes:
+    """A stdout that is its own binary buffer and keeps each write."""
+    encoding, errors = "utf-8", "strict"
+
     def __init__(self):
         self.texts = []
+        self.buffer = self
 
-    def write(self, text):
-        self.texts.append(text)
+    def flush(self):
+        pass
 
-    def writelines(self, texts):
-        for text in texts:
-            self.write(text)
+    def write(self, data):
+        self.texts.append(bytes(data))
+
+    def writelines(self, items):
+        for data in items:
+            self.write(data)
 
 
 def test_emit_writes_hold_items_up_to_write_chars(monkeypatch):
@@ -350,14 +367,16 @@ def test_emit_writes_hold_items_up_to_write_chars(monkeypatch):
 
     primes = primality.sieve_primes(10**5)  # 9592 primes
     monkeypatch.setattr(cli, "EMIT_CHUNK", 1000)  # items of 1000 lines
-    items = list(cli._int_lines(primes))
-    assert len(items) == 10
+    parts = [bytes(part) for part in cli._int_lines(primes)]
+    assert len(parts) == 10
+    # str items of "\n"-joined lines, each without its last newline
+    items = [part.decode()[:-1] for part in parts]
     first = len(items[0]) + 1  # the first item's text with its newline
     for write_chars in (1, first, first + 1, 10**4, 10**6):
         monkeypatch.setattr(cli, "WRITE_CHARS", write_chars)
         writes = _Writes()
         monkeypatch.setattr(sys, "stdout", writes)
-        cli._emit("plain", None, cli._int_lines(primes))
+        cli._emit("plain", None, iter(items))
         # each write is whole items, taken until their text, newlines
         # included, reaches write_chars; only the last write falls short
         rest = iter(items)
@@ -365,10 +384,15 @@ def test_emit_writes_hold_items_up_to_write_chars(monkeypatch):
             taken = [next(rest)]
             while sum(len(i) + 1 for i in taken) < len(text):
                 taken.append(next(rest))
-            assert "".join(i + "\n" for i in taken) == text, write_chars
+            assert "".join(i + "\n" for i in taken).encode() == text, write_chars
             assert len(text) - len(taken[-1]) - 1 < write_chars, write_chars
             assert len(text) >= write_chars or n == len(writes.texts), write_chars
         assert next(rest, None) is None, write_chars
+        # the kernel's bytes parts hold their newlines: one write each
+        writes = _Writes()
+        monkeypatch.setattr(sys, "stdout", writes)
+        cli._emit("plain", None, cli._int_lines(primes))
+        assert writes.texts == parts, write_chars
 
 
 def test_interval(capsys):
@@ -380,6 +404,19 @@ def test_interval(capsys):
     assert "verified composite" in out
     rc, _, err = run(capsys, "interval", "--n", "41")
     assert rc == 1
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_interval_finding_is_rendered_in_the_format(capsys, monkeypatch, fmt):
+    # a prime member would disprove the factorial interval; no real n
+    # reaches it, so it is injected
+    monkeypatch.setattr(primality, "is_prime_big", lambda n: True)
+    rc, out, err = run(capsys, "interval", "--n", "5", "--verify",
+                       "--format", fmt)
+    finding = "interval member 722 is prime"
+    want = (json.dumps({"finding": finding}, indent=2) + "\n"
+            if fmt == "json" else f"FINDING: {finding}\n")
+    assert (rc, out, err) == (2, want, "")
 
 
 def test_germain_reports_finding(capsys):
@@ -820,16 +857,63 @@ def test_dirichlet_all(capsys):
 
 
 def test_module_entrypoint_subprocess():
-    # the child imports the package under test, also where pytest's
-    # pythonpath setting (not the environment) put it on sys.path
-    src = str(Path(ova360.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "ova360.cli", "--version"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("ova360 ")
+
+
+def _stdout_bytes(monkeypatch, steps) -> bytes:
+    """The bytes that steps write, in turn, to a buffered text stdout: a
+    str is written to sys.stdout, an argv is dispatched."""
+    raw = io.BytesIO()
+    stream = io.TextIOWrapper(raw, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stream)
+    for step in steps:
+        if isinstance(step, str):
+            stream.write(step)
+        else:
+            dispatch(list(step))
+    stream.flush()
+    return raw.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_text_written_before_emit_comes_first(monkeypatch, fmt):
+    # the emitter writes to the binary buffer under sys.stdout, so it
+    # must first flush the text that the text layer still holds
+    sieve = ("sieve", "--limit", "30", "--format", fmt)
+    interval = ("interval", "--n", "5", "--format", fmt)
+    alone = [_stdout_bytes(monkeypatch, [argv]) for argv in (sieve, interval)]
+    assert all(alone)
+    got = _stdout_bytes(monkeypatch, ["é1\n", sieve, "é2", interval, "é3"])
+    assert got == b"".join(["é1\n".encode(), alone[0], "é2".encode(),
+                            alone[1], "é3".encode()])
+
+
+@pytest.mark.parametrize("argv", [
+    *[("sieve", "--limit", "100000", "--format", fmt)
+      for fmt in ("plain", "csv", "json")],
+    ("goldbach", "scan", "--limit", "20000", "--emit-witnesses", "{file}"),
+])
+def test_child_interpreter_writes_the_in_process_bytes(capsys, tmp_path, argv):
+    # stdout a pipe: the bytes still in the binary buffer at exit must
+    # come out, after the text layer's
+    def with_file(name):
+        return [str(tmp_path / name) if a == "{file}" else a for a in argv]
+
+    proc = subprocess.run([sys.executable, "-m", "ova360.cli",
+                           *with_file("child.csv")],
+                          capture_output=True, env=_child_env())
+    rc, out, err = run(capsys, *with_file("own.csv"))
+    assert out
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        rc, out.encode(), err.encode())
+    if "{file}" in argv:
+        assert (tmp_path / "child.csv").read_bytes() == \
+            (tmp_path / "own.csv").read_bytes()
 
 
 # The benchmark's fixed-argument operations (perfbench/workloads.py):
@@ -881,48 +965,77 @@ def test_benchmark_outputs_match_recorded_digests(capsys, tmp_path,
             "file": file_sha} == want
 
 
+# Runs dispatch(argv[2:]) in-process with stdout going to the file
+# argv[1], so that the output it checks is not held in memory, and
+# prints the exit code and the interpreter's peak RSS.
 _PEAK_RSS_PROBE = """
-import io, json, sys
+import json, sys
 from contextlib import redirect_stdout
 from ova360.cli import dispatch
-out = io.StringIO()
-with redirect_stdout(out):
-    rc = dispatch(sys.argv[1:])
+with open(sys.argv[1], "w") as sink, redirect_stdout(sink):
+    rc = dispatch(sys.argv[2:])
 with open("/proc/self/status") as status:
     peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-print(json.dumps({"rc": rc, "out": out.getvalue(), "peak_kb": peak_kb}))
+print(json.dumps({"rc": rc, "peak_kb": peak_kb}))
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(),
-                    reason="needs the Linux per-process VmHWM")
+def _peak_rss(out: Path, argv) -> tuple[int, int]:
+    """The exit code and peak RSS in kB of argv run in a fresh
+    interpreter, with its stdout in the file out.
+
+    The peak is VmHWM, the high-water mark of the memory the interpreter
+    got at exec. getrusage would not do: RUSAGE_CHILDREN holds every
+    earlier child's peak, and on Linux RUSAGE_SELF keeps, across fork and
+    exec, the forking process's peak (117 MB under pytest against 71 MB
+    from a shell for a germain run)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_PROBE, str(out), *argv],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    return result["rc"], result["peak_kb"]
+
+
+_NEEDS_VMHWM = pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                                  reason="needs the Linux per-process VmHWM")
+
+
+@_NEEDS_VMHWM
 @pytest.mark.parametrize("argv, rc", [
     (("dirichlet", "--x", "1000000000", "--all", "--format", "json"), 0),
     (("germain", "--limit", "1000000000"), 2),
 ])
-def test_streamed_verbs_peak_under_100_mb(argv, rc):
-    # A fresh interpreter runs the verb in-process and reports its own
-    # peak RSS (dirichlet's whole bitmap alone would be 500 MB at 1e9;
-    # germain reads a 2 KB bitmap prefix at any limit). The peak
-    # is VmHWM, the high-water mark of the memory the interpreter got at
-    # exec. getrusage would not do: RUSAGE_CHILDREN holds every earlier
-    # child's peak, and on Linux RUSAGE_SELF keeps, across fork and exec,
-    # the forking process's peak (117 MB under pytest against 71 MB from
-    # a shell for the germain run).
-    src = str(Path(ova360.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_PROBE, *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["rc"] == rc
-    assert result["peak_kb"] * 1024 < 100 * 10**6, result["peak_kb"]
+def test_streamed_verbs_peak_under_100_mb(argv, rc, tmp_path):
+    # dirichlet's whole bitmap alone would be 500 MB at 1e9; germain
+    # reads a 2 KB bitmap prefix at any limit
+    out = tmp_path / "out"
+    got_rc, peak_kb = _peak_rss(out, argv)
+    assert got_rc == rc
+    assert peak_kb * 1024 < 100 * 10**6, peak_kb
     if argv[0] == "dirichlet":
-        doc = json.loads(result["out"])
+        doc = json.loads(out.read_text())
         counts = [int(r["count"]) for r in doc["classes"] + doc["singletons"]]
         assert sum(counts) == int(doc["prime_count"]) == 50847534  # pi(1e9)
+
+
+@_NEEDS_VMHWM
+def test_sieve_json_streams_its_primes(tmp_path):
+    # the JSON array is written part by part as the plain lines are, so
+    # at the bound JSON peaks where plain does (166 MB against 125 MB
+    # when the array's text was gathered before the write)
+    peaks = {}
+    tails = {"plain": b"\n99999989\n", "json": b'\n    "99999989"\n  ]\n}\n'}
+    for fmt, tail in tails.items():
+        out = tmp_path / fmt
+        rc, peaks[fmt] = _peak_rss(out, ("sieve", "--limit", "100000000",
+                                         "--format", fmt))
+        assert rc == 0
+        with open(out, "rb") as fh:
+            fh.seek(-len(tail), os.SEEK_END)
+            assert fh.read() == tail
+    assert abs(peaks["json"] - peaks["plain"]) * 1024 <= 5 * 10**6, peaks
 
 
 @pytest.mark.skipif(shutil.which("ova360") is None,

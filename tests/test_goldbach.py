@@ -151,7 +151,7 @@ def test_scan_matches_reference_across_block_edges(case, oracle_goldbach_p):
             tempfile.TemporaryDirectory() as tmp:
         assert scan(limit) == _reference_report(limit, oracle_goldbach_p)
         path = Path(tmp) / "w.csv"
-        with redirect_stdout(io.StringIO()):
+        with redirect_stdout(io.TextIOWrapper(io.BytesIO())):
             rc = dispatch(["goldbach", "scan", "--limit", str(limit),
                            "--emit-witnesses", str(path)])
         assert rc == 0

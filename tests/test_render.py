@@ -25,15 +25,19 @@ _SEPS = st.text(st.characters(min_codepoint=0, max_codepoint=127), max_size=6)
 
 
 def _emitted_json(payload) -> str:
-    """What the CLI's emitter writes to stdout for payload as JSON."""
-    buf = io.StringIO()
-    with redirect_stdout(buf):
+    """What the CLI's emitter writes to stdout for payload as JSON; it
+    writes to the binary buffer under the text stream."""
+    raw = io.BytesIO()
+    out = io.TextIOWrapper(raw, encoding="utf-8")
+    with redirect_stdout(out):
         cli._emit("json", payload, ())
-    return buf.getvalue()
+    out.flush()
+    return raw.getvalue().decode("utf-8")
 
 
-def _percent(cols, seps) -> str:
-    return "".join("%d" % v + s for row in zip(*cols) for v, s in zip(row, seps))
+def _percent(cols, seps) -> bytes:
+    return "".join("%d" % v + s for row in zip(*cols)
+                   for v, s in zip(row, seps)).encode("ascii")
 
 
 @given(st.data(), st.integers(1, 3), st.integers(0, 40), st.integers(1, 9))
@@ -43,7 +47,7 @@ def test_int_text_matches_percent_d(data, ncols, size, chunk):
                      dtype=np.int64) for _ in range(ncols)]
     seps = [data.draw(_SEPS) for _ in range(ncols)]
     with mock.patch.object(cli, "EMIT_CHUNK", chunk):
-        assert "".join(cli._int_text(cols, seps)) == _percent(cols, seps)
+        assert b"".join(cli._int_text(cols, seps)) == _percent(cols, seps)
 
 
 @pytest.mark.parametrize("size", sorted({
@@ -55,7 +59,7 @@ def test_int_text_at_sizes_and_the_chunk_edge(size):
     values = np.resize(np.array(_EDGES, dtype=np.int64), size)
     cols = [values, rng.permutation(values), rng.integers(0, 2**63 - 1, size)]
     seps = [",", '",\n    "', "\n"]
-    _assert_same_text("".join(cli._int_text(cols, seps)), _percent(cols, seps))
+    _assert_same_text(b"".join(cli._int_text(cols, seps)), _percent(cols, seps))
 
 
 @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=20), _SEPS)
@@ -64,14 +68,14 @@ def test_int_text_formats_other_input_per_value(values, sep):
     # negative int64, other dtypes and plain lists take the per-value path
     for col in (np.array(values, dtype=np.int64), values,
                 np.array(values, dtype=object)):
-        assert "".join(cli._int_text([col], [sep])) == _percent([values], [sep])
+        assert b"".join(cli._int_text([col], [sep])) == _percent([values], [sep])
 
 
 _GROUP_EDGES = [0, 9, 10, 9999, 10**4 - 1, 10**4, 10**4 + 1, 10**8 - 1,
                 10**8, 10**8 + 1, 10**12, 2**63 - 1]
 
 
-def _assert_same_text(got: str, want: str) -> None:
+def _assert_same_text(got: bytes, want: bytes) -> None:
     # the first difference in context: a diff of whole texts this long
     # would take pytest minutes
     i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
@@ -82,10 +86,11 @@ def _assert_same_text(got: str, want: str) -> None:
 def _kernel_matches_oracles(cols, seps, chunk, reference_int_text):
     parts = list(cli._int_text(cols, seps))
     assert len(parts) == -(-len(cols[0]) // chunk)
-    text = "".join(parts)
+    text = b"".join(parts)
     _assert_same_text(text, _percent(cols, seps))
     if not any("\0" in s for s in seps):
-        _assert_same_text(text, reference_int_text(cols, seps, chunk))
+        _assert_same_text(
+            text, reference_int_text(cols, seps, chunk).encode("ascii"))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, cli.EMIT_CHUNK])
@@ -125,7 +130,7 @@ def test_int_text_keeps_separators_that_hold_nul(seps, monkeypatch):
     monkeypatch.setattr(cli, "EMIT_CHUNK", 3)
     values = np.array(_GROUP_EDGES, dtype=np.int64)
     cols = [values, values[::-1].copy()][:len(seps)]
-    assert "".join(cli._int_text(cols, seps)) == _percent(cols, seps)
+    assert b"".join(cli._int_text(cols, seps)) == _percent(cols, seps)
 
 
 @given(first=st.integers(3, 10**6).map(lambda x: 2 * x),
@@ -138,8 +143,8 @@ def test_witness_rows_match_percent_rows(first, fractions, reference_witness_row
     best[best < 3] = 0
     for chunk in (1, 2, 7, cli.EMIT_CHUNK):
         with mock.patch.object(cli, "EMIT_CHUNK", chunk):
-            rows = "".join(cli._witness_rows(first, best))
-            assert rows == reference_witness_rows(first, best)
+            rows = b"".join(cli._witness_rows(first, best))
+            assert rows == reference_witness_rows(first, best).encode("ascii")
 
 
 class _Tone(enum.Enum):
