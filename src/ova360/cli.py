@@ -15,6 +15,7 @@ import enum
 import functools
 import itertools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -229,7 +230,9 @@ def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
     building them all. A str item is a line, or several "\n"-joined
     lines, and gets its last "\n" here; a bytes item (the kernel's
     parts, as _int_lines gives them) holds its own newlines. Every
-    format is written by _write.
+    format is written by _write, and flushed. If the reader closes
+    stdout early (`| head`), the rest is dropped without a traceback
+    and dispatch still returns the verb's exit code.
     Python's int -> str limit (4300 digits; none before 3.10.7) is
     raised to _MAX_DIGITS while it writes.
     """
@@ -248,6 +251,10 @@ def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
             items = (line + "\n" if isinstance(line, str) else line
                      for line in plain_lines)
         _write(items)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # point the fd at devnull, so the exit-time flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     finally:
         if get_limit:
             sys.set_int_max_str_digits(old)
@@ -399,7 +406,12 @@ def _cmd_genfunc(args):
 def _cmd_goldbach_scan(args):
     if args.emit_witnesses:
         goldbach.check_scan_limit(args.limit)  # before the file is created
-        with open(args.emit_witnesses, "wb") as fh:
+        try:
+            fh = open(args.emit_witnesses, "wb")
+        except OSError as exc:
+            raise OvaError(f"cannot open --emit-witnesses {args.emit_witnesses}: "
+                           f"{exc.strerror}") from None
+        with fh:
             fh.write(b"n,p,q\n")
             report = goldbach.scan(
                 args.limit,

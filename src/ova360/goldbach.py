@@ -31,9 +31,10 @@ from .primality import (
 # The scan streams the primes, so time, not memory, bounds it: see scan.
 MAX_SCAN_LIMIT = 10**9
 # Largest n accepted by interval_sum_check and symmetric_pair_check.
-# On a 2-core x86-64 VM interval_sum_check(1e7) takes 0.66 s and peaks
-# at 257 MB RSS (VmHWM), most of it int64 arrays of one entry per
-# window; symmetric_pair_check's docstring gives its cost.
+# On a 2-core x86-64 VM interval_sum_check(1e7) takes 0.45-0.50 s and
+# peaks at 46-47 MB RSS (VmHWM): the bitmap, the prime array and one
+# block of windows. 1e8 would take 4.2-4.7 s and 165 MB.
+# symmetric_pair_check's docstring gives its cost.
 MAX_INTERVAL_SUM_N = 10**7
 MAX_SYMMETRIC_N = 10**8
 # Largest n accepted by bertrand_construction, which tests the odd
@@ -43,7 +44,8 @@ MAX_SYMMETRIC_N = 10**8
 # prime), and four n near 1e400 0.7-5.0 s.
 MAX_CONSTRUCT_N = 10**300
 # Evens per scan block: the block's slices of the bitmap and its result
-# array stay in cache.
+# array stay in cache. interval_sum_check reads it too, as the f per
+# block of its Bertrand windows.
 BLOCK_EVENS = 1 << 16
 # Odd primes below this are peeled off each block with dense slices;
 # the rest by gathers over the n still unresolved. There must be at
@@ -335,10 +337,11 @@ def interval_sum_check(n: int) -> IntervalSumReport:
     either way, the windows are (n/4 + 1/2 + k, n/2 + 1 + 2k) and
     (n/4 + 1/2 - k, n/2 + 1 - 2k): each is (w/2, w) for the integer w
     = n/2 + 1 +- 2k. Each window is an index range of one ascending
-    prime array, found for every f at once by a binary search, so its
-    size and its extremes are lookups. The bound holds for all pairs
-    of a window pair iff it holds for the two smallest and the two
-    largest members.
+    prime array. The f are walked in blocks of BLOCK_EVENS, and one
+    binary search per side finds the block's windows, so their sizes
+    and extremes are lookups and memory holds one block of them. The
+    bound holds for all pairs of a window pair iff it holds for the two
+    smallest and the two largest members.
 
     Violations cannot occur (the bound is an arithmetic consequence of
     the window endpoints); they are enumerated pair by pair when the
@@ -350,7 +353,7 @@ def interval_sum_check(n: int) -> IntervalSumReport:
     they are the pairs n/2 +- 2k that symmetric_pair_check finds, read
     from the same AND. pairs_checked is summed exactly, as a Python
     int: at 1e8 it would be 3.5e19, past 2**63. On a 2-core x86-64 VM
-    a call takes 2 ms at 4e4, 0.06 s at 1e6, and 0.66 s with 257 MB
+    a call takes 3 ms at 4e4, 0.05 s at 1e6, and 0.45-0.50 s with 46 MB
     peak RSS (VmHWM) at MAX_INTERVAL_SUM_N = 1e7.
     """
     _check_even(n, 12)
@@ -359,30 +362,25 @@ def interval_sum_check(n: int) -> IntervalSumReport:
     half = n // 2
     bitmap = odd_prime_bitmap(n)
     primes = np.concatenate(([2], 2 * np.flatnonzero(bitmap) + 1))
-    # Every window is (w/2, w) for one w = n/2 + 1 + 2j, |j| <= top. The
-    # pair of f = i + 1 is j = +-(top - i), so a per-window array read
-    # backwards and forwards lines up the pairs in ascending f.
-    top, sampled = half // 2 - 1, (n - 2) // 4
-    lo, hi = _window_bounds(
-        primes, np.arange(half + 1 - 2 * top, half + 2 + 2 * top, 2))
-
-    def by_f(op: np.ufunc, per_window: np.ndarray) -> np.ndarray:
-        return op(per_window[::-1][:sampled], per_window[:sampled])
-
-    size = hi - lo
-    filled = by_f(np.minimum, size) > 0
-    # an empty window's ends may lie past the array: clip, filled masks them
-    inside = ~filled | ((by_f(np.add, primes.take(lo, mode="clip")) > half + 1)
-                        & (by_f(np.add, primes.take(hi - 1, mode="clip")) <= n))
-    # each product is below 2**63 and there are fewer than 2**31, so
-    # neither sum of their 32-bit halves overflows int64
-    high, low = np.divmod(by_f(np.multiply, size), 1 << 32)
-    pairs = (int(high.sum()) << 32) + int(low.sum())
-    violations = []
-    for i in np.flatnonzero(~inside).tolist():
-        us, ls = (primes[lo[j] : hi[j]].tolist() for j in (2 * top - i, i))
-        violations += [(i + 1, rho, q) for rho in us for q in ls
-                       if not half + 1 < rho + q <= n]
+    sampled, pairs, filled, violations = (n - 2) // 4, 0, 0, []
+    for f0 in range(1, sampled + 1, BLOCK_EVENS):
+        k2 = 2 * (half // 2 - np.arange(f0, min(f0 + BLOCK_EVENS, sampled + 1)))
+        ulo, uhi = _window_bounds(primes, half + 1 + k2)  # the upper windows
+        llo, lhi = _window_bounds(primes, half + 1 - k2)  # the lower windows
+        full = (uhi > ulo) & (lhi > llo)
+        # an empty window's ends may lie past the array: clip, full masks them
+        least = primes.take(ulo, mode="clip") + primes.take(llo, mode="clip")
+        most = primes.take(uhi - 1, mode="clip") + primes.take(lhi - 1, mode="clip")
+        inside = ~full | ((least > half + 1) & (most <= n))
+        # each product is below 2**63 and a block has fewer than 2**31, so
+        # neither sum of their 32-bit halves overflows int64
+        high, low = np.divmod((uhi - ulo) * (lhi - llo), 1 << 32)
+        pairs += (int(high.sum()) << 32) + int(low.sum())
+        filled += int(np.count_nonzero(full))
+        for i in np.flatnonzero(~inside).tolist():
+            us, ls = primes[ulo[i] : uhi[i]].tolist(), primes[llo[i] : lhi[i]].tolist()
+            violations += [(f0 + i, rho, q) for rho in us for q in ls
+                           if not half + 1 < rho + q <= n]
     ks = _symmetric_ks(bitmap, half)[::-1].tolist() if half % 2 else []
     exact = [(half // 2 - k, half + 2 * k, half - 2 * k) for k in ks]
     return IntervalSumReport(
@@ -390,7 +388,7 @@ def interval_sum_check(n: int) -> IntervalSumReport:
         sampled=sampled,
         pairs_checked=pairs,
         violations=tuple(violations),
-        empty_windows=sampled - int(np.count_nonzero(filled)),
+        empty_windows=sampled - filled,
         exact_pairs=tuple(exact),
     )
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import ova360
-from ova360 import goldens, primality
+from ova360 import goldbach, goldens, primality
 from ova360.cli import dispatch
 
 
@@ -487,6 +487,21 @@ def test_goldbach_witness_file(capsys, tmp_path):
         assert n == p + q
 
 
+@pytest.mark.parametrize("where", ["missing_dir/w.csv", "."])
+def test_unopenable_witness_path_is_an_error(capsys, monkeypatch, tmp_path, where):
+    # a missing directory or a directory: one error line, before any scan
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before the witness file was opened")
+
+    monkeypatch.setattr(goldbach, "scan", no_scan)
+    path = tmp_path / where
+    rc, out, err = run(capsys, "goldbach", "scan", "--limit", "100",
+                       "--emit-witnesses", str(path))
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: cannot open --emit-witnesses ")
+    assert err.count("\n") == 1
+
+
 def test_goldbach_construct(capsys):
     rc, out, _ = run(capsys, "goldbach", "construct", "--n", "20")
     assert rc == 0
@@ -916,6 +931,21 @@ def test_child_interpreter_writes_the_in_process_bytes(capsys, tmp_path, argv):
             (tmp_path / "own.csv").read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_closed_stdout_pipe_ends_quietly(fmt):
+    # `sieve ... | head -1`: the reader takes one line and closes the pipe
+    # long before the 78498 primes are written
+    proc = subprocess.Popen([sys.executable, "-m", "ova360.cli", "sieve",
+                             "--limit", "1000000", "--format", fmt],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_child_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    want = {"plain": b"2\n", "json": b"{\n"}[fmt]
+    assert (first, proc.wait(timeout=60), err) == (want, 0, b"")
+
+
 # The benchmark's fixed-argument operations (perfbench/workloads.py):
 # id, argv with "{file}" for the witness file, exit code. A None argv
 # is the call goldbach.interval_sum_check(800).
@@ -965,6 +995,12 @@ def test_benchmark_outputs_match_recorded_digests(capsys, tmp_path,
             "file": file_sha} == want
 
 
+# The interpreter's peak RSS in kB, as peak_kb.
+_READ_PEAK_KB = """
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+"""
+
 # Runs dispatch(argv[2:]) in-process with stdout going to the file
 # argv[1], so that the output it checks is not held in memory, and
 # prints the exit code and the interpreter's peak RSS.
@@ -974,8 +1010,7 @@ from contextlib import redirect_stdout
 from ova360.cli import dispatch
 with open(sys.argv[1], "w") as sink, redirect_stdout(sink):
     rc = dispatch(sys.argv[2:])
-with open("/proc/self/status") as status:
-    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+""" + _READ_PEAK_KB + """
 print(json.dumps({"rc": rc, "peak_kb": peak_kb}))
 """
 
@@ -1018,6 +1053,24 @@ def test_streamed_verbs_peak_under_100_mb(argv, rc, tmp_path):
         doc = json.loads(out.read_text())
         counts = [int(r["count"]) for r in doc["classes"] + doc["singletons"]]
         assert sum(counts) == int(doc["prime_count"]) == 50847534  # pi(1e9)
+
+
+@_NEEDS_VMHWM
+def test_interval_sum_check_at_its_bound_peaks_under_100_mb():
+    # the windows are checked one block of f at a time, so the peak is
+    # the 5 MB bitmap, the prime array and one block, not n/2 windows
+    probe = """
+from ova360.goldbach import interval_sum_check
+r = interval_sum_check(10**7)
+""" + _READ_PEAK_KB + """
+print(r.pairs_checked, r.empty_windows, r.violations, peak_kb)
+"""
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    pairs, empty, violations, peak_kb = proc.stdout.split()
+    assert (pairs, empty, violations) == ("46519147839336742", "0", "()")
+    assert int(peak_kb) * 1024 < 100 * 10**6, peak_kb
 
 
 @_NEEDS_VMHWM

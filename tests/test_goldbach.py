@@ -457,7 +457,8 @@ def test_interval_sum_check_matches_loop_oracle_sampled(
 
 def test_interval_sum_check_enumerates_violating_pairs(monkeypatch):
     # a fault that widens every window (w/2, w) by one prime on each
-    # side must come out as the exact list of violating pairs
+    # side must come out as the exact list of violating pairs, in
+    # blocks of 7 f too, so that the f labels cross block edges
     bounds = goldbach._window_bounds
 
     def widened(primes, w):
@@ -478,20 +479,32 @@ def test_interval_sum_check_enumerates_violating_pairs(monkeypatch):
         pairs += len(upper) * len(lower)
         want += [(f, rho, q) for rho in upper for q in lower
                  if not n // 2 + 1 < rho + q <= n]
-    r = interval_sum_check(n)
-    assert r.violations == tuple(want)
     # both sides of the bound: 47 + 2 <= n/2 + 1 and 97 + 5 > n
-    assert {(1, 47, 2), (2, 97, 5)} <= set(want) and r.pairs_checked == pairs
+    assert {(1, 47, 2), (2, 97, 5)} <= set(want)
+    for block in (7, goldbach.BLOCK_EVENS):
+        monkeypatch.setattr(goldbach, "BLOCK_EVENS", block)
+        r = interval_sum_check(n)
+        assert (r.violations, r.pairs_checked) == (tuple(want), pairs), block
 
 
 def test_interval_sum_pairs_checked_is_exact_past_int64(monkeypatch):
     # a fault that makes every window 3e9 primes long: the two f of
-    # n = 12 then check 2 * 9e18 pairs, more than 2**63
+    # n = 12 then check 2 * 9e18 pairs, more than 2**63, in one block
+    # or summed across two blocks of one f
     monkeypatch.setattr(goldbach, "_window_bounds", lambda primes, w: (
         np.zeros_like(w), np.full_like(w, 3 * 10**9)))
-    r = interval_sum_check(12)
-    assert type(r.pairs_checked) is int
-    assert r.pairs_checked == 2 * (3 * 10**9) ** 2
+    for block in (1, goldbach.BLOCK_EVENS):
+        monkeypatch.setattr(goldbach, "BLOCK_EVENS", block)
+        r = interval_sum_check(12)
+        assert type(r.pairs_checked) is int
+        assert r.pairs_checked == 2 * (3 * 10**9) ** 2
+
+
+def test_interval_sum_check_is_the_same_in_blocks_of_7(monkeypatch):
+    want = [interval_sum_check(n) for n in range(12, 4001, 2)]
+    monkeypatch.setattr(goldbach, "BLOCK_EVENS", 7)
+    for n, report in zip(range(12, 4001, 2), want):
+        _assert_same_report(interval_sum_check(n), report)
 
 
 def test_window_checks_fail_before_sieving(monkeypatch):
