@@ -21,20 +21,15 @@ import numpy as np
 
 from .errors import BoundError, CounterexampleFound, DomainError
 from .ova import MODULUS, decompose, residue_sets
-from .primality import (
-    is_prime,
-    is_prime_big,
-    odd_prime_bitmap,
-    odd_prime_segments,
-)
+from .primality import is_prime, is_prime_big, odd_prime_segments, sieve_primes
 
 # The scan streams the primes, so time, not memory, bounds it: see scan.
 MAX_SCAN_LIMIT = 10**9
 # Largest n accepted by interval_sum_check and symmetric_pair_check.
-# On a 2-core x86-64 VM interval_sum_check(1e7) takes 0.45-0.50 s and
-# peaks at 46-47 MB RSS (VmHWM): the bitmap, the prime array and one
-# block of windows. 1e8 would take 4.2-4.7 s and 165 MB.
-# symmetric_pair_check's docstring gives its cost.
+# On a 2-core x86-64 VM interval_sum_check(1e7) takes 0.31-0.34 s and
+# peaks at 43 MB RSS (VmHWM): the prime array and one block of windows.
+# 1e8 would take 5.0-5.2 s and 119 MB. symmetric_pair_check's docstring
+# gives its cost.
 MAX_INTERVAL_SUM_N = 10**7
 MAX_SYMMETRIC_N = 10**8
 # Largest n accepted by bertrand_construction, which tests the odd
@@ -314,19 +309,31 @@ def _window_bounds(primes: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.searchsorted(primes, w // 2, "right"), np.searchsorted(primes, w, "left")
 
 
-def _symmetric_ks(bitmap: np.ndarray, half: int) -> np.ndarray:
-    """Ascending k whose pair about half, half +- 2k (odd half, k >= 0)
-    or half +- (2k-1) (even half, k >= 1), is two odd primes; the
-    bitmap covers the odd numbers up to 2 * half.
+def _symmetric_ks(n: int) -> np.ndarray:
+    """Ascending k whose pair about half = n/2, half +- 2k (odd half,
+    k >= 0) or half +- (2k-1) (even half, k >= 1), is two odd primes.
 
     Counted from the odd numbers nearest half, the lower members run
-    down one reversed slice and the upper members up one forward
-    slice, so one AND finds every k.
+    down from bit below and the upper members up from bit above of the
+    odd-number stream to n. Bits 0..below are copied into one array of
+    n/4 bytes as they stream; each segment's part from above on is then
+    ANDed with the mirrored slice of that copy, which is complete in
+    time because above >= below.
     """
-    below = (half - 1) >> 1  # bitmap index of the largest odd <= half
-    above = half >> 1  # bitmap index of the least odd >= half
-    both = bitmap[below:0:-1] & bitmap[above : above + below]
-    return np.flatnonzero(both) + (1 - half % 2)
+    half = n // 2
+    below = (half - 1) >> 1  # bit of the largest odd <= half
+    above = half >> 1  # bit of the least odd >= half
+    low = np.empty(below + 1, dtype=bool)
+    ks = []
+    for start, seg in odd_prime_segments(n):
+        end = start + seg.size
+        if start <= below:
+            low[start:min(end, below + 1)] = seg[:below + 1 - start]
+        lo, hi = max(start, above), min(end, above + below)
+        if lo < hi:  # upper bit u pairs with lower bit below + above - u
+            both = seg[lo - start:hi - start] & low[below + above - lo:below + above - hi:-1]
+            ks.append(np.flatnonzero(both) + (lo - above))
+    return np.concatenate(ks) + (1 - half % 2)
 
 
 def interval_sum_check(n: int) -> IntervalSumReport:
@@ -353,15 +360,14 @@ def interval_sum_check(n: int) -> IntervalSumReport:
     they are the pairs n/2 +- 2k that symmetric_pair_check finds, read
     from the same AND. pairs_checked is summed exactly, as a Python
     int: at 1e8 it would be 3.5e19, past 2**63. On a 2-core x86-64 VM
-    a call takes 3 ms at 4e4, 0.05 s at 1e6, and 0.45-0.50 s with 46 MB
-    peak RSS (VmHWM) at MAX_INTERVAL_SUM_N = 1e7.
+    a call takes 2 ms at 4e4, 0.03-0.05 s at 1e6, and 0.31-0.34 s with
+    43 MB peak RSS (VmHWM) at MAX_INTERVAL_SUM_N = 1e7.
     """
     _check_even(n, 12)
     if n > MAX_INTERVAL_SUM_N:
         raise BoundError(f"n {n} exceeds interval-sum bound {MAX_INTERVAL_SUM_N}")
     half = n // 2
-    bitmap = odd_prime_bitmap(n)
-    primes = np.concatenate(([2], 2 * np.flatnonzero(bitmap) + 1))
+    primes = sieve_primes(n)
     sampled, pairs, filled, violations = (n - 2) // 4, 0, 0, []
     for f0 in range(1, sampled + 1, BLOCK_EVENS):
         k2 = 2 * (half // 2 - np.arange(f0, min(f0 + BLOCK_EVENS, sampled + 1)))
@@ -381,7 +387,7 @@ def interval_sum_check(n: int) -> IntervalSumReport:
             us, ls = primes[ulo[i] : uhi[i]].tolist(), primes[llo[i] : lhi[i]].tolist()
             violations += [(f0 + i, rho, q) for rho in us for q in ls
                            if not half + 1 < rho + q <= n]
-    ks = _symmetric_ks(bitmap, half)[::-1].tolist() if half % 2 else []
+    ks = _symmetric_ks(n)[::-1].tolist() if half % 2 else []
     exact = [(half // 2 - k, half + 2 * k, half - 2 * k) for k in ks]
     return IntervalSumReport(
         n=n,
@@ -399,15 +405,17 @@ def symmetric_pair_check(n: int) -> SymmetricPairReport:
     For odd n/2 the members are n/2 +- 2k (k >= 0); for even n/2 they
     are n/2 +- (2k-1) (k >= 1), keeping both members odd. All working
     k up to n/4 are returned; existence is equivalent to n having a
-    Goldbach decomposition. Both members are read from one bitmap of
-    the odd numbers up to n by one AND (_symmetric_ks). At
-    MAX_SYMMETRIC_N = 1e8 a call takes 0.42 s and 113 MB peak RSS on
-    a 2-core x86-64 VM (1e9 would take 4.7 s and 848 MB).
+    Goldbach decomposition. Both members are read from the odd-number
+    stream to n: its lower half is copied as it streams, and each
+    segment's upper part is ANDed with the mirrored copy
+    (_symmetric_ks). At MAX_SYMMETRIC_N = 1e8 a call takes 0.16-0.22 s
+    and peaks at 65 MB RSS (VmHWM) on a 2-core x86-64 VM; 1e9 would
+    take 2.9 s and 307 MB, most of it the 250 MB copy and the 2.27M k.
     """
     _check_even(n, 6)
     if n > MAX_SYMMETRIC_N:
         raise BoundError(f"n {n} exceeds symmetric-pair bound {MAX_SYMMETRIC_N}")
-    ks = _symmetric_ks(odd_prime_bitmap(n), n // 2).tolist()
+    ks = _symmetric_ks(n).tolist()
     return SymmetricPairReport(n, bool(ks), tuple(ks))
 
 

@@ -152,7 +152,7 @@ def density(ova: int, rotations: int) -> Fraction:
     clears the rotations G = -ova/360 (mod p) from the first term >= p*p
     on, so a base prime on the line itself survives. Memory is one
     segment plus the base primes: at MAX_DENSITY_ROTATIONS = 1e8 a call
-    takes 0.38-0.41 s and 33 MB peak RSS on a 2-core x86-64 VM.
+    takes 0.5-0.8 s and 34 MB peak RSS (VmHWM) on a 2-core x86-64 VM.
     """
     _require_cstar(ova)
     if rotations < 1:

@@ -19,13 +19,7 @@ from functools import cache
 import numpy as np
 
 from .errors import BoundError, DomainError
-from .primality import (
-    MAX_STREAM_LIMIT,
-    _check_sieve_limit,
-    is_prime,
-    is_prime_big,
-    odd_prime_bitmap,
-)
+from .primality import _check_sieve_limit, is_prime, is_prime_big, sieve_primes
 
 MODULUS = 360
 # Most coefficients genfunc_coefficients computes; see there for the cost.
@@ -196,17 +190,17 @@ SAFE_PRIME_CLASSES = frozenset(
     (2 * q + 1) % MODULUS for q in range(MODULUS // 2)
     if math.gcd(q * (2 * q + 1), 30) == 1
 ) | {5, 7, 11}
-# odd_prime_bitmap of this limit holds every safe prime up to it, which
-# gives each of the 21 classes a witness: the last, 323, at 3203.
+# The safe primes up to this limit give each of the 21 classes a
+# witness: the last, 323, at 3203.
 _SAFE_PREFIX = 4096
 
 
 def germain_residues(limit: int) -> frozenset[int]:
     """Residues of safe primes 2q+1 <= limit over Germain primes q.
 
-    Read from one odd_prime_bitmap(min(limit, 4096)): the odd Germain
-    prime q = 2i+1 has its safe prime 4i+3 at bit 2i+1, so the safe
-    primes are the i with bits i and 2i+1 both set.
+    Read from the primes ps = sieve_primes(min(limit, 4096)): the safe
+    primes are the members of ps that are 2q+1 for some q in ps, q = 2
+    (which gives 5) included.
 
     The answer lies in SAFE_PRIME_CLASSES, and every one of those
     classes has a witness by 3203 (q = 1601 gives the last, 323), so
@@ -216,10 +210,12 @@ def germain_residues(limit: int) -> frozenset[int]:
     """
     if limit < 7:
         raise DomainError(f"limit must be >= 7, got {limit}")
-    _check_sieve_limit(limit, MAX_STREAM_LIMIT)
-    bits = odd_prime_bitmap(min(limit, _SAFE_PREFIX))
-    safe = np.flatnonzero(bits[:bits.size // 2] & bits[1::2])
-    out = frozenset(((4 * safe + 3) % MODULUS).tolist()) | {5}  # q = 2 gives 5
+    _check_sieve_limit(limit)
+    ps = sieve_primes(min(limit, _SAFE_PREFIX))
+    # both ascending, so assume_unique: that skips np.unique, whose
+    # first call imports numpy.ma (14-23 ms)
+    safe = np.intersect1d(2 * ps + 1, ps, assume_unique=True)
+    out = frozenset((safe % MODULUS).tolist())
     if limit > _SAFE_PREFIX and not out >= SAFE_PRIME_CLASSES:
         raise AssertionError(
             f"safe primes to {_SAFE_PREFIX} miss classes "

@@ -1,8 +1,9 @@
 """Prime generation and primality testing.
 
 Provides one segmented sieve over an arithmetic progression: over the
-odd numbers it is streamed one segment at a time or written into one
-numpy bitmap, and matrix.density runs it over a residue line z + 360*G.
+odd numbers it is streamed one segment at a time, which the prime list
+and every scan read, and matrix.density runs it over a residue line
+z + 360*G.
 Also one Miller-Rabin body behind two entry points, and the factorial
 construction of prime-free intervals together with the gap identity
 around them. The body answers n < 256 from a table and rejects any
@@ -24,23 +25,19 @@ import numpy as np
 
 from .errors import BoundError, CounterexampleFound, DomainError
 
-# odd_prime_bitmap takes limit/2 bytes, 1 GB at this bound. The verbs
-# that read it whole (sieve, symmetric, interval) have smaller bounds;
-# the scans stream it under MAX_STREAM_LIMIT instead.
-MAX_SIEVE_LIMIT = 2 * 10**9
 # odd_prime_segments holds one segment, so time, not memory, bounds it.
-# At 1e10 on the same VM, `dirichlet --all` takes 54 s and peaks at
-# 35 MB. `germain` keeps this bound, though it reads only one
-# odd_prime_bitmap(4096), which already holds a safe prime in every
-# class one can take: at 1e10 it takes 0.26-0.31 s and 31 MB, start-up
-# included.
+# At 1e10 on a 2-core x86-64 VM, `dirichlet --all` takes 54 s and peaks
+# at 35 MB. `germain` keeps this bound, though it reads only the primes
+# to 4096, which already hold a safe prime in every class one can take:
+# at 1e10 it takes 0.26-0.31 s and 31 MB, start-up included.
 MAX_STREAM_LIMIT = 10**10
 # sieve_primes lists every prime, and the `sieve` verb renders each one
-# as text: at 1e8 (5.76M primes) it takes 0.7-0.9 s and peaks at 126 MB
+# as text: at 1e8 (5.76M primes) it takes 0.6-0.9 s and peaks at 121 MB
 # in every format on a 2-core x86-64 VM (VmHWM, stdout to a file,
-# start-up included): the bitmap (50 MB) and the int64 primes (46 MB),
-# with the text written part by part. JSON peaked at 166 MB while it
-# gathered the array's text before writing it.
+# start-up included): the int64 primes (46 MB) held twice while the
+# per-segment parts are joined, with the text written part by part.
+# JSON peaked at 166 MB while it gathered the array's text before
+# writing it.
 MAX_PRIME_LIST_LIMIT = 10**8
 MAX_FACTORIAL_N = 40
 
@@ -101,22 +98,19 @@ _PRESIEVE_PRIMES = (3, 5, 7, 11, 13)
 SEGMENT_ODDS = 180 << 13
 
 
-def _check_sieve_limit(limit: int, bound: int) -> None:
+def _check_sieve_limit(limit: int) -> None:
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
-    if limit > bound:
-        raise BoundError(f"limit {limit} exceeds sieve bound {bound}")
+    if limit > MAX_STREAM_LIMIT:
+        raise BoundError(f"limit {limit} exceeds sieve bound {MAX_STREAM_LIMIT}")
 
 
-def _sieve_segments(
-    first: int, step: int, count: int, out: np.ndarray | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
+def _sieve_segments(first: int, step: int, count: int) -> Iterator[tuple[int, np.ndarray]]:
     """The one strike loop, over the progression first + step*i for i
     in [0, count); step is even and coprime to first. Yield (start, seg)
     with seg[j] == (first + step*(start+j) is prime) for consecutive
-    segments of SEGMENT_ODDS terms. seg is out[start:end] when out is
-    given (it covers all count terms), otherwise one buffer that each
-    segment overwrites.
+    segments of SEGMENT_ODDS terms, in one buffer that each segment
+    overwrites.
 
     A prime p that divides step never divides a term. Each other base
     prime p <= sqrt(last term) divides the terms with i = -first/step
@@ -126,9 +120,7 @@ def _sieve_segments(
     when it lies on the progression (Bays & Hudson, BIT 17, 1977).
     """
     size = SEGMENT_ODDS
-    if out is None:
-        out = np.empty(min(size, count), dtype=bool)
-    whole = out.size == count
+    out = np.empty(min(size, count), dtype=bool)
     pre = [q for q in _PRESIEVE_PRIMES if step % q]
     period = math.prod(pre)
     pattern = np.ones(period, dtype=bool)
@@ -146,7 +138,7 @@ def _sieve_segments(
     from_i = np.maximum(-((first - ps * ps) // step), 0)
     for start in range(0, count, size):
         end = min(start + size, count)
-        seg = out[start:end] if whole else out[:end - start]
+        seg = out[:end - start]
         o = start % period
         seg[:] = tiled[o:o + end - start]
         n = np.searchsorted(from_i, end)  # the p with a term >= p*p before end
@@ -160,36 +152,21 @@ def _sieve_segments(
 
 
 def odd_prime_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Stream the odd-number prime bitmap of odd_prime_bitmap(limit) in
-    segments: yield (start, seg) with seg[i] == (2(start+i)+1 is prime),
-    for start = 0, SEGMENT_ODDS, 2*SEGMENT_ODDS, ...
+    """Stream the primality of the odd numbers up to limit in segments:
+    yield (start, seg) with seg[i] == (2(start+i)+1 is prime), for start
+    = 0, SEGMENT_ODDS, 2*SEGMENT_ODDS, ...
 
-    seg is one buffer of SEGMENT_ODDS bytes, overwritten by the next
-    segment: copy what must outlive the iteration step. Memory is that
-    buffer plus the base primes to sqrt(limit), whatever the limit. The
-    limit is checked here, before anything is sieved.
-    """
-    _check_sieve_limit(limit, MAX_STREAM_LIMIT)
-    return _sieve_segments(1, 2, (limit + 1) // 2)
-
-
-def odd_prime_bitmap(limit: int) -> np.ndarray:
-    """Bitmap b with b[i] == (2i+1 is prime), covering odd values <= limit.
-
-    The segments of odd_prime_segments, written in place into one array
-    of limit/2 bytes, for the consumers that index it at random: the
-    prime list and the symmetric-pair and interval-sum checks. Each
-    segment starts as a slice of the tiled pre-sieve pattern, which
+    Each segment starts as a slice of the tiled pre-sieve pattern, which
     already clears the multiples of 3, 5, 7, 11 and 13, and is then
     struck by the base primes from 17 to sqrt(limit), so it stays in
-    cache while it is sieved. At limit 1e8 a call takes 0.10-0.11 s and
-    holds a 50 MB result on a 2-core x86-64 VM.
+    cache while it is sieved. seg is one buffer of SEGMENT_ODDS bytes,
+    overwritten by the next segment: copy what must outlive the
+    iteration step. Memory is that buffer plus the base primes to
+    sqrt(limit), whatever the limit. The limit is checked here, before
+    anything is sieved.
     """
-    _check_sieve_limit(limit, MAX_SIEVE_LIMIT)
-    out = np.empty((limit + 1) // 2, dtype=bool)
-    for _ in _sieve_segments(1, 2, out.size, out):
-        pass
-    return out
+    _check_sieve_limit(limit)
+    return _sieve_segments(1, 2, (limit + 1) // 2)
 
 
 def period_counts(bits: np.ndarray, start: int, period: int) -> np.ndarray:
@@ -219,14 +196,14 @@ def sieve_primes(limit: int) -> np.ndarray:
         raise BoundError(f"limit {limit} exceeds prime list bound {MAX_PRIME_LIST_LIMIT}")
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    bm = odd_prime_bitmap(limit)
-    bm[0] = True  # the value 1 stands for 2
-    # index i is 2i+1, mapped in place so the list is one allocation
-    primes = np.flatnonzero(bm)
-    primes *= 2
-    primes += 1
-    primes[0] = 2
-    return primes
+    parts = [np.array([2], dtype=np.int64)]
+    for start, seg in odd_prime_segments(limit):
+        # index i is 2(start+i)+1, mapped in place
+        odd = np.flatnonzero(seg)
+        odd *= 2
+        odd += 2 * start + 1
+        parts.append(odd)
+    return np.concatenate(parts)
 
 
 def _strong_probable_prime(n: int, d: int, r: int, a: int) -> bool:

@@ -159,11 +159,10 @@ def reference_lucas_lehmer():
 
 def loop_interval_sum_check(n: int):
     """goldbach.interval_sum_check as a loop over f: both windows'
-    primes listed from odd_prime_bitmap(n), the extremes tested, every
-    pair enumerated if they fail, and each upper prime looked up in a
-    set of the lower ones."""
+    primes listed from the reference bitmap to n, the extremes tested,
+    every pair enumerated if they fail, and each upper prime looked up
+    in a set of the lower ones."""
     from ova360.goldbach import IntervalSumReport
-    from ova360.primality import odd_prime_bitmap
 
     def window(bitmap, w):
         # primes strictly between w/2 and w, ascending
@@ -174,7 +173,7 @@ def loop_interval_sum_check(n: int):
 
     half = n // 2
     fs = range(1, (n - 2) // 4 + 1)
-    bitmap = odd_prime_bitmap(n)
+    bitmap = segmented_odd_prime_bitmap(n)
     pairs = empty = 0
     violations, exact = [], []
     for f in fs:
@@ -207,10 +206,10 @@ def reference_interval_sum_loop():
 
 
 def segmented_odd_prime_bitmap(limit: int, segment_odds: int = 1 << 22) -> np.ndarray:
-    """primality.odd_prime_bitmap without the pre-sieve: a plain
-    odd-only base sieve to sqrt(limit), then segments that start as all
-    ones, are struck by every odd base prime and are copied into the
-    result. b[i] == (2i+1 is prime)."""
+    """The joined segments of primality.odd_prime_segments without the
+    pre-sieve: a plain odd-only base sieve to sqrt(limit), then segments
+    that start as all ones, are struck by every odd base prime and are
+    copied into one result. b[i] == (2i+1 is prime)."""
     n_odds = (limit + 1) // 2
     root = max(math.isqrt(limit), 7)
     base = np.ones((root + 1) // 2, dtype=bool)
@@ -281,14 +280,12 @@ def reference_germain_residues():
 
 
 def whole_bitmap_residue_counts(x: int) -> tuple[int, ...]:
-    """matrix.residue_counts on one whole odd_prime_bitmap(x), folded
-    by 180 with the short last row added on top."""
-    from ova360.primality import odd_prime_bitmap
-
+    """matrix.residue_counts on one whole reference bitmap to x,
+    folded by 180 with the short last row added on top."""
     counts = np.zeros(360, dtype=np.int64)
     if x < 2:
         return tuple(counts.tolist())
-    bm = odd_prime_bitmap(x)
+    bm = segmented_odd_prime_bitmap(x)
     whole = bm.size - bm.size % 180
     cols = np.count_nonzero(bm[:whole].reshape(-1, 180), axis=0)
     cols[:bm.size - whole] += bm[whole:]
@@ -298,11 +295,9 @@ def whole_bitmap_residue_counts(x: int) -> tuple[int, ...]:
 
 
 def whole_bitmap_germain_residues(limit: int) -> frozenset[int]:
-    """ova.germain_residues on one whole odd_prime_bitmap(limit): the
-    safe-prime mask bm[:m] & bm[1:2m:2], folded by 90."""
-    from ova360.primality import odd_prime_bitmap
-
-    bm = odd_prime_bitmap(limit)
+    """ova.germain_residues on one whole reference bitmap to limit:
+    the safe-prime mask bm[:m] & bm[1:2m:2], folded by 90."""
+    bm = segmented_odd_prime_bitmap(limit)
     m = (limit - 3) // 4 + 1
     safe = bm[:m] & bm[1:2 * m:2]
     whole = m - m % 90
@@ -403,16 +398,16 @@ def reference_block_smallest_p():
 
 
 def whole_bitmap_scan(limit: int, on_block=None):
-    """goldbach.scan on one whole odd_prime_bitmap(limit), which it
+    """goldbach.scan on one whole reference bitmap to limit, which it
     reads for every n - p and every p; limit must be a valid scan
     limit."""
     from ova360.goldbach import GoldbachScanReport
-    from ova360.primality import odd_prime_bitmap
 
     four_j = (limit - 12) // 2
     four_wit = None
     max_p, argmax_n, failures = -1, 6, []
-    for first, best in _whole_bitmap_smallest_p_blocks(limit, odd_prime_bitmap(limit)):
+    bitmap = segmented_odd_prime_bitmap(limit)
+    for first, best in _whole_bitmap_smallest_p_blocks(limit, bitmap):
         if on_block is not None:
             on_block(first, best)
         i = int(np.argmax(best))
@@ -448,6 +443,23 @@ def reference_whole_bitmap_germain():
 @pytest.fixture(scope="session")
 def reference_whole_bitmap_scan():
     return whole_bitmap_scan
+
+
+def one_and_symmetric_ks(n: int) -> tuple[int, ...]:
+    """goldbach._symmetric_ks on one whole reference bitmap to n: the
+    lower members down one reversed slice and the upper members up one
+    forward slice, so one AND finds every k."""
+    bitmap = segmented_odd_prime_bitmap(n)
+    half = n // 2
+    below = (half - 1) >> 1  # bit of the largest odd <= half
+    above = half >> 1  # bit of the least odd >= half
+    both = bitmap[below:0:-1] & bitmap[above : above + below]
+    return tuple((np.flatnonzero(both) + (1 - half % 2)).tolist())
+
+
+@pytest.fixture(scope="session")
+def reference_symmetric_ks():
+    return one_and_symmetric_ks
 
 
 def line_prime_bits(ova: int, rotations: int, segment: int = 1 << 20) -> np.ndarray:

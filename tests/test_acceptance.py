@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from ova360 import goldbach, goldens, landau, matrix, mersenne, ova
-from ova360.primality import odd_prime_bitmap
+from ova360.primality import sieve_primes
 
 MERSENNE_CONSTANT_57 = (
     "0.516454178940788565330487342971522858815968553415419701441"
@@ -59,8 +59,7 @@ def test_criterion_04_mersenne_residue_law():
         assert mersenne.mersenne_residue(p) == want, p
     t0 = time.perf_counter()
     want_map = {1: 271, 5: 31, 7: 127, 11: 247}
-    bm = odd_prime_bitmap(10**5)
-    for p in (2 * np.flatnonzero(bm) + 1).tolist():
+    for p in sieve_primes(10**5).tolist():
         if p > 3:
             assert (pow(2, p, 360) - 1) % 360 == want_map[p % 12]
     assert time.perf_counter() - t0 < 5.0
@@ -135,8 +134,7 @@ def test_criterion_11_property_suites():
     assert time.perf_counter() - t0 < 1.0
 
     # digit theorems over all primes <= 10^6
-    bm = odd_prime_bitmap(10**6)
-    primes = np.concatenate(([2], 2 * np.flatnonzero(bm) + 1))
+    primes = sieve_primes(10**6)
     res = primes % 360
     assert np.all(primes % 10 == res % 10)
     mult5 = primes[(primes // 360) % 5 == 0]
@@ -145,8 +143,7 @@ def test_criterion_11_property_suites():
     assert np.all(mult25 % 1000 == (mult25 % 360) % 1000)
 
     # twin-frequency theorem over twins <= 10^7 (lower residue != 359)
-    bm7 = odd_prime_bitmap(10**7)
-    vals = 2 * np.flatnonzero(bm7) + 1
+    vals = sieve_primes(10**7)
     lo = vals[:-1][(vals[1:] - vals[:-1]) == 2]
     lo = lo[(lo > 5) & (lo % 360 != 359)]
     assert lo.size > 50000

@@ -728,7 +728,7 @@ def test_density(capsys):
 def test_density_rotations_bound_exits_1(capsys, monkeypatch):
     from ova360 import matrix
 
-    def no_sieve(first, step, count, out=None):
+    def no_sieve(first, step, count):
         raise AssertionError("sieved past the rotations bound")
 
     monkeypatch.setattr(matrix, "_sieve_segments", no_sieve)
@@ -1044,7 +1044,7 @@ _NEEDS_VMHWM = pytest.mark.skipif(not Path("/proc/self/status").exists(),
 ])
 def test_streamed_verbs_peak_under_100_mb(argv, rc, tmp_path):
     # dirichlet's whole bitmap alone would be 500 MB at 1e9; germain
-    # reads a 2 KB bitmap prefix at any limit
+    # reads the primes to 4096 at any limit
     out = tmp_path / "out"
     got_rc, peak_kb = _peak_rss(out, argv)
     assert got_rc == rc
@@ -1058,7 +1058,7 @@ def test_streamed_verbs_peak_under_100_mb(argv, rc, tmp_path):
 @_NEEDS_VMHWM
 def test_interval_sum_check_at_its_bound_peaks_under_100_mb():
     # the windows are checked one block of f at a time, so the peak is
-    # the 5 MB bitmap, the prime array and one block, not n/2 windows
+    # the 5 MB prime array and one block, not n/2 windows
     probe = """
 from ova360.goldbach import interval_sum_check
 r = interval_sum_check(10**7)
@@ -1071,6 +1071,25 @@ print(r.pairs_checked, r.empty_windows, r.violations, peak_kb)
     pairs, empty, violations, peak_kb = proc.stdout.split()
     assert (pairs, empty, violations) == ("46519147839336742", "0", "()")
     assert int(peak_kb) * 1024 < 100 * 10**6, peak_kb
+
+
+@_NEEDS_VMHWM
+def test_symmetric_pair_check_at_its_bound_peaks_under_80_mb():
+    # the lower half is copied from the stream (25 MB at 1e8) and the
+    # upper half ANDed with it segment by segment: 105 MB when both
+    # halves were read from one whole bitmap
+    probe = """
+from ova360.goldbach import symmetric_pair_check
+r = symmetric_pair_check(10**8)
+""" + _READ_PEAK_KB + """
+print(len(r.k_values), peak_kb)
+"""
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    count, peak_kb = proc.stdout.split()
+    assert count == "291400"
+    assert int(peak_kb) * 1024 < 80 * 10**6, peak_kb
 
 
 @_NEEDS_VMHWM

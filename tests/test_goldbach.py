@@ -511,7 +511,8 @@ def test_window_checks_fail_before_sieving(monkeypatch):
     def no_sieve(limit):
         raise AssertionError("sieved past the bound")
 
-    monkeypatch.setattr(goldbach, "odd_prime_bitmap", no_sieve)
+    monkeypatch.setattr(goldbach, "odd_prime_segments", no_sieve)
+    monkeypatch.setattr(goldbach, "sieve_primes", no_sieve)
     with pytest.raises(BoundError):
         interval_sum_check(goldbach.MAX_INTERVAL_SUM_N + 2)
     with pytest.raises(BoundError):
@@ -556,6 +557,25 @@ def test_symmetric_matches_per_pair_lookup(oracle_prime_set_10k):
             if offset >= 0 and lo >= 3 and {lo, hi} <= oracle_prime_set_10k:
                 want.append(k)
         assert symmetric_pair_check(n).k_values == tuple(want), n
+
+
+def test_symmetric_stream_matches_one_and(monkeypatch, reference_symmetric_ks):
+    # small segments put the copy of the lower half and its mirrored
+    # slice across segment ends; one-odd segments only to 1000, as
+    # every segment costs a strike-loop pass
+    from ova360 import primality
+
+    seg = primality.SEGMENT_ODDS
+    cases = [(seg, range(6, 3001, 2)),
+             (seg, (2 * seg, 2 * seg + 2, 4 * seg - 2, 4 * seg + 2)),
+             (1, range(6, 1001, 2))]
+    cases += [(segment_odds, range(6, 3001, 2)) for segment_odds in (7, 180, 1000)]
+    for segment_odds, ns in cases:
+        monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
+        for n in ns:
+            r = symmetric_pair_check(n)
+            assert r.k_values == reference_symmetric_ks(n), (segment_odds, n)
+            assert r.exists_symmetric == bool(r.k_values)
 
 
 def test_symmetric_pairs_are_valid():

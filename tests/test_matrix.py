@@ -21,7 +21,7 @@ from ova360.matrix import (
     residue_counts,
 )
 from ova360.ova import residue_sets
-from ova360.primality import is_prime_big, odd_prime_bitmap, sieve_primes
+from ova360.primality import is_prime_big, sieve_primes
 
 GOLDEN_MATRICES = {
     7: "matrix_7.txt",
@@ -200,7 +200,7 @@ def test_density_matches_line_strike_loop_at_segment_ends(
 
 
 def test_density_bound_fails_before_sieving(monkeypatch):
-    def no_sieve(first, step, count, out=None):
+    def no_sieve(first, step, count):
         raise AssertionError("sieved past the rotations bound")
 
     monkeypatch.setattr(matrix, "_sieve_segments", no_sieve)
@@ -331,9 +331,7 @@ def test_twin_frequency_rotations():
     # twins with lower residue != 359 share their rotation; residue 359
     # pairs straddle the boundary (7559/7561 is the smallest case)
     limit = 10**6
-    bm = odd_prime_bitmap(limit)
-    idx = np.flatnonzero(bm)
-    vals = 2 * idx + 1
+    vals = sieve_primes(limit)
     twins_lo = vals[:-1][(vals[1:] - vals[:-1]) == 2]
     twins_lo = twins_lo[twins_lo > 5]
     assert twins_lo.size > 8000

@@ -217,8 +217,8 @@ def test_germain_stops_once_every_class_has_a_witness(monkeypatch,
         assert got == reference_germain_residues(limit), limit
         assert (got == ova.SAFE_PRIME_CLASSES) == (limit >= 3203), limit
     calls = []
-    real = ova.odd_prime_bitmap
-    monkeypatch.setattr(ova, "odd_prime_bitmap",
+    real = ova.sieve_primes
+    monkeypatch.setattr(ova, "sieve_primes",
                         lambda limit: calls.append(limit) or real(limit))
     for limit in (7, 3202, 3203, 4096, 4097, 10**9, 10**10):
         calls.clear()

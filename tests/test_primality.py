@@ -14,7 +14,6 @@ from ova360 import primality
 from ova360.errors import BoundError, DomainError
 from ova360.primality import (
     MAX_PRIME_LIST_LIMIT,
-    MAX_SIEVE_LIMIT,
     MAX_STREAM_LIMIT,
     SEGMENT_ODDS,
     bertrand_prime,
@@ -22,7 +21,6 @@ from ova360.primality import (
     interval_gap,
     is_prime,
     is_prime_big,
-    odd_prime_bitmap,
     odd_prime_segments,
     period_counts,
     sieve_primes,
@@ -65,18 +63,26 @@ def test_sieve_negative_limit_rejected():
 
 def test_sieve_bound():
     with pytest.raises(BoundError):
-        odd_prime_bitmap((1 << 40) + 2)
-    with pytest.raises(BoundError):
-        odd_prime_bitmap(MAX_SIEVE_LIMIT + 1)
-    with pytest.raises(BoundError):
         sieve_primes(MAX_PRIME_LIST_LIMIT + 1)
+
+
+def _assert_matches_reference(limit, reference_odd_prime_bitmap):
+    """The joined stream and the prime list to limit both equal the
+    reference bitmap's."""
+    case = (primality.SEGMENT_ODDS, limit)
+    want = reference_odd_prime_bitmap(limit)
+    got = _streamed(limit)
+    assert got.dtype == bool
+    assert np.array_equal(got, want), case
+    primes = sieve_primes(limit)
+    assert primes.dtype == np.int64
+    two = [2] if limit >= 2 else []
+    assert primes.tolist() == two + (2 * np.flatnonzero(want) + 1).tolist(), case
 
 
 def test_bitmap_matches_reference_at_every_small_limit(reference_odd_prime_bitmap):
     for limit in range(1, 3001):
-        got = odd_prime_bitmap(limit)
-        assert got.dtype == bool
-        assert np.array_equal(got, reference_odd_prime_bitmap(limit)), limit
+        _assert_matches_reference(limit, reference_odd_prime_bitmap)
 
 
 def test_bitmap_matches_reference_at_period_and_segment_ends(monkeypatch,
@@ -84,23 +90,19 @@ def test_bitmap_matches_reference_at_period_and_segment_ends(monkeypatch,
     # the pre-sieve pattern repeats every 15015 odds, i.e. 30030 values
     for k in (1, 2, 3, 7):
         for limit in range(30030 * k - 2, 30030 * k + 3):
-            assert np.array_equal(odd_prime_bitmap(limit),
-                                  reference_odd_prime_bitmap(limit)), limit
+            _assert_matches_reference(limit, reference_odd_prime_bitmap)
     for limit in (2 * SEGMENT_ODDS - 1, 2 * SEGMENT_ODDS + 1, 4 * SEGMENT_ODDS):
-        assert np.array_equal(odd_prime_bitmap(limit),
-                              reference_odd_prime_bitmap(limit)), limit
+        _assert_matches_reference(limit, reference_odd_prime_bitmap)
     # segment ends: the last odd of segment j is 2 * j * segment_odds - 1
     for segment_odds in (180, 1000, 15015, 15016):
         monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
         for j in (1, 2, 5):
             for limit in range(2 * j * segment_odds - 3, 2 * j * segment_odds + 2):
-                got = odd_prime_bitmap(limit)
-                assert np.array_equal(got, reference_odd_prime_bitmap(limit)), (
-                    segment_odds, limit)
+                _assert_matches_reference(limit, reference_odd_prime_bitmap)
 
 
 def test_bitmap_matches_reference_at_1e7(reference_odd_prime_bitmap):
-    assert np.array_equal(odd_prime_bitmap(10**7), reference_odd_prime_bitmap(10**7))
+    _assert_matches_reference(10**7, reference_odd_prime_bitmap)
 
 
 def _streamed(limit):
@@ -118,7 +120,7 @@ def _streamed(limit):
 
 def test_segments_join_to_the_bitmap(monkeypatch, reference_odd_prime_bitmap):
     for limit in (2 * SEGMENT_ODDS - 1, 2 * SEGMENT_ODDS + 1, 10**7):
-        assert np.array_equal(_streamed(limit), odd_prime_bitmap(limit)), limit
+        assert np.array_equal(_streamed(limit), reference_odd_prime_bitmap(limit)), limit
     for segment_odds in (1, 2, 7, 180, 1000):
         monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
         for limit in range(1, 400):
@@ -160,7 +162,7 @@ def test_period_counts_match_bincount():
 
 
 def test_bitmap_indexing():
-    bm = odd_prime_bitmap(100)
+    bm = _streamed(100)
     assert not bm[0]  # 1
     assert bm[1] and bm[2]  # 3, 5
     assert not bm[4]  # 9
