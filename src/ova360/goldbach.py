@@ -35,8 +35,8 @@ MAX_SYMMETRIC_N = 10**8
 # Largest n accepted by bertrand_construction, which tests the odd
 # numbers down from n - 3 with is_prime_big, so its cost grows with
 # the digits of n and the distance to the prime. On a 2-core x86-64 VM
-# ten n near 1e300 took 0.2-1.0 s (the slowest one 1615 above its
-# prime), and four n near 1e400 0.7-5.0 s.
+# ten n near 1e300 took 0.04-0.52 s (the slowest one 966 above its
+# prime), and four n near 1e400 0.18-6.4 s (the slowest one 6220 above).
 MAX_CONSTRUCT_N = 10**300
 # Evens per scan block: the block's slices of the bitmap and its result
 # array stay in cache. interval_sum_check reads it too, as the f per

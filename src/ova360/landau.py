@@ -151,7 +151,7 @@ def enumerate_k2_plus_1(limit: int) -> list[int]:
     """Ascending primes of the form k**2 + 1 up to limit.
 
     One Miller-Rabin call per even k <= sqrt(limit - 1): at
-    MAX_LANDAU_LIMIT = 1e12 a call takes 4.2-4.6 s and 30 MB peak RSS
+    MAX_LANDAU_LIMIT = 1e12 a call takes 3.0-4.3 s and 30 MB peak RSS
     on a 2-core x86-64 VM.
     """
     return list(_k2_plus_1_primes(limit))
@@ -184,7 +184,7 @@ def quad_families(ova: int, alphas) -> list[FamilyRow]:
     families, the most of any residue) takes 0.9 s as plain and 2.0 s as
     JSON over MAX_FAMILY_ALPHAS = 1e4 alphas, and 8.3 s and 21 s over
     1e5. A test's cost grows with the digits of its value: one alpha of
-    1e1000 takes 0.5 s. Up to MAX_FAMILY_ALPHA = 1e7 every family value
+    1e1000 takes 0.8-1.0 s. Up to MAX_FAMILY_ALPHA = 1e7 every family value
     is below 2**64, well inside Miller-Rabin's exact fixed bases, and
     1e4 alphas just below 1e7 take 2.6 s as plain and 4.1 s as JSON,
     against 1.4 s and 2.5 s at 0..9999 in the same session. More alphas

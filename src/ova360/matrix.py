@@ -82,10 +82,10 @@ def build_matrix(ova: int, k: int, start: int = 1) -> OvaMatrix:
 
     Each of the k**2 entries is one primality test, whose cost grows
     with the size of start: at k = 60 a call takes 0.04 s at start 1e9,
-    0.3 s at 1e18, 1.6 s at MAX_MATRIX_START = 1e100 and 18 s at 1e400
-    on a 2-core x86-64 VM. At start 1, build plus matrix_stats take
+    0.1 s at 1e18, 0.4-0.7 s at MAX_MATRIX_START = 1e100 and 12-14 s at
+    1e400 on a 2-core x86-64 VM. At start 1, build plus matrix_stats take
     0.11 s at MAX_MATRIX_K = 100, 1.4 s at k = 200 and 3.0 s at 250;
-    at start 1e100, 3.8 s at k = 100 and 15.5 s at 200. k or start past
+    at start 1e100, 1.5 s at k = 100 and 6.5 s at 200. k or start past
     its bound raises BoundError before any test.
     """
     _require_cstar(ova)

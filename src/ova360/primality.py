@@ -6,18 +6,19 @@ and every scan read, and matrix.density runs it over a residue line
 z + 360*G.
 Also one Miller-Rabin body behind two entry points, and the factorial
 construction of prime-free intervals together with the gap identity
-around them. The body answers n < 256 from a table and rejects any
-larger n sharing a factor with 251#. Below psi_13 ~ 3.3e24 the bases
-come from the exact bound table of Jaeschke (Math. Comp. 61, 1993) and
-Sorenson & Webster (Math. Comp. 86, 2017); from psi_13 up, bases 2 and
-3 are followed by 38 bases drawn lazily from a generator seeded by n,
-so a verdict there is probable, with error below 4**-40.
+around them. The body answers n < 256 from a table, rejects any larger
+n sharing a factor with 251#, and raises BoundError past _MAX_TEST_BITS
+before any round. Below psi_13 ~ 3.3e24 the bases come from the exact
+bound table of Jaeschke (Math. Comp. 61, 1993) and Sorenson & Webster
+(Math. Comp. 86, 2017), so a verdict there is exact. From psi_13 up it
+is BPSW: a strong test to base 2 and a strong Lucas test with
+Selfridge's parameters (Baillie & Wagstaff, Math. Comp. 35, 1980). No
+composite is known to pass both, but no error bound is proven.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -32,16 +33,18 @@ from .errors import BoundError, CounterexampleFound, DomainError
 # at 1e10 it takes 0.26-0.31 s and 31 MB, start-up included.
 MAX_STREAM_LIMIT = 10**10
 # sieve_primes lists every prime, and the `sieve` verb renders each one
-# as text: at 1e8 (5.76M primes) it takes 0.6-0.9 s and peaks at 121 MB
-# in every format on a 2-core x86-64 VM (VmHWM, stdout to a file,
-# start-up included): the int64 primes (46 MB) held twice while the
-# per-segment parts are joined, with the text written part by part.
-# JSON peaked at 166 MB while it gathered the array's text before
-# writing it.
+# as text: at 1e8 (5.76M primes) it takes 0.7 s and peaks at 81 MB in
+# every format on a 2-core x86-64 VM (peak RSS, stdout to a file,
+# start-up included): the int64 primes (46 MB), filled in place segment
+# by segment, with the text written part by part.
 MAX_PRIME_LIST_LIMIT = 10**8
 MAX_FACTORIAL_N = 40
-
-_U64 = 1 << 64
+# The primality body raises BoundError past this size, before any round.
+# At 10000 bits, on a 2-core x86-64 VM, the base-2 round takes 2.8 s,
+# which stops most composites, and the Lucas half a further 9.4 s. The
+# largest value a bounded library call passes, 2**9942 - 1 (2993 digits:
+# mersenne_properties' 2m + 1 at p = 9941), fits.
+_MAX_TEST_BITS = 10_000
 _SMALL_PRIMES = frozenset(
     n for n in range(2, 256) if all(n % d for d in range(2, math.isqrt(n) + 1))
 )
@@ -53,7 +56,8 @@ _BASES_BELOW = (
     (2047, (2,)),
     (1373653, (2, 3)),
     (25326001, (2, 3, 5)),
-    (3215031751, (2, 3, 5, 7)),
+    (4759123141, (2, 7, 61)),
+    (1122004669633, (2, 13, 23, 1662803)),
     (2152302898747, (2, 3, 5, 7, 11)),
     (3474749660383, (2, 3, 5, 7, 11, 13)),
     (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
@@ -196,14 +200,19 @@ def sieve_primes(limit: int) -> np.ndarray:
         raise BoundError(f"limit {limit} exceeds prime list bound {MAX_PRIME_LIST_LIMIT}")
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    parts = [np.array([2], dtype=np.int64)]
+    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser & Schoenfeld 1962); the
+    # pages past the count are never written, so they are never mapped in
+    out = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    out[0] = 2
+    count = 1
     for start, seg in odd_prime_segments(limit):
-        # index i is 2(start+i)+1, mapped in place
+        # index i is 2(start+i)+1
         odd = np.flatnonzero(seg)
-        odd *= 2
-        odd += 2 * start + 1
-        parts.append(odd)
-    return np.concatenate(parts)
+        part = out[count:count + odd.size]
+        np.multiply(odd, 2, out=part)
+        part += 2 * start + 1
+        count += odd.size
+    return out[:count]
 
 
 def _strong_probable_prime(n: int, d: int, r: int, a: int) -> bool:
@@ -225,11 +234,68 @@ def _odd_part(n: int) -> tuple[int, int]:
     return d >> r, r
 
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test with Selfridge's parameters: D is the
+    first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and Q = (1 - D)/4.
+    With n + 1 = d * 2**s and d odd, n passes when U_d = 0 or
+    V_(d*2**r) = 0 (mod n) for some 0 <= r < s. n is odd, above 256 and
+    free of the primes below it.
+
+    A square n is rejected first: (D/n) is then never -1, so the search
+    for D would not end. V_d, V_(d+1) and Q**d come from one ladder over
+    the bits of d, and U_d = 0 iff 2 V_(d+1) = V_d, because
+    D U_k = 2 V_(k+1) - P V_k and D is prime to n.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else -D + 2
+    if j == 0:  # gcd(D, n) > 1 with |D| < n
+        return False
+    q = (1 - D) // 4 % n
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    v, w, qk = 1, (1 - 2 * q) % n, q  # V_1, V_2 and Q**1
+    for bit in bin(d)[3:]:
+        if bit == "1":  # k -> 2k + 1
+            v, w, qk = (v * w - qk) % n, (w * w - 2 * qk * q) % n, qk * qk * q % n
+        else:  # k -> 2k
+            v, w, qk = (v * v - 2 * qk) % n, (v * w - qk) % n, qk * qk % n
+    if (2 * w - v) % n == 0:
+        return True
+    for _ in range(s):
+        if v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return False
+
+
 def _miller_rabin(n: int) -> bool:
     """The body behind is_prime and is_prime_big: exact below psi_13,
-    probable from there up."""
+    BPSW from there up."""
     if n < 256:
         return n in _SMALL_PRIMES
+    if n.bit_length() > _MAX_TEST_BITS:
+        raise BoundError(f"n has {n.bit_length()} bits, past the primality "
+                         f"bound of {_MAX_TEST_BITS} bits")
     if math.gcd(n, _PRIMORIAL_251) != 1:
         return False
     d, r = _odd_part(n)
@@ -237,17 +303,11 @@ def _miller_rabin(n: int) -> bool:
         if n < bound:
             break
     else:
-        bases = (2, 3)
+        bases = (2,)
     for a in bases:
         if not _strong_probable_prime(n, d, r, a):
             return False
-    if n < _PSI_13:
-        return True
-    rng = random.Random(n & (_U64 - 1))  # seeding costs half a round: not before
-    for _ in range(38):
-        if not _strong_probable_prime(n, d, r, rng.randrange(2, n - 1)):
-            return False
-    return True
+    return n < _PSI_13 or _strong_lucas_probable_prime(n)
 
 
 def is_prime(n: int) -> bool:
@@ -259,12 +319,13 @@ def is_prime(n: int) -> bool:
 
 
 def is_prime_big(n: int) -> bool:
-    """Primality for arbitrary integers.
+    """Primality for integers of up to 10000 bits; a larger n raises
+    BoundError before any round.
 
-    Exact below psi_13 ~ 3.3e24, as is_prime. From psi_13 up,
-    Miller-Rabin with bases 2 and 3 and then 38 bases drawn, as they are
-    needed, from a generator seeded by n, so repeat calls agree. Those
-    verdicts are probable: the error probability is below 4**-40.
+    Exact below psi_13 ~ 3.3e24, as is_prime. From psi_13 up it is
+    BPSW: a strong test to base 2, then a strong Lucas test with
+    Selfridge's parameters. No composite is known to pass both, but
+    that is not proven, so no error bound is given.
     """
     return _miller_rabin(n)
 

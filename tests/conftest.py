@@ -7,7 +7,6 @@ import dataclasses
 import enum
 import json
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -69,36 +68,6 @@ def bitmap_without_three(monkeypatch):
     monkeypatch.setattr(goldbach, "odd_prime_segments", without_three)
 
 
-# psi_13, the least strong pseudoprime to the prime bases 2 to 41
-# (Sorenson & Webster 2017): from here up is_prime_big draws random bases
-PSI_13 = 3317044064679887385961981
-
-
-def eager_is_prime_big(n: int) -> bool:
-    """Miller-Rabin for n >= psi_13 with bases 2, 3 and 38 bases drawn
-    up front from random.Random(n mod 2**64): the eager form of
-    primality.is_prime_big, which draws the same bases lazily."""
-    assert n >= PSI_13
-    if n % 2 == 0:
-        return False
-    d = n - 1
-    r = (d & -d).bit_length() - 1
-    d >>= r
-    rng = random.Random(n & ((1 << 64) - 1))
-    bases = [2, 3] + [rng.randrange(2, n - 1) for _ in range(38)]
-    for a in bases:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def plain_lucas_lehmer(p: int) -> bool:
     """2**p - 1 is prime, by the Lucas-Lehmer squaring loop alone; p an
     odd prime."""
@@ -145,11 +114,6 @@ def fraction_interval_sum_check(n: int, prime_set: set[int]):
         n=n, sampled=len(fs), pairs_checked=pairs, violations=tuple(violations),
         empty_windows=empty, exact_pairs=tuple(exact),
     )
-
-
-@pytest.fixture(scope="session")
-def reference_is_prime_big():
-    return eager_is_prime_big
 
 
 @pytest.fixture(scope="session")

@@ -523,6 +523,19 @@ def test_goldbach_combine_zero_hit_finding(capsys):
     assert "hits=[]" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("goldbach", "combine", "--p1", str(10**4000 + 1), "--p2", "7"),
+    ("mersenne", "classify", "--p", str(10**4000 + 1)),
+])
+def test_a_prime_past_the_size_bound_exits_1_with_one_short_line(capsys, argv):
+    # the primality core checks the size before any round, and names the
+    # size, not the 4001-digit number
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err.endswith("\n") and err.count("\n") == 1 and len(err) < 100, err
+    assert "13288 bits" in err
+
+
 def test_mersenne_classify(capsys):
     rc, out, _ = run(capsys, "mersenne", "classify", "--p", "13")
     assert rc == 0
@@ -1090,6 +1103,24 @@ print(len(r.k_values), peak_kb)
     count, peak_kb = proc.stdout.split()
     assert count == "291400"
     assert int(peak_kb) * 1024 < 80 * 10**6, peak_kb
+
+
+@_NEEDS_VMHWM
+def test_sieve_primes_at_its_bound_peaks_under_95_mb():
+    # one int64 array (46 MB at 1e8) filled segment by segment: 118 MB
+    # when the per-segment parts were joined by a copy
+    probe = """
+from ova360.primality import sieve_primes
+p = sieve_primes(10**8)
+""" + _READ_PEAK_KB + """
+print(p.size, p[-1], peak_kb)
+"""
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    count, last, peak_kb = proc.stdout.split()
+    assert (count, last) == ("5761455", "99999989")
+    assert int(peak_kb) * 1024 < 95 * 10**6, peak_kb
 
 
 @_NEEDS_VMHWM

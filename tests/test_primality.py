@@ -264,14 +264,16 @@ def test_bertrand_dense_small_range():
 PSI_12 = 318665857834031151167461
 PSI_13 = 3317044064679887385961981
 # Least strong pseudoprimes to the bases 2, 2..3, ..., 2..17, 2..23,
-# 2..37 (psi_12) and 2..41 (psi_13) (Jaeschke 1993; Sorenson & Webster
-# 2017), with those bases. From psi_13 up, is_prime_big draws seeded
-# random bases after 2 and 3.
+# 2..37 (psi_12) and 2..41 (psi_13), and to 2, 7, 61 and 2, 13, 23,
+# 1662803 (Jaeschke 1993; Sorenson & Webster 2017), with those bases.
+# From psi_13 up, is_prime_big runs BPSW.
 STRONG_PSEUDOPRIME_BOUNDS = (
     (2047, (2,)),
     (1373653, (2, 3)),
     (25326001, (2, 3, 5)),
     (3215031751, (2, 3, 5, 7)),
+    (4759123141, (2, 7, 61)),
+    (1122004669633, (2, 13, 23, 1662803)),
     (2152302898747, (2, 3, 5, 7, 11)),
     (3474749660383, (2, 3, 5, 7, 11, 13)),
     (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
@@ -308,7 +310,24 @@ def test_is_prime_matches_sympy_by_bit_length(n):
         assert is_prime(p)
 
 
-def test_is_prime_big_matches_eager_bases(reference_is_prime_big):
+def test_is_prime_matches_sympy_inside_each_band():
+    # random n and the next prime after each, in every band of the base
+    # table and above psi_13
+    rng = random.Random(1993)
+    edges = [256] + [bound for bound, _ in STRONG_PSEUDOPRIME_BOUNDS] + [1 << 128]
+    for lo, hi in zip(edges, edges[1:]):
+        for _ in range(40):
+            n = rng.randrange(lo, hi)
+            p = int(sympy.nextprime(n))
+            assert is_prime_big(n) == sympy.isprime(n), n
+            assert is_prime_big(p), p
+
+
+def _passes_base_2(n):
+    return primality._strong_probable_prime(n, *primality._odd_part(n), 2)
+
+
+def test_is_prime_big_matches_bpsw_halves():
     rng = random.Random(65128)
     samples = [PSI_12, PSI_13, 3 * ((1 << 89) - 1), (1 << 64) + 1]
     for _ in range(300):
@@ -316,16 +335,46 @@ def test_is_prime_big_matches_eager_bases(reference_is_prime_big):
         n = rng.getrandbits(b) | (1 << (b - 1)) | 1
         samples += [n, int(sympy.nextprime(n))]
     for n in samples:
+        want = sympy.isprime(n)
         if n < PSI_13:  # the fixed bases
-            assert is_prime_big(n) == is_prime(n) == sympy.isprime(n), n
+            assert is_prime_big(n) == is_prime(n) == want, n
         else:
-            assert is_prime_big(n) == reference_is_prime_big(n) == sympy.isprime(n), n
+            both = _passes_base_2(n) and primality._strong_lucas_probable_prime(n)
+            assert is_prime_big(n) == both == want, n
+
+
+def test_each_bpsw_half_rejects_the_other_halfs_pseudoprimes():
+    # strong pseudoprimes to base 2, and strong Lucas pseudoprimes with
+    # Selfridge's parameters (Baillie & Wagstaff 1980)
+    for n in (2047, 3277, 4033):
+        assert _passes_base_2(n) and not primality._strong_lucas_probable_prime(n), n
+    for n in (5459, 5777, 10877):
+        assert primality._strong_lucas_probable_prime(n) and not _passes_base_2(n), n
+    # a square never ends the search for D, so the Lucas half rejects it first
+    assert not primality._strong_lucas_probable_prime(257**2)
+    assert not primality._strong_lucas_probable_prime(((1 << 89) - 1) ** 2)
 
 
 def test_psi_13_passes_bases_2_and_3_alone():
-    # psi_13 passes every fixed base, so only the seeded random bases
-    # can expose it
+    # psi_13 passes every fixed base, so only the Lucas half can expose it
     d, r = primality._odd_part(PSI_13)
     for a in STRONG_PSEUDOPRIME_BOUNDS[-1][1]:
         assert primality._strong_probable_prime(PSI_13, d, r, a), a
+    assert not primality._strong_lucas_probable_prime(PSI_13)
     assert not is_prime_big(PSI_13)
+
+
+def test_past_the_size_bound_raises_before_any_round(monkeypatch):
+    def no_round(n, d, r, a):
+        raise AssertionError("a round ran past the bound")
+
+    monkeypatch.setattr(primality, "_strong_probable_prime", no_round)
+    for n in (10**4000 + 1, 1 << primality._MAX_TEST_BITS):
+        with pytest.raises(BoundError) as info:
+            is_prime_big(n)
+        assert str(n.bit_length()) in str(info.value) and len(str(info.value)) < 80
+    # 2**9942 - 1 (mersenne_properties' 2m + 1 at p = 9941) and the
+    # largest n of _MAX_TEST_BITS bits are in bounds: 3 divides both, so
+    # the gcd with 251# rejects them before any round
+    for n in ((1 << 9942) - 1, (1 << primality._MAX_TEST_BITS) - 1):
+        assert not is_prime_big(n)
