@@ -291,9 +291,11 @@ def _write(items) -> None:
 def _witness_rows(first: int, best):
     """CSV rows "n,p,q" for one scan block, as the kernel's parts; n
     without a witness is left out."""
-    found = np.flatnonzero(best)
-    n = first + 2 * found
-    p = best[found]
+    if best.all():  # every n has a witness: no gather
+        n, p = np.arange(first, first + 2 * best.size, 2), best
+    else:
+        found = np.flatnonzero(best)
+        n, p = first + 2 * found, best[found]
     return _int_text([n, p, n - p], [",", ",", "\n"])
 
 

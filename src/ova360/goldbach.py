@@ -38,15 +38,24 @@ MAX_SYMMETRIC_N = 10**8
 # ten n near 1e300 took 0.04-0.52 s (the slowest one 966 above its
 # prime), and four n near 1e400 0.18-6.4 s (the slowest one 6220 above).
 MAX_CONSTRUCT_N = 10**300
-# Evens per scan block: the block's slices of the bitmap and its result
-# array stay in cache. interval_sum_check reads it too, as the f per
-# block of its Bertrand windows.
-BLOCK_EVENS = 1 << 16
+# Evens per scan block. A block pays fixed work (its set-ups, the Python
+# steps of its peel and gathers) however many n it holds, and its three
+# peel arrays, 768 KB at 2^18, still fit a 2 MB L2. On a 2-core x86-64
+# VM, in-process and interleaved, scans to 1e7 / 1e8 in blocks of 2^17,
+# 2^18, 2^19 and 2^20 took 0.84 / 0.82, 0.81 / 0.76, 0.83 / 0.74 and
+# 1.17 / 1.05 of their time in blocks of 2^16. interval_sum_check does
+# not read it.
+BLOCK_EVENS = 1 << 18
+# f per block of interval_sum_check's Bertrand windows: blocks of 2^18
+# made its 1e7 check no faster (0.37-0.43 against 0.36-0.45 s) and
+# bigger (63 against 40 MB VmHWM).
+_INTERVAL_BLOCK_F = 1 << 16
 # Odd primes below this are peeled off each block with dense slices;
 # the rest by gathers over the n still unresolved. There must be at
 # most 255 of them (the uint8 count in _block_smallest_p); 256 keeps
 # 53 and was the fastest cutoff measured at 1e8, level with 128-320 at
-# 1e7.
+# 1e7. In blocks of 2^18 evens it is still the fastest: 128 and 384-512
+# were slower at 1e7 and 1e8, and 192 level or slower.
 DENSE_PEEL_BELOW = 256
 # The largest p a scan block reads from its window of the stream; see
 # _smallest_p_blocks.
@@ -157,9 +166,9 @@ def scan(
     prime for n = first_n + 2i, or 0 if there is none. The primes are
     streamed, so memory is one segment, a window and one block, whatever
     the limit: on a 2-core x86-64 VM `ova360 goldbach scan --limit
-    100000000` takes 1.4-1.6 s and peaks at 37 MB RSS, interpreter and
-    numpy included, and at MAX_SCAN_LIMIT = 1e9 a scan takes 14 s and
-    38 MB.
+    100000000` takes 0.9-1.1 s and peaks at 43 MB RSS, interpreter and
+    numpy included, and at MAX_SCAN_LIMIT = 1e9 a scan takes 7-10 s and
+    44 MB.
 
     The report also carries a four-odd-primes spot witness for the
     largest even n >= 12 in range, built as 3 + 3 + p + q from the
@@ -234,15 +243,18 @@ def _block_smallest_p(
     bitmap as window[b - off].
 
     Within a block the evens are consecutive, so for a fixed p the bits
-    of n - p form one contiguous slice. The primes below
-    DENSE_PEEL_BELOW are peeled in ascending order with two in-place
-    ufuncs each over the whole block: one clears the n whose n - p is
-    prime from the unresolved mask, one counts in uint8 the primes tried
-    while n was unresolved. That count indexes n's smallest dense p, so
-    the peel writes no int64 per prime. The few n it leaves are resolved
-    by gathers over the ascending primes. On a 2-core x86-64 VM the 77
-    blocks of a scan to 1e7 spend 0.05-0.07 s in the peel and 0.02 s in
-    the gathers.
+    of n - p form one contiguous slice. The window's bits that the peel
+    reads are inverted once per block, about m + 128 bytes, and the
+    primes below DENSE_PEEL_BELOW are peeled in ascending order with two
+    in-place ufuncs each over the whole block: one ANDs the unresolved
+    mask with the slice of that composite copy, so the n whose n - p is
+    prime drop out (10 µs on 2^18 bools, where a bool greater with the
+    window itself takes 24 µs), one counts in uint8 the primes tried
+    while n was unresolved. That count indexes n's smallest dense p in a
+    byte table, so the peel writes no int64 per prime. The few n it
+    leaves are resolved by gathers over the ascending primes. On a 2-core x86-64 VM the 20
+    blocks of a scan to 1e7 spend 0.02-0.03 s in the peel, 0.011-0.017 s
+    reading p off the counts and 0.006-0.010 s in the gathers.
     """
     m = (last - first) // 2 + 1
     half = first >> 1
@@ -250,13 +262,25 @@ def _block_smallest_p(
     dense = primes[:bisect.bisect_left(primes, min(DENSE_PEEL_BELOW, last - 2))]
     unresolved = np.ones(m, dtype=bool)
     tried = np.zeros(m, dtype=np.uint8)  # dense primes run while n unresolved
+    if dense:  # bits low.. of every n - p >= 3 the peel reads, inverted
+        low = max(half - ((dense[-1] + 1) >> 1), 1)
+        composite = ~window[low - off : half + m - 2 - off]
     for p in dense:
         lo = half - ((p + 1) >> 1)  # bit of first_n - p
         skip = max(1 - lo, 0)  # leading n with n - p < 3
         rows = unresolved[skip:]
-        np.greater(rows, window[lo + skip - off : lo + m - off], out=rows)
+        np.logical_and(rows, composite[lo + skip - low : lo + m - low], out=rows)
         np.add(tried, unresolved.view(np.uint8), out=tried)
-    best = np.array(dense + [0], dtype=np.int64)[tried]
+    # n's smallest dense p, read off its count one byte of p at a time
+    # by bytes.translate: at 1e8 half the time of an int64 fancy index
+    table = np.zeros(256, dtype=np.uint16)
+    table[:len(dense)] = dense
+    counts = tried.tobytes()
+    low8 = counts.translate(table.astype(np.uint8))
+    best = np.frombuffer(low8, np.uint8).astype(np.int64)
+    if table.max() > 255:  # a cutoff above 256 has p past one byte
+        high8 = counts.translate((table >> 8).astype(np.uint8))
+        best |= np.frombuffer(high8, np.uint8).astype(np.int64) << 8
     left = np.flatnonzero(unresolved)
     qbase = half - off + left  # window index of n >> 1, every unresolved n
     for p in primes[len(dense):]:
@@ -344,7 +368,7 @@ def interval_sum_check(n: int) -> IntervalSumReport:
     either way, the windows are (n/4 + 1/2 + k, n/2 + 1 + 2k) and
     (n/4 + 1/2 - k, n/2 + 1 - 2k): each is (w/2, w) for the integer w
     = n/2 + 1 +- 2k. Each window is an index range of one ascending
-    prime array. The f are walked in blocks of BLOCK_EVENS, and one
+    prime array. The f are walked in blocks of _INTERVAL_BLOCK_F, and one
     binary search per side finds the block's windows, so their sizes
     and extremes are lookups and memory holds one block of them. The
     bound holds for all pairs of a window pair iff it holds for the two
@@ -369,8 +393,8 @@ def interval_sum_check(n: int) -> IntervalSumReport:
     half = n // 2
     primes = sieve_primes(n)
     sampled, pairs, filled, violations = (n - 2) // 4, 0, 0, []
-    for f0 in range(1, sampled + 1, BLOCK_EVENS):
-        k2 = 2 * (half // 2 - np.arange(f0, min(f0 + BLOCK_EVENS, sampled + 1)))
+    for f0 in range(1, sampled + 1, _INTERVAL_BLOCK_F):
+        k2 = 2 * (half // 2 - np.arange(f0, min(f0 + _INTERVAL_BLOCK_F, sampled + 1)))
         ulo, uhi = _window_bounds(primes, half + 1 + k2)  # the upper windows
         llo, lhi = _window_bounds(primes, half + 1 - k2)  # the lower windows
         full = (uhi > ulo) & (lhi > llo)

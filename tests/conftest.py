@@ -34,10 +34,21 @@ def oracle_prime_set_10k(oracle_primes_10k) -> set[int]:
     return set(oracle_primes_10k)
 
 
+def eratosthenes_primes(limit: int) -> list[int]:
+    """The primes <= limit by a sieve of Eratosthenes over a plain list,
+    independent of numpy and of the package."""
+    is_p = [True] * (limit + 1)
+    is_p[:2] = [False] * min(2, limit + 1)
+    for d in range(2, math.isqrt(limit) + 1):
+        if is_p[d]:
+            is_p[d * d :: d] = [False] * len(range(d * d, limit + 1, d))
+    return [n for n, flag in enumerate(is_p) if flag]
+
+
 def smallest_goldbach_p(limit: int) -> dict[int, int]:
     """For every even n in [6, limit], the smallest odd prime p with
-    n - p an odd prime, found by trial division."""
-    odd_primes = trial_division_primes(limit)[1:]
+    n - p an odd prime, by search over a list sieve's primes."""
+    odd_primes = eratosthenes_primes(limit)[1:]
     prime_set = set(odd_primes)
     out = {}
     for n in range(6, limit + 1, 2):

@@ -1069,6 +1069,18 @@ def test_streamed_verbs_peak_under_100_mb(argv, rc, tmp_path):
 
 
 @_NEEDS_VMHWM
+def test_goldbach_scan_to_1e8_peaks_under_60_mb(tmp_path):
+    # the primes stream: one segment, a window of 2^14 odds and one
+    # block of 2^18 evens with its peel arrays, about 43 MB in all
+    out = tmp_path / "out"
+    rc, peak_kb = _peak_rss(out, ("goldbach", "scan", "--limit", "100000000"))
+    assert rc == 0
+    assert peak_kb * 1024 < 60 * 10**6, peak_kb
+    first = out.read_text().splitlines()[0].split()
+    assert (first[0], first[-1]) == ("checked=49999998", "failures=0")
+
+
+@_NEEDS_VMHWM
 def test_interval_sum_check_at_its_bound_peaks_under_100_mb():
     # the windows are checked one block of f at a time, so the peak is
     # the 5 MB prime array and one block, not n/2 windows

@@ -481,8 +481,8 @@ def test_interval_sum_check_enumerates_violating_pairs(monkeypatch):
                  if not n // 2 + 1 < rho + q <= n]
     # both sides of the bound: 47 + 2 <= n/2 + 1 and 97 + 5 > n
     assert {(1, 47, 2), (2, 97, 5)} <= set(want)
-    for block in (7, goldbach.BLOCK_EVENS):
-        monkeypatch.setattr(goldbach, "BLOCK_EVENS", block)
+    for block in (7, goldbach._INTERVAL_BLOCK_F):
+        monkeypatch.setattr(goldbach, "_INTERVAL_BLOCK_F", block)
         r = interval_sum_check(n)
         assert (r.violations, r.pairs_checked) == (tuple(want), pairs), block
 
@@ -493,8 +493,8 @@ def test_interval_sum_pairs_checked_is_exact_past_int64(monkeypatch):
     # or summed across two blocks of one f
     monkeypatch.setattr(goldbach, "_window_bounds", lambda primes, w: (
         np.zeros_like(w), np.full_like(w, 3 * 10**9)))
-    for block in (1, goldbach.BLOCK_EVENS):
-        monkeypatch.setattr(goldbach, "BLOCK_EVENS", block)
+    for block in (1, goldbach._INTERVAL_BLOCK_F):
+        monkeypatch.setattr(goldbach, "_INTERVAL_BLOCK_F", block)
         r = interval_sum_check(12)
         assert type(r.pairs_checked) is int
         assert r.pairs_checked == 2 * (3 * 10**9) ** 2
@@ -502,7 +502,7 @@ def test_interval_sum_pairs_checked_is_exact_past_int64(monkeypatch):
 
 def test_interval_sum_check_is_the_same_in_blocks_of_7(monkeypatch):
     want = [interval_sum_check(n) for n in range(12, 4001, 2)]
-    monkeypatch.setattr(goldbach, "BLOCK_EVENS", 7)
+    monkeypatch.setattr(goldbach, "_INTERVAL_BLOCK_F", 7)
     for n, report in zip(range(12, 4001, 2), want):
         _assert_same_report(interval_sum_check(n), report)
 

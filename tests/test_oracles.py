@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 import sympy
+from conftest import eratosthenes_primes, trial_division_primes
 
 from ova360.mersenne import lucas_lehmer
 from ova360.primality import is_prime, is_prime_big, sieve_primes
@@ -14,6 +15,13 @@ from ova360.primality import is_prime, is_prime_big, sieve_primes
 
 def test_sieve_matches_trial_division(oracle_primes_10k):
     assert sieve_primes(10**4).tolist() == oracle_primes_10k
+
+
+def test_list_sieve_oracle_matches_trial_division(oracle_primes_10k):
+    # the Goldbach oracle's primes, which reach past a million
+    assert eratosthenes_primes(10**4) == oracle_primes_10k
+    for limit in range(12):
+        assert eratosthenes_primes(limit) == trial_division_primes(limit)
 
 
 def test_is_prime_matches_trial_division(oracle_primes_10k):
