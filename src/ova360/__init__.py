@@ -3,7 +3,8 @@
 Library layout: primality (sieves and tests), ova (decomposition and
 residue sets), goldbach (scans and interval constructions), mersenne
 (residue classes and Lucas-Lehmer), landau (k**2+1 families), matrix
-(indicator matrices and density diagnostics), cli (command line).
+(indicator matrices and density diagnostics), render (report text),
+cli (command line).
 """
 
 from __future__ import annotations

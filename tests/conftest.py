@@ -503,7 +503,7 @@ def reference_dump_json():
 
 
 def percent_witness_rows(first: int, best: np.ndarray) -> str:
-    """cli._witness_rows by "%d,%d,%d\\n" formatting of every row."""
+    """render.witness_rows by "%d,%d,%d\\n" formatting of every row."""
     ns = first + 2 * np.arange(best.size, dtype=np.int64)
     found = best != 0
     rows = np.empty((int(found.sum()), 3), dtype=np.int64)
@@ -519,7 +519,7 @@ def reference_witness_rows():
 
 
 def compress_int_text(cols, seps, chunk: int = 1 << 16) -> str:
-    """cli._int_text as it was before it rendered into reused buffers:
+    """render.int_text as it was before it rendered into reused buffers:
     for non-negative int64 columns, fixed-width 4-digit groups and a
     mask of the bytes to keep, which one np.compress per block of chunk
     rows applies; separators must be ASCII."""

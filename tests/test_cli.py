@@ -296,7 +296,7 @@ def test_sieve_formats(capsys):
 
 
 def test_emit_chunks_write_the_same_bytes(capsys, monkeypatch, tmp_path):
-    from ova360 import cli
+    from ova360 import cli, render
 
     argvs = [("sieve", "--limit", "30"), ("sieve", "--limit", "1"),
              ("sieve", "--limit", "2"), ("genfunc", "--family", "twin",
@@ -319,21 +319,21 @@ def test_emit_chunks_write_the_same_bytes(capsys, monkeypatch, tmp_path):
     lines = want[0][0][1].splitlines(keepends=True)
     assert lines[-1] == "29\n" and len(lines) == 10
     assert want[2].count(b"\n") == 49
-    write_sizes = (1, 7, cli.WRITE_CHARS)
+    write_sizes = (1, 7, render.WRITE_CHARS)
     for chunk in (1, 2, 3, 9, 10, 11):
         for write_chars in write_sizes:
-            monkeypatch.setattr(cli, "EMIT_CHUNK", chunk)
-            monkeypatch.setattr(cli, "WRITE_CHARS", write_chars)
+            monkeypatch.setattr(render, "EMIT_CHUNK", chunk)
+            monkeypatch.setattr(render, "WRITE_CHARS", write_chars)
             assert outputs() == want, (chunk, write_chars)
     # the kernel's bytes parts are written part by part, after the lines
     # gathered before them: a csv line is never joined into one str
     primes = primality.sieve_primes(1000)  # 168 primes
-    monkeypatch.setattr(cli, "EMIT_CHUNK", 10)
+    monkeypatch.setattr(render, "EMIT_CHUNK", 10)
     for write_chars in write_sizes:
-        monkeypatch.setattr(cli, "WRITE_CHARS", write_chars)
+        monkeypatch.setattr(render, "WRITE_CHARS", write_chars)
         writes = _Writes()
         monkeypatch.setattr(sys, "stdout", writes)
-        cli._emit("csv", None, (), cli._int_lines(primes, ","))
+        cli._emit("csv", None, (), render.joined(primes, ",", "\n"))
         cli._emit("plain", None, ["a", "b", b"cd\n", "e"])
         csv_line = ",".join(str(p) for p in primes) + "\n"
         assert b"".join(writes.texts) == (csv_line + "a\nb\ncd\ne\n").encode()
@@ -363,17 +363,17 @@ class _Writes:
 
 
 def test_emit_writes_hold_items_up_to_write_chars(monkeypatch):
-    from ova360 import cli
+    from ova360 import cli, render
 
     primes = primality.sieve_primes(10**5)  # 9592 primes
-    monkeypatch.setattr(cli, "EMIT_CHUNK", 1000)  # items of 1000 lines
-    parts = [bytes(part) for part in cli._int_lines(primes)]
+    monkeypatch.setattr(render, "EMIT_CHUNK", 1000)  # items of 1000 lines
+    parts = [bytes(part) for part in render.int_text([primes], ["\n"])]
     assert len(parts) == 10
     # str items of "\n"-joined lines, each without its last newline
     items = [part.decode()[:-1] for part in parts]
     first = len(items[0]) + 1  # the first item's text with its newline
     for write_chars in (1, first, first + 1, 10**4, 10**6):
-        monkeypatch.setattr(cli, "WRITE_CHARS", write_chars)
+        monkeypatch.setattr(render, "WRITE_CHARS", write_chars)
         writes = _Writes()
         monkeypatch.setattr(sys, "stdout", writes)
         cli._emit("plain", None, iter(items))
@@ -391,7 +391,7 @@ def test_emit_writes_hold_items_up_to_write_chars(monkeypatch):
         # the kernel's bytes parts hold their newlines: one write each
         writes = _Writes()
         monkeypatch.setattr(sys, "stdout", writes)
-        cli._emit("plain", None, cli._int_lines(primes))
+        cli._emit("plain", None, render.int_text([primes], ["\n"]))
         assert writes.texts == parts, write_chars
 
 
@@ -957,6 +957,56 @@ def test_closed_stdout_pipe_ends_quietly(fmt):
     err = proc.stderr.read()
     want = {"plain": b"2\n", "json": b"{\n"}[fmt]
     assert (first, proc.wait(timeout=60), err) == (want, 0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["sieve", "--limit", "100000"],
+    ["--version"],
+    ["interval", "--n", "5", "--verify"],  # the finding branch
+    ["goldbach", "scan", "--limit", "100000", "--emit-witnesses", "/dev/full"],
+])
+def test_failed_write_exits_1_with_one_error_line(argv):
+    # every write to /dev/full fails with ENOSPC: stdout's for the first
+    # three, the witness file's for the last. The interval's finding is
+    # injected, as in test_interval_finding_is_rendered_in_the_format.
+    inject = "primality.is_prime_big = lambda n: True; " * (argv[0] == "interval")
+    code = f"from ova360 import cli, primality; {inject}cli.main()"
+    with open("/dev/full" if "/dev/full" not in argv else os.devnull, "wb") as out:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], stdout=out,
+                              stderr=subprocess.PIPE, env=_child_env())
+    err = proc.stderr.decode()
+    assert proc.returncode == 1 and "Traceback" not in err, err
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write"), err
+
+
+def test_stdout_and_witness_file_are_written_by_render_write(capsys, monkeypatch,
+                                                             tmp_path):
+    # every byte of stdout and of the witness file passes through one writer
+    from ova360 import render
+
+    write, seen = render.write, []
+
+    def spy(items, stream):
+        items = [i if isinstance(i, (str, bytes, bytearray)) else list(i)
+                 for i in items]
+        seen.extend(i.encode(stream.encoding) if isinstance(i, str)
+                    else b"".join(i) if isinstance(i, list) else bytes(i)
+                    for i in items)
+        write(items, stream)
+
+    monkeypatch.setattr(render, "write", spy)
+    witness = tmp_path / "w.csv"
+    cases = [["goldbach", "scan", "--limit", "20000", "--emit-witnesses",
+              str(witness)]]
+    cases += [["sieve", "--limit", "1000", "--format", fmt]
+              for fmt in ("plain", "csv", "json")]
+    for argv in cases:
+        seen.clear()
+        rc, out, err = run(capsys, *argv)
+        written = witness.read_bytes() if "--emit-witnesses" in argv else b""
+        assert (rc, err) == (0, "") and out, argv
+        assert b"".join(seen) == written + out.encode(), argv
 
 
 # The benchmark's fixed-argument operations (perfbench/workloads.py):

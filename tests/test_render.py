@@ -1,12 +1,11 @@
-"""The CLI's bulk integer renderer and JSON writer against the
-per-value formatting they replaced (conftest oracles)."""
+"""render's bulk integer kernel and JSON writer against the per-value
+formatting they replaced (conftest oracles)."""
 
 from __future__ import annotations
 
 import dataclasses
 import enum
 import io
-from contextlib import redirect_stdout
 from fractions import Fraction
 from unittest import mock
 
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ova360 import cli
+from ova360 import render
 
 _EDGES = [0, 2**63 - 1] + [
     10**k + d for k in range(19) for d in (-1, 0, 1) if 0 <= 10**k + d < 2**63
@@ -25,12 +24,11 @@ _SEPS = st.text(st.characters(min_codepoint=0, max_codepoint=127), max_size=6)
 
 
 def _emitted_json(payload) -> str:
-    """What the CLI's emitter writes to stdout for payload as JSON; it
+    """What render writes to a text stream for payload as JSON; it
     writes to the binary buffer under the text stream."""
     raw = io.BytesIO()
     out = io.TextIOWrapper(raw, encoding="utf-8")
-    with redirect_stdout(out):
-        cli._emit("json", payload, ())
+    render.write(render.json_items(payload), out)
     out.flush()
     return raw.getvalue().decode("utf-8")
 
@@ -46,12 +44,12 @@ def test_int_text_matches_percent_d(data, ncols, size, chunk):
     cols = [np.array(data.draw(st.lists(_INT64, min_size=size, max_size=size)),
                      dtype=np.int64) for _ in range(ncols)]
     seps = [data.draw(_SEPS) for _ in range(ncols)]
-    with mock.patch.object(cli, "EMIT_CHUNK", chunk):
-        assert b"".join(cli._int_text(cols, seps)) == _percent(cols, seps)
+    with mock.patch.object(render, "EMIT_CHUNK", chunk):
+        assert b"".join(render.int_text(cols, seps)) == _percent(cols, seps)
 
 
 @pytest.mark.parametrize("size", sorted({
-    0, 1, cli.EMIT_CHUNK - 1, cli.EMIT_CHUNK, cli.EMIT_CHUNK + 1,
+    0, 1, render.EMIT_CHUNK - 1, render.EMIT_CHUNK, render.EMIT_CHUNK + 1,
     # one row either side of 2^16 rows: a whole number of parts
     65535, 65536, 65537}))
 def test_int_text_at_sizes_and_the_chunk_edge(size):
@@ -59,7 +57,7 @@ def test_int_text_at_sizes_and_the_chunk_edge(size):
     values = np.resize(np.array(_EDGES, dtype=np.int64), size)
     cols = [values, rng.permutation(values), rng.integers(0, 2**63 - 1, size)]
     seps = [",", '",\n    "', "\n"]
-    _assert_same_text(b"".join(cli._int_text(cols, seps)), _percent(cols, seps))
+    _assert_same_text(b"".join(render.int_text(cols, seps)), _percent(cols, seps))
 
 
 @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=20), _SEPS)
@@ -68,7 +66,7 @@ def test_int_text_formats_other_input_per_value(values, sep):
     # negative int64, other dtypes and plain lists take the per-value path
     for col in (np.array(values, dtype=np.int64), values,
                 np.array(values, dtype=object)):
-        assert b"".join(cli._int_text([col], [sep])) == _percent([values], [sep])
+        assert b"".join(render.int_text([col], [sep])) == _percent([values], [sep])
 
 
 _GROUP_EDGES = [0, 9, 10, 9999, 10**4 - 1, 10**4, 10**4 + 1, 10**8 - 1,
@@ -84,7 +82,7 @@ def _assert_same_text(got: bytes, want: bytes) -> None:
 
 
 def _kernel_matches_oracles(cols, seps, chunk, reference_int_text):
-    parts = list(cli._int_text(cols, seps))
+    parts = list(render.int_text(cols, seps))
     assert len(parts) == -(-len(cols[0]) // chunk)
     text = b"".join(parts)
     _assert_same_text(text, _percent(cols, seps))
@@ -93,12 +91,12 @@ def _kernel_matches_oracles(cols, seps, chunk, reference_int_text):
             text, reference_int_text(cols, seps, chunk).encode("ascii"))
 
 
-@pytest.mark.parametrize("chunk", [1, 7, cli.EMIT_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, render.EMIT_CHUNK])
 def test_int_text_parts_at_group_edges_and_part_sizes(chunk, monkeypatch,
                                                       reference_int_text):
     # columns of 1, 2, 3 and 5 groups and one of every edge, at sizes
     # one row either side of each multiple of the part size up to three
-    monkeypatch.setattr(cli, "EMIT_CHUNK", chunk)
+    monkeypatch.setattr(render, "EMIT_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
     edges = np.array(_GROUP_EDGES, dtype=np.int64)
     for size in sorted({k * chunk + d for k in (1, 2, 3) for d in (-1, 1)}):
@@ -112,12 +110,12 @@ def test_int_text_parts_at_group_edges_and_part_sizes(chunk, monkeypatch,
         _kernel_matches_oracles(cols, seps, chunk, reference_int_text)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, cli.EMIT_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, render.EMIT_CHUNK])
 def test_int_text_short_last_part_leaks_no_stale_row(chunk, monkeypatch,
                                                      reference_int_text):
     # a full part of the widest values, then one row that is shorter in
     # every group: a row left over from the full part would show
-    monkeypatch.setattr(cli, "EMIT_CHUNK", chunk)
+    monkeypatch.setattr(render, "EMIT_CHUNK", chunk)
     for tail in (0, 7, 10**4):
         col = np.full(chunk + 1, 2**63 - 1, dtype=np.int64)
         col[-1] = tail
@@ -127,10 +125,10 @@ def test_int_text_short_last_part_leaks_no_stale_row(chunk, monkeypatch,
 
 @pytest.mark.parametrize("seps", [["\0"], ["a\0b", "\n"], ["\0\0", "\0"]])
 def test_int_text_keeps_separators_that_hold_nul(seps, monkeypatch):
-    monkeypatch.setattr(cli, "EMIT_CHUNK", 3)
+    monkeypatch.setattr(render, "EMIT_CHUNK", 3)
     values = np.array(_GROUP_EDGES, dtype=np.int64)
     cols = [values, values[::-1].copy()][:len(seps)]
-    assert b"".join(cli._int_text(cols, seps)) == _percent(cols, seps)
+    assert b"".join(render.int_text(cols, seps)) == _percent(cols, seps)
 
 
 @given(first=st.integers(3, 10**6).map(lambda x: 2 * x),
@@ -141,9 +139,9 @@ def test_witness_rows_match_percent_rows(first, fractions, reference_witness_row
     best = np.array([int(f * (first + 2 * i)) for i, f in enumerate(fractions)],
                     dtype=np.int64)
     best[best < 3] = 0
-    for chunk in (1, 2, 7, cli.EMIT_CHUNK):
-        with mock.patch.object(cli, "EMIT_CHUNK", chunk):
-            rows = b"".join(cli._witness_rows(first, best))
+    for chunk in (1, 2, 7, render.EMIT_CHUNK):
+        with mock.patch.object(render, "EMIT_CHUNK", chunk):
+            rows = b"".join(render.witness_rows(first, best))
             assert rows == reference_witness_rows(first, best).encode("ascii")
 
 
