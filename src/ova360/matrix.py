@@ -6,8 +6,10 @@ segmented sieve of primality, run over the residue line z + 360*G
 itself rather than the odd numbers: memory is one segment of G values
 plus the base primes up to sqrt(z + 360*R), never a bitmap of every
 odd number below the line's top. The Dirichlet-style diagnostic
-compares each class's prime count, folded from the same sieve's odd
-number segments, against the equidistribution prediction (x/ln x)/96.
+compares each class's prime count against the equidistribution
+prediction (x/ln x)/96; the counts come from the same sieve run over
+the eight lines w + 30i of a mod-30 wheel, each folded by its period
+of 12 terms mod 360.
 Determinants are computed exactly over the integers (Bareiss
 fraction-free elimination) so invertibility gets an exact verdict
 instead of a floating-point guess: these matrices are not invertible
@@ -26,9 +28,9 @@ import numpy as np
 from .errors import BoundError, DomainError
 from .ova import MODULUS, residue_sets
 from .primality import (
+    _check_sieve_limit,
     _sieve_segments,
     is_prime_big,
-    odd_prime_segments,
     period_counts,
 )
 
@@ -40,7 +42,10 @@ MAX_DENSITY_ROTATIONS = 10**8
 MAX_MATRIX_START = 10**100
 MAX_MATRIX_K = 100
 _SINGLETONS = (2, 3, 5)
-_ODD_RESIDUES = MODULUS // 2
+# residue_counts' wheel: every prime past 5 lies on one of the lines
+# w + 30i with w coprime to 30, and 30 divides 360.
+_WHEEL = math.prod(_SINGLETONS)
+_WHEEL_LINES = tuple(w for w in range(1, _WHEEL) if math.gcd(w, _WHEEL) == 1)
 
 
 @dataclass(frozen=True)
@@ -172,17 +177,28 @@ def density(ova: int, rotations: int) -> Fraction:
 def residue_counts(x: int) -> tuple[int, ...]:
     """count[r] = number of primes <= x congruent to r mod 360.
 
-    One pass over odd_prime_segments(x): 2i+1 mod 360 has period 180 in
-    i, so each segment folds into 180 columns, column c counting residue
-    2c+1. Memory is one segment, whatever x; x past MAX_STREAM_LIMIT
-    raises BoundError before anything is sieved.
+    The primes past 5 lie on the eight lines w + 30i, w coprime to 30
+    (a mod-30 wheel; Pritchard, Acta Informatica 17, 1982), and the
+    strike loop runs over each line, which holds 8 of every 30 numbers
+    where the odd numbers hold 15. w + 30i mod 360 has period 12 in i,
+    so each segment folds into 12 columns, column c counting residue
+    w + 30c; 2, 3 and 5 are added last. Memory is one segment, whatever
+    x; x past MAX_STREAM_LIMIT raises BoundError before anything is
+    sieved.
     """
     counts = np.zeros(MODULUS, dtype=np.int64)
     if x < 2:
         return tuple(counts.tolist())
-    for start, seg in odd_prime_segments(x):
-        counts[1::2] += period_counts(seg, start, _ODD_RESIDUES)
-    counts[2] += 1  # the even prime
+    _check_sieve_limit(x)
+    period = MODULUS // _WHEEL
+    for w in _WHEEL_LINES:
+        if w <= x:
+            # a generator, so no segment outlives its line
+            counts[w::_WHEEL] = sum(
+                period_counts(seg, start, period)
+                for start, seg in _sieve_segments(w, _WHEEL, (x - w) // _WHEEL + 1))
+    for p in _SINGLETONS:
+        counts[p] += p <= x
     return tuple(counts.tolist())
 
 

@@ -2,8 +2,9 @@
 
 Provides one segmented sieve over an arithmetic progression: over the
 odd numbers it is streamed one segment at a time, which the prime list
-and every scan read, and matrix.density runs it over a residue line
-z + 360*G.
+and every scan read; matrix.density runs it over a residue line
+z + 360*G, and matrix.residue_counts over the eight lines w + 30i of a
+mod-30 wheel.
 Also one Miller-Rabin body behind two entry points, and the factorial
 construction of prime-free intervals together with the gap identity
 around them. The body answers n < 256 from a table, rejects any larger
@@ -21,14 +22,16 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BoundError, CounterexampleFound, DomainError
 
-# odd_prime_segments holds one segment, so time, not memory, bounds it.
-# At 1e10 on a 2-core x86-64 VM, `dirichlet --all` takes 54 s and peaks
-# at 35 MB. `germain` keeps this bound, though it reads only the primes
+# The strike loop holds one segment, so time, not memory, bounds it. On
+# a 2-core x86-64 VM, `dirichlet --all` takes 11-14 s at 1e10 and
+# 0.6-0.8 s at 1e9, start-up excluded, and peaks at 35 MB. `germain`
+# keeps this bound, though it reads only the primes
 # to 4096, which already hold a safe prime in every class one can take:
 # at 1e10 it takes 0.26-0.31 s and 31 MB, start-up included.
 MAX_STREAM_LIMIT = 10**10
@@ -109,6 +112,39 @@ def _check_sieve_limit(limit: int) -> None:
         raise BoundError(f"limit {limit} exceeds sieve bound {MAX_STREAM_LIMIT}")
 
 
+@lru_cache(maxsize=8)
+def _base_primes(step: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ps, inv): the primes 13 < p < bound that do not divide step,
+    ascending, and pow(step, -1, p) for each, as read-only int64 arrays.
+
+    bound is a power of two. An entry takes 16 bytes a prime; the
+    largest any public entry point asks for is density's at its rotation
+    bound (bound 2^18, 368 KB), so the 8 entries hold at most 3 MB.
+    """
+    base = _odd_base(bound - 1)
+    ps = 2 * np.flatnonzero(base).astype(np.int64) + 1
+    ps = ps[(ps > _PRESIEVE_PRIMES[-1]) & (step % ps != 0)]
+    inv = np.array([pow(step, -1, p) for p in ps.tolist()], dtype=np.int64)
+    ps.flags.writeable = inv.flags.writeable = False
+    return ps, inv
+
+
+@lru_cache(maxsize=4)
+def _presieve_tile(pre: tuple[int, ...], periods: int) -> np.ndarray:
+    """periods repeats of the pre-sieve pattern of the progression from
+    0: t[i] == (no q in pre divides i), read-only.
+
+    A tile is at most SEGMENT_ODDS + 2 * prod(pre) bytes (1.5 MB at the
+    default segment), so the 4 entries hold at most 6 MB.
+    """
+    pattern = np.ones(math.prod(pre), dtype=bool)
+    for q in pre:
+        pattern[::q] = False
+    tile = np.tile(pattern, periods)
+    tile.flags.writeable = False
+    return tile
+
+
 def _sieve_segments(first: int, step: int, count: int) -> Iterator[tuple[int, np.ndarray]]:
     """The one strike loop, over the progression first + step*i for i
     in [0, count); step is even and coprime to first. Yield (start, seg)
@@ -122,30 +158,36 @@ def _sieve_segments(first: int, step: int, count: int) -> Iterator[tuple[int, np
     period prod(p) that each segment starts as, and every larger p
     strikes its class from the first term >= p*p, which spares p itself
     when it lies on the progression (Bays & Hudson, BIT 17, 1977).
+
+    What does not depend on first is built once and cached: the base
+    primes with their inverses of step, per step and sqrt(last term)
+    rounded up to a power of two, so a class table is a few numpy
+    operations; and one pre-sieve tile per length, built for the
+    progression from 0, whose pattern for first is the same tile read
+    from phase first/step (mod period). A call with a small count
+    builds only a tile as long as its count.
     """
     size = SEGMENT_ODDS
     out = np.empty(min(size, count), dtype=bool)
-    pre = [q for q in _PRESIEVE_PRIMES if step % q]
+    pre = tuple(q for q in _PRESIEVE_PRIMES if step % q)
     period = math.prod(pre)
-    pattern = np.ones(period, dtype=bool)
-    for q in pre:
-        pattern[-first * pow(step, -1, q) % q :: q] = False
     # long enough for a slice of any segment's length at any offset
-    tiled = np.tile(pattern, min(size, count) // period + 2)
+    tiled = _presieve_tile(pre, min(size, count) // period + 2)
+    phase = first * pow(step, -1, period) % period
     head = [v in _SMALL_PRIMES for v in range(first, _PRESIEVE_PRIMES[-1] + 1, step)]
-    base = _odd_base(math.isqrt(first + step * (count - 1)))
-    ps = 2 * np.flatnonzero(base).astype(np.int64) + 1
-    ps = ps[(ps > _PRESIEVE_PRIMES[-1]) & (step % ps != 0)]
+    root = math.isqrt(first + step * (count - 1))
+    ps, inv = _base_primes(step, 1 << root.bit_length())
+    ps = ps[:ps.searchsorted(root, "right")]
     primes = ps.tolist()
     # the class each p strikes, and the index of its first term >= p*p
-    cls = np.array([-first * pow(step, -1, p) % p for p in primes], dtype=np.int64)
+    cls = -(first % ps) * inv[:ps.size] % ps
     from_i = np.maximum(-((first - ps * ps) // step), 0)
     for start in range(0, count, size):
         end = min(start + size, count)
         seg = out[:end - start]
-        o = start % period
+        o = (start + phase) % period
         seg[:] = tiled[o:o + end - start]
-        n = np.searchsorted(from_i, end)  # the p with a term >= p*p before end
+        n = from_i.searchsorted(end)  # the p with a term >= p*p before end
         lo = np.maximum(from_i[:n], start)
         offsets = lo + (cls[:n] - lo) % ps[:n] - start
         for p, j in zip(primes, offsets.tolist()):
@@ -166,8 +208,8 @@ def odd_prime_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     cache while it is sieved. seg is one buffer of SEGMENT_ODDS bytes,
     overwritten by the next segment: copy what must outlive the
     iteration step. Memory is that buffer plus the base primes to
-    sqrt(limit), whatever the limit. The limit is checked here, before
-    anything is sieved.
+    sqrt(limit), which stay cached, whatever the limit. The limit is
+    checked here, before anything is sieved.
     """
     _check_sieve_limit(limit)
     return _sieve_segments(1, 2, (limit + 1) // 2)
@@ -189,7 +231,8 @@ def period_counts(bits: np.ndarray, start: int, period: int) -> np.ndarray:
         rows = bits[s:min(s + 255 * wide, whole)].view(np.uint8).reshape(-1, wide)
         row_sums = np.add.reduce(rows, axis=0, dtype=np.uint8)
         cols += row_sums.reshape(-1, period).sum(axis=0, dtype=np.int64)
-    return np.roll(cols, start % period)
+    cut = period - start % period
+    return np.concatenate((cols[cut:], cols[:cut]))
 
 
 def sieve_primes(limit: int) -> np.ndarray:

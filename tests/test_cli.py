@@ -820,12 +820,15 @@ def test_mersenne_constant_terms_bound_exits_1(capsys, monkeypatch):
     ("dirichlet", "--x", "MAX_STREAM_LIMIT", "--ova", "7"),
 ])
 def test_sieve_bound_exits_1_before_sieving(capsys, monkeypatch, argv):
-    from ova360 import primality
+    from ova360 import matrix, primality
 
-    def no_sieve(limit):
+    def no_sieve(*args):
         raise AssertionError("sieved past the bound")
 
+    # a cached set-up skips _odd_base, so the strike loop is patched too
     monkeypatch.setattr(primality, "_odd_base", no_sieve)
+    monkeypatch.setattr(primality, "_sieve_segments", no_sieve)
+    monkeypatch.setattr(matrix, "_sieve_segments", no_sieve)
     bound = getattr(primality, argv[2])
     rc, out, err = run(capsys, *argv[:2], str(bound + 1), *argv[3:])
     assert (rc, out) == (1, "")

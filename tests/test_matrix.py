@@ -278,6 +278,33 @@ def test_residue_counts_stream_matches_whole_bitmap(monkeypatch,
             assert counts(x) == reference_whole_bitmap_counts(x), (segment_odds, x)
 
 
+@pytest.mark.parametrize("segment", [7, 12, 180, 1000, 15016])
+def test_residue_counts_match_whole_bitmap_at_wheel_segment_ends(
+        monkeypatch, reference_whole_bitmap_counts, segment):
+    # each wheel line w + 30i, 0 < w < 30, ends segment j at its term
+    # i = j * segment - 1, so x within 30 of 30 * j * segment crosses the
+    # end on every line; 12 is one period of 30i mod 360
+    counts = residue_counts.__wrapped__
+    monkeypatch.setattr(primality, "SEGMENT_ODDS", segment)
+    for x in range(1, 101):
+        assert counts(x) == reference_whole_bitmap_counts(x), (segment, x)
+    for j in (1, 2, 5):
+        for x in range(30 * j * segment - 30, 30 * j * segment + 31):
+            assert counts(x) == reference_whole_bitmap_counts(x), (segment, x)
+
+
+def test_residue_counts_bound_fails_before_sieving_on_a_warm_cache(monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("sieved past the stream bound")
+
+    counts = residue_counts.__wrapped__
+    assert sum(counts(10**6)) == 78498  # fills the strike loop's caches
+    monkeypatch.setattr(matrix, "_sieve_segments", no_sieve)
+    monkeypatch.setattr(primality, "_odd_base", no_sieve)
+    with pytest.raises(BoundError, match=str(primality.MAX_STREAM_LIMIT)):
+        counts(primality.MAX_STREAM_LIMIT + 1)
+
+
 @pytest.mark.parametrize("x", [2, 1000, 1081, 65537, 10**6 + 1, 3 * 10**6])
 def test_prime_count_matches_sympy(x):
     assert prime_count(x) == sympy.primepi(x)

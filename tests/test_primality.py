@@ -145,11 +145,83 @@ def test_stream_bound_fails_before_sieving(monkeypatch):
         odd_prime_segments(0)
 
 
+def test_stream_bound_fails_before_sieving_on_a_warm_cache(monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("sieved past the bound")
+
+    assert sieve_primes(10**6).size == 78498  # fills the strike loop's caches
+    monkeypatch.setattr(primality, "_sieve_segments", no_sieve)
+    monkeypatch.setattr(primality, "_odd_base", no_sieve)
+    with pytest.raises(BoundError, match=str(MAX_STREAM_LIMIT)):
+        odd_prime_segments(MAX_STREAM_LIMIT + 1)
+
+
+def _progression(first, step, count):
+    """The strike loop's segments over first + step*i, joined."""
+    return np.concatenate([seg.copy() for _, seg in
+                           primality._sieve_segments(first, step, count)])
+
+
+def test_strike_loop_caches_serve_interleaved_progressions(
+        monkeypatch, reference_odd_prime_bitmap, reference_line_prime_bits):
+    # the cached base primes and tiles are keyed without first, so calls
+    # that differ in first, step, bound and segment size take turns
+    primality._base_primes.cache_clear()
+    primality._presieve_tile.cache_clear()
+
+    def odd_stream(limit):
+        got = _progression(1, 2, (limit + 1) // 2)
+        assert np.array_equal(got, reference_odd_prime_bitmap(limit)), limit
+
+    def density_line(ova, rotations):
+        got = _progression(ova + 360, 360, rotations)
+        want = reference_line_prime_bits(ova, rotations)
+        assert np.array_equal(got, want), (ova, rotations)
+
+    def wheel_line(w, count):
+        bits = reference_odd_prime_bitmap(w + 30 * (count - 1))
+        want = bits[(w + 30 * np.arange(count)) // 2]
+        assert np.array_equal(_progression(w, 30, count), want), (w, count)
+
+    cases = ((3001, (7, 11), (1, 11)), (30031, (1, 13), (7, 17)),
+             (10**5 + 1, (353, 359), (29, 13)))
+    for segment, upto in ((7, 2), (1000, 3), (SEGMENT_ODDS, 3)):
+        monkeypatch.setattr(primality, "SEGMENT_ODDS", segment)
+        for limit, (z, z2), (w, w2) in cases[:upto]:
+            odd_stream(limit)
+            density_line(z, limit // 30)
+            density_line(z2, limit // 3)
+            wheel_line(w, limit // 30)
+            wheel_line(w2, limit // 3)
+            odd_stream(limit // 3)
+            odd_stream(limit)
+    assert primality._base_primes.cache_info().hits > 0
+    assert primality._presieve_tile.cache_info().hits > 0
+
+
+def test_small_calls_build_no_full_segment_tile(monkeypatch):
+    from ova360 import matrix
+
+    sizes = []
+    build = primality._presieve_tile.__wrapped__
+
+    def recorded(pre, periods):
+        tile = build(pre, periods)
+        sizes.append(tile.size)
+        return tile
+
+    monkeypatch.setattr(primality, "_presieve_tile", recorded)
+    assert sieve_primes(1000).size == 168
+    assert matrix.density(7, 100) * 100 == 41
+    assert sum(matrix.residue_counts.__wrapped__(10**4)) == 1229
+    assert len(sizes) == 1 + 1 + 8 and max(sizes) < SEGMENT_ODDS // 8
+
+
 def test_period_counts_match_bincount():
     rng = np.random.default_rng(7919)
     # one row of 128 periods, 255 such rows (the byte sums' chunk) and
     # sizes around both
-    for period in (90, 180):
+    for period in (12, 90, 180):
         wide = period << 7
         for size in (0, 1, period - 1, period + 1, wide - 1, wide, wide + 1,
                      255 * wide + period + 3, 300 * wide):
