@@ -16,6 +16,7 @@ import enum
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,11 @@ from .primality import is_prime, is_prime_big, odd_prime_segments, sieve_primes
 
 # The scan streams the primes, so time, not memory, bounds it: see scan.
 MAX_SCAN_LIMIT = 10**9
+# Largest limit for the CLI's witness file, one row per even n: on a
+# 2-core x86-64 VM `goldbach scan --emit-witnesses` to a file on disk
+# took 10.4-11.2 s for the 2,164,752,254 bytes at 2e8 and 17.3 s for
+# 3,304,266,132 bytes at 3e8, peaking at 46 MB RSS.
+MAX_WITNESS_LIMIT = 2 * 10**8
 # Largest n accepted by interval_sum_check and symmetric_pair_check.
 # On a 2-core x86-64 VM interval_sum_check(1e7) takes 0.31-0.34 s and
 # peaks at 43 MB RSS (VmHWM): the prime array and one block of windows.
@@ -52,10 +58,13 @@ BLOCK_EVENS = 1 << 18
 _INTERVAL_BLOCK_F = 1 << 16
 # Odd primes below this are peeled off each block with dense slices;
 # the rest by gathers over the n still unresolved. There must be at
-# most 255 of them (the uint8 count in _block_smallest_p); 256 keeps
-# 53 and was the fastest cutoff measured at 1e8, level with 128-320 at
-# 1e7. In blocks of 2^18 evens it is still the fastest: 128 and 384-512
-# were slower at 1e7 and 1e8, and 192 level or slower.
+# most 255 of them (the uint8 count in _dense_peel); 256 keeps 53. On a
+# 2-core x86-64 VM, in-process and interleaved, scan(1e7) took
+# 0.030-0.036 s at 256, level with 192 and 384, where 128 took
+# 0.038-0.048 s and 512 0.050-0.058 s. Larger scans leave more n to the
+# gathers: 320 and 384 were 4-7% faster at 1e8, and 384 took 4.3-4.4 s
+# against 5.0-5.1 s at 1e9. But with on_block, 384 puts p past one byte
+# of the counts, and scan(1e7) took 0.088-0.096 s against 0.056-0.067 s.
 DENSE_PEEL_BELOW = 256
 # The largest p a scan block reads from its window of the stream; see
 # _smallest_p_blocks.
@@ -163,12 +172,13 @@ def scan(
     One pass over the evens in blocks of BLOCK_EVENS. ``on_block``, if
     given, receives every block as ``(first_n, smallest_p)``, where
     ``smallest_p[i]`` is the smallest odd prime p with n - p an odd
-    prime for n = first_n + 2i, or 0 if there is none. The primes are
+    prime for n = first_n + 2i, or 0 if there is none. Without it no
+    block reads off each n's p (see _block_smallest_p). The primes are
     streamed, so memory is one segment, a window and one block, whatever
     the limit: on a 2-core x86-64 VM `ova360 goldbach scan --limit
-    100000000` takes 0.9-1.1 s and peaks at 43 MB RSS, interpreter and
-    numpy included, and at MAX_SCAN_LIMIT = 1e9 a scan takes 7-10 s and
-    44 MB.
+    100000000` takes 0.75-0.76 s and peaks at 37 MB RSS, interpreter
+    and numpy included, and at MAX_SCAN_LIMIT = 1e9 it takes 5.1-5.6 s
+    and 38 MB.
 
     The report also carries a four-odd-primes spot witness for the
     largest even n >= 12 in range, built as 3 + 3 + p + q from the
@@ -176,21 +186,16 @@ def scan(
     rather than an independent method. It is None if n - 6 failed.
     """
     check_scan_limit(limit)
-    four_j = (limit - 12) // 2  # index of limit - 6 among the evens from 6
     four_wit = None
     max_p, argmax_n, failures = -1, 6, []
-    for first, best in _smallest_p_blocks(limit):
+    for first, block in _smallest_p_blocks(limit, on_block is not None, limit - 6):
         if on_block is not None:
-            on_block(first, best)
-        i = int(np.argmax(best))
-        if best[i] > max_p:
-            max_p, argmax_n = int(best[i]), first + 2 * i
-        if not best.all():
-            failures += (first + 2 * np.flatnonzero(best == 0)).tolist()
-        j = four_j - (first - 6) // 2
-        if 0 <= j < best.size and best[j]:
-            p = int(best[j])
-            four_wit = (3, 3, p, limit - 6 - p)
+            on_block(first, block.best)
+        if block.top > max_p:
+            max_p, argmax_n = block.top, first + 2 * block.top_at
+        failures += (first + 2 * block.failed).tolist()
+        if block.probe_p:
+            four_wit = (3, 3, block.probe_p, limit - 6 - block.probe_p)
     return GoldbachScanReport(
         limit=limit,
         checked=(limit - 6) // 2 + 1,
@@ -202,10 +207,22 @@ def scan(
     )
 
 
-def _smallest_p_blocks(limit: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first_n, smallest_p) for consecutive blocks of the even n
-    in [6, limit]; smallest_p[i] belongs to n = first_n + 2i and is 0
-    when no odd prime p gives an odd prime n - p >= 3.
+class _Block(NamedTuple):
+    """What a scan reads of one block of evens, n = first_n + 2i."""
+
+    top: int  # the largest smallest p in the block
+    top_at: int  # the least i that has it
+    failed: np.ndarray  # the i with no p, ascending
+    probe_p: int  # the probed i's p; 0 if it has none or is not in the block
+    best: np.ndarray | None  # every i's p (int64, 0 for none), or None
+
+
+def _smallest_p_blocks(
+    limit: int, every: bool, probe_n: int
+) -> Iterator[tuple[int, _Block]]:
+    """Yield (first_n, block) for consecutive blocks of the even n in
+    [6, limit], summed up by _block_smallest_p with its every flag and
+    probe_n's index as its probe.
 
     The odd numbers stream in from odd_prime_segments(limit). A block
     reads n - p for the odd primes p <= MAX_WINDOW_P, so a window keeps
@@ -230,49 +247,121 @@ def _smallest_p_blocks(limit: int) -> Iterator[tuple[int, np.ndarray]]:
             last = min(first + 2 * (BLOCK_EVENS - 1), limit)
             if (last >> 1) - 2 >= end:
                 break
-            yield first, _block_smallest_p(first, last, window, off, primes)
+            yield first, _block_smallest_p(first, last, window, off, primes,
+                                           every, (probe_n - first) // 2)
             first = last + 2
         keep = min(max((first >> 1) - reach, off), end)
         window, off = window[keep - off:].copy(), keep  # frees the rest
 
 
 def _block_smallest_p(
-    first: int, last: int, window: np.ndarray, off: int, primes: list[int]
-) -> np.ndarray:
-    """smallest_p for the evens first..last, reading bit b of the prime
-    bitmap as window[b - off].
+    first: int, last: int, window: np.ndarray, off: int, primes: list[int],
+    every: bool, probe: int,
+) -> _Block:
+    """The smallest p of the evens first..last, reading bit b of the
+    prime bitmap as window[b - off], as a _Block whose probe_p belongs
+    to index probe. Its best is every n's p when every is set, and
+    otherwise None unless the block needed it for top.
 
-    Within a block the evens are consecutive, so for a fixed p the bits
-    of n - p form one contiguous slice. The window's bits that the peel
-    reads are inverted once per block, about m + 128 bytes, and the
-    primes below DENSE_PEEL_BELOW are peeled in ascending order with two
-    in-place ufuncs each over the whole block: one ANDs the unresolved
-    mask with the slice of that composite copy, so the n whose n - p is
-    prime drop out (10 µs on 2^18 bools, where a bool greater with the
-    window itself takes 24 µs), one counts in uint8 the primes tried
-    while n was unresolved. That count indexes n's smallest dense p in a
-    byte table, so the peel writes no int64 per prime. The few n it
-    leaves are resolved by gathers over the ascending primes. On a 2-core x86-64 VM the 20
-    blocks of a scan to 1e7 spend 0.02-0.03 s in the peel, 0.011-0.017 s
-    reading p off the counts and 0.006-0.010 s in the gathers.
+    The primes below DENSE_PEEL_BELOW are peeled off the whole block
+    (_dense_peel). The few n it leaves are resolved by gathers over the
+    ascending primes, and those still left by trial. Every gathered or
+    trial p exceeds every dense p, so once one n is resolved that way
+    the block's top and its first n come from those alone, and the
+    peel need not record which dense p resolved each n. Only the every
+    mode, and a block where no n is resolved that way (the peel left
+    none, as at small limits, or every n it left failed), count the
+    dense primes tried per n for _every_p to read p off. The probed n,
+    if the peel resolved it, walks the dense primes alone. On a 2-core
+    x86-64 VM the 20 blocks of scan(1e7) spend 0.012-0.015 s in the
+    peel and 0.008-0.011 s in the gathers and the rest; with on_block
+    the peel takes 0.024 s and reading p off the counts 0.015-0.016 s
+    more.
     """
     m = (last - first) // 2 + 1
     half = first >> 1
     # the dense primes p <= last - 3, so some n - p >= 3 for each
     dense = primes[:bisect.bisect_left(primes, min(DENSE_PEEL_BELOW, last - 2))]
+    tried = np.zeros(m, dtype=np.uint8) if every else None
+    left = np.flatnonzero(_dense_peel(half, m, window, off, dense, tried))
+    found = np.zeros(left.size, dtype=np.int64)  # left[k]'s p, 0 for none
+    rest = np.arange(left.size)  # the k no p has resolved yet
+    qbase = half - off + left  # window index of n >> 1, every n left
+    for p in primes[len(dense):]:
+        if not rest.size or p > last - 3:
+            break
+        qi = qbase - ((p + 1) >> 1)
+        if p > first - 3:  # some n - p fall below 3 (and off is 0)
+            hit = window[np.maximum(qi, 0)] & (qi >= 1)
+        else:
+            hit = window[qi]
+        found[rest[hit]] = p
+        miss = ~hit
+        rest, qbase = rest[miss], qbase[miss]
+    for k in rest.tolist():  # no p <= MAX_WINDOW_P works: try the larger p
+        found[k] = _smallest_p_from(first + 2 * int(left[k]), (MAX_WINDOW_P + 1) | 1)
+    best = None
+    if every or not found.any():
+        if tried is None:  # the top is a dense p: count them after all
+            tried = np.zeros(m, dtype=np.uint8)
+            _dense_peel(half, m, window, off, dense, tried)
+        best = _every_p(tried, dense, left, found)
+    if found.any():  # larger than every dense p
+        k = int(np.argmax(found))
+        top, top_at = int(found[k]), int(left[k])
+    else:
+        top_at = int(np.argmax(best))
+        top = int(best[top_at])
+    k = int(np.searchsorted(left, probe))
+    if k < left.size and left[k] == probe:
+        probe_p = int(found[k])
+    elif 0 <= probe < m:  # a dense p resolved it: the first that reads prime
+        n = first + 2 * probe
+        probe_p = next(p for p in dense if n - p >= 3 and window[((n - p) >> 1) - off])
+    else:
+        probe_p = 0
+    return _Block(top, top_at, left[found == 0], probe_p, best)
+
+
+def _dense_peel(
+    half: int, m: int, window: np.ndarray, off: int, dense: list[int],
+    tried: np.ndarray | None,
+) -> np.ndarray:
+    """The mask of the m evens n from 2 * half for which no p in dense
+    makes n - p >= 3 an odd prime, reading bit b as window[b - off].
+
+    Within a block the evens are consecutive, so for a fixed p the bits
+    of n - p form one contiguous slice. The window's bits that the peel
+    reads are inverted once, about m + 128 bytes, and the dense primes
+    are peeled in ascending order, each by one in-place AND of the mask
+    with the slice of that composite copy, so the n whose n - p is prime
+    drop out (10 µs on 2^18 bools, where a bool greater with the window
+    itself takes 24 µs). If tried (uint8, m) is given, one more in-place
+    add per prime counts there the primes tried while n was unresolved:
+    the index in dense of n's smallest dense p, or len(dense) if none.
+    """
     unresolved = np.ones(m, dtype=bool)
-    tried = np.zeros(m, dtype=np.uint8)  # dense primes run while n unresolved
-    if dense:  # bits low.. of every n - p >= 3 the peel reads, inverted
-        low = max(half - ((dense[-1] + 1) >> 1), 1)
-        composite = ~window[low - off : half + m - 2 - off]
+    if not dense:
+        return unresolved
+    low = max(half - ((dense[-1] + 1) >> 1), 1)  # bits low.. of every n - p >= 3
+    composite = ~window[low - off : half + m - 2 - off]
     for p in dense:
-        lo = half - ((p + 1) >> 1)  # bit of first_n - p
+        lo = half - ((p + 1) >> 1)  # bit of 2 * half - p
         skip = max(1 - lo, 0)  # leading n with n - p < 3
         rows = unresolved[skip:]
         np.logical_and(rows, composite[lo + skip - low : lo + m - low], out=rows)
-        np.add(tried, unresolved.view(np.uint8), out=tried)
-    # n's smallest dense p, read off its count one byte of p at a time
-    # by bytes.translate: at 1e8 half the time of an int64 fancy index
+        if tried is not None:
+            np.add(tried, unresolved.view(np.uint8), out=tried)
+    return unresolved
+
+
+def _every_p(
+    tried: np.ndarray, dense: list[int], left: np.ndarray, found: np.ndarray
+) -> np.ndarray:
+    """Every n's smallest p as int64: found for the n in left, and for
+    the others the dense p that _dense_peel's count tried indexes."""
+    # read off the counts one byte of p at a time by bytes.translate:
+    # at 1e8 half the time of an int64 fancy index
     table = np.zeros(256, dtype=np.uint16)
     table[:len(dense)] = dense
     counts = tried.tobytes()
@@ -281,21 +370,7 @@ def _block_smallest_p(
     if table.max() > 255:  # a cutoff above 256 has p past one byte
         high8 = counts.translate((table >> 8).astype(np.uint8))
         best |= np.frombuffer(high8, np.uint8).astype(np.int64) << 8
-    left = np.flatnonzero(unresolved)
-    qbase = half - off + left  # window index of n >> 1, every unresolved n
-    for p in primes[len(dense):]:
-        if not left.size or p > last - 3:
-            break
-        qi = qbase - ((p + 1) >> 1)
-        if p > first - 3:  # some n - p fall below 3 (and off is 0)
-            hit = window[np.maximum(qi, 0)] & (qi >= 1)
-        else:
-            hit = window[qi]
-        best[left[hit]] = p
-        miss = ~hit
-        left, qbase = left[miss], qbase[miss]
-    for j in left.tolist():  # no p <= MAX_WINDOW_P works: try the larger p
-        best[j] = _smallest_p_from(first + 2 * j, (MAX_WINDOW_P + 1) | 1)
+    best[left] = found
     return best
 
 

@@ -502,6 +502,21 @@ def test_unopenable_witness_path_is_an_error(capsys, monkeypatch, tmp_path, wher
     assert err.count("\n") == 1
 
 
+def test_witness_file_bound_exits_1_before_the_file(capsys, monkeypatch, tmp_path):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned past the witness file bound")
+
+    monkeypatch.setattr(goldbach, "scan", no_scan)
+    path = tmp_path / "w.csv"
+    limit = goldbach.MAX_WITNESS_LIMIT + 2
+    rc, out, err = run(capsys, "goldbach", "scan", "--limit", str(limit),
+                       "--emit-witnesses", str(path))
+    assert (rc, out) == (1, "")
+    assert err == (f"error: limit {limit} exceeds witness file bound "
+                   f"{goldbach.MAX_WITNESS_LIMIT}\n")
+    assert not path.exists()
+
+
 def test_goldbach_construct(capsys):
     rc, out, _ = run(capsys, "goldbach", "construct", "--n", "20")
     assert rc == 0
@@ -1124,13 +1139,13 @@ def test_streamed_verbs_peak_under_100_mb(argv, rc, tmp_path):
 @_NEEDS_VMHWM
 def test_goldbach_scan_to_1e8_peaks_under_60_mb(tmp_path):
     # the primes stream: one segment, a window of 2^14 odds and one
-    # block of 2^18 evens with its peel arrays, about 43 MB in all
+    # block of 2^18 evens with its peel arrays, about 37 MB in all
     out = tmp_path / "out"
     rc, peak_kb = _peak_rss(out, ("goldbach", "scan", "--limit", "100000000"))
     assert rc == 0
     assert peak_kb * 1024 < 60 * 10**6, peak_kb
-    first = out.read_text().splitlines()[0].split()
-    assert (first[0], first[-1]) == ("checked=49999998", "failures=0")
+    first = out.read_text().splitlines()[0]
+    assert first == "checked=49999998 max_smallest_p=1093 at n=60119912 failures=0"
 
 
 @_NEEDS_VMHWM

@@ -92,7 +92,7 @@ def _reference_report(limit, smallest_p):
     ns = range(6, limit + 1, 2)
     ps = [smallest_p[n] for n in ns]
     four = None
-    if limit >= 12:
+    if limit >= 12 and smallest_p[limit - 6]:
         p = smallest_p[limit - 6]
         four = (3, 3, p, limit - 6 - p)
     return GoldbachScanReport(
@@ -100,7 +100,7 @@ def _reference_report(limit, smallest_p):
         checked=len(ns),
         max_smallest_p=max(ps),
         argmax_n=ns[ps.index(max(ps))],
-        failures=(),
+        failures=tuple(n for n, p in zip(ns, ps) if not p),
         four_prime_n=limit if four else None,
         four_prime_witness=four,
     )
@@ -115,13 +115,17 @@ def _reference_csv(limit, smallest_p):
 def _scan_smallest_p(limit):
     """n -> smallest p for every even n in [6, limit], from the blocks
     scan(limit) passes to on_block."""
+    return _scan_with_rows(limit)[1]
+
+
+def _scan_with_rows(limit):
+    """scan(limit, on_block) and the n -> smallest p it passed on."""
     got = {}
 
     def collect(first, best):
         got.update(zip(range(first, first + 2 * best.size, 2), best.tolist()))
 
-    scan(limit, on_block=collect)
-    return got
+    return scan(limit, on_block=collect), got
 
 
 def test_scan_blocks_match_trial_division(oracle_goldbach_p):
@@ -234,8 +238,76 @@ def test_scan_failure_is_reported_from_peel_and_gathers(bitmap_without_three,
     assert got[10] == 5  # 3 + 7 is read without 3, so 5 + 5
 
 
+def _near_block_edges(block):
+    """Even limits within 4 of the first few block edges."""
+    return [limit for k in (1, 2, 3, 10)
+            for limit in range(6 + 2 * block * k - 6, 6 + 2 * block * k + 3, 2)]
+
+
+_SMALL_LIMITS = [*range(6, 601, 2), 3000, 20000]
+
+
+@pytest.mark.parametrize("name, value, limits", [
+    (None, None, range(6, 2001, 2)),
+    ("BLOCK_EVENS", 3, _near_block_edges(3)),
+    ("BLOCK_EVENS", 64, _near_block_edges(64)),
+    ("DENSE_PEEL_BELOW", 3, _SMALL_LIMITS),
+    ("DENSE_PEEL_BELOW", 1621, _SMALL_LIMITS),
+    ("MAX_WINDOW_P", 13, _SMALL_LIMITS),  # the trial fallback resolves
+    ("MAX_WINDOW_P", 97, _SMALL_LIMITS),
+])
+def test_scan_report_is_the_same_with_and_without_on_block(monkeypatch, name,
+                                                           value, limits):
+    if name is not None:
+        monkeypatch.setattr(goldbach, name, value)
+    for limit in limits:
+        _assert_modes_agree(limit)
+
+
+def _assert_modes_agree(limit):
+    """scan(limit) equals the scan with on_block, and both equal the
+    report built from the rows on_block receives."""
+    report, rows = _scan_with_rows(limit)
+    assert scan(limit) == report == _reference_report(limit, rows), limit
+
+
+@pytest.mark.parametrize("block", [3, 64, goldbach.BLOCK_EVENS])
+def test_scan_report_is_the_same_in_both_modes_when_every_left_n_fails(
+        bitmap_without_three, monkeypatch, block):
+    monkeypatch.setattr(goldbach, "BLOCK_EVENS", block)
+    for limit in (*range(6, 401, 2), 3000):
+        assert scan(limit).failures == (6, 8)[:(limit - 4) // 2]
+        _assert_modes_agree(limit)
+
+
+def test_scan_without_on_block_counts_no_block_with_a_gathered_p(monkeypatch):
+    # the peel counts the dense primes per n, and _every_p reads p off
+    # the counts, only for the witness rows or a block whose top is dense
+    peel, every_p = goldbach._dense_peel, goldbach._every_p
+    counted, read = [], []
+
+    def spy_peel(half, m, window, off, dense, tried):
+        counted.append(tried is not None)
+        return peel(half, m, window, off, dense, tried)
+
+    def no_read_after_gathers(tried, dense, left, found):
+        read.append(bool(found.any()))
+        if found.any():
+            raise AssertionError("counted a block with a gathered p")
+        return every_p(tried, dense, left, found)
+
+    monkeypatch.setattr(goldbach, "_dense_peel", spy_peel)
+    monkeypatch.setattr(goldbach, "_every_p", no_read_after_gathers)
+    r = scan(10**6)
+    assert (r.max_smallest_p, r.argmax_n, r.failures) == (523, 503222, ())
+    assert counted == [False, False] and read == []
+    with pytest.raises(AssertionError, match="counted a block with a gathered p"):
+        scan(10**6, on_block=lambda first, best: None)
+    assert counted[2:] == [True] and read == [True]
+
+
 # 1621 is the largest cutoff with at most 255 odd primes below it, the
-# most the uint8 count in _block_smallest_p holds
+# most the uint8 count in _dense_peel holds
 _DENSE_CUTOFFS = (3, 5, 80, goldbach.DENSE_PEEL_BELOW, 1621)
 _BLOCKS = (3, 64, goldbach.BLOCK_EVENS)
 
@@ -279,10 +351,26 @@ def test_block_kernel_matches_masked_scatter(case, reference_odd_prime_bitmap,
     window = bitmap[off : (last >> 1) - 1].copy()  # to bit last/2 - 2, no further
     with mock.patch.object(goldbach, "DENSE_PEEL_BELOW", dense_below), \
             mock.patch.object(goldbach, "MAX_WINDOW_P", window_p):
-        got = goldbach._block_smallest_p(first, last, window, off, primes)
         want = reference_block_smallest_p(first, last, window, off, primes)
-    assert got.dtype == want.dtype == np.int64
-    assert got.tolist() == want.tolist()
+        m = want.size
+        for every in (True, False):
+            for probe in (-1, 0, m - 1, int(np.argmax(want))):
+                got = goldbach._block_smallest_p(first, last, window, off,
+                                                 primes, every, probe)
+                _assert_block(got, want, every, probe)
+
+
+def _assert_block(got, want, every, probe):
+    """got, a kernel's _Block, sums up want, every n's p by the
+    reference; its best is want itself in the every mode."""
+    top_at = int(np.argmax(want))
+    assert (got.top, got.top_at) == (int(want[top_at]), top_at)
+    assert got.failed.tolist() == np.flatnonzero(want == 0).tolist()
+    assert got.probe_p == (int(want[probe]) if 0 <= probe < want.size else 0)
+    assert want.dtype == np.int64
+    if every or got.best is not None:
+        assert got.best.dtype == np.int64
+        assert got.best.tolist() == want.tolist()
 
 
 def _past_reach(block: int) -> int:
@@ -317,21 +405,24 @@ def test_scan_blocks_match_masked_scatter(case, reference_block_smallest_p):
     kernel = goldbach._block_smallest_p
     offs = []
 
-    def both(first, last, window, off, primes):
-        got = kernel(first, last, window, off, primes)
+    def both(first, last, window, off, primes, every, probe):
+        got = kernel(first, last, window, off, primes, every, probe)
         want = reference_block_smallest_p(first, last, window, off, primes)
-        assert got.tolist() == want.tolist(), (first, last, off)
+        _assert_block(got, want, every, probe)
         offs.append(off)
         return got
 
-    with mock.patch.object(goldbach, "DENSE_PEEL_BELOW", dense_below), \
-            mock.patch.object(goldbach, "BLOCK_EVENS", block), \
-            mock.patch.object(primality, "SEGMENT_ODDS", segment_odds), \
-            mock.patch.object(goldbach, "_block_smallest_p", both):
-        scan(limit)
-    assert len(offs) == -(-((limit - 6) // 2 + 1) // block)
-    if segment_odds <= 1000 and limit >= 2 * _past_reach(block):
-        assert offs[-1] > 0
+    # each mode: the witness rows' counts, and the peel that skips them
+    for on_block in (lambda first, best: None, None):
+        offs.clear()
+        with mock.patch.object(goldbach, "DENSE_PEEL_BELOW", dense_below), \
+                mock.patch.object(goldbach, "BLOCK_EVENS", block), \
+                mock.patch.object(primality, "SEGMENT_ODDS", segment_odds), \
+                mock.patch.object(goldbach, "_block_smallest_p", both):
+            scan(limit, on_block)
+        assert len(offs) == -(-((limit - 6) // 2 + 1) // block)
+        if segment_odds <= 1000 and limit >= 2 * _past_reach(block):
+            assert offs[-1] > 0
 
 
 def test_scan_blocks_consistent():
