@@ -28,13 +28,13 @@ from .primality import is_prime, is_prime_big, odd_prime_segments, sieve_primes
 MAX_SCAN_LIMIT = 10**9
 # Largest limit for the CLI's witness file, one row per even n: on a
 # 2-core x86-64 VM `goldbach scan --emit-witnesses` to a file on disk
-# took 10.4-11.2 s for the 2,164,752,254 bytes at 2e8 and 17.3 s for
-# 3,304,266,132 bytes at 3e8, peaking at 46 MB RSS.
+# took 10.6-11.3 s for the 2,164,752,254 bytes at 2e8, peaking at 45 MB
+# RSS, and 17.3 s for 3,304,266,132 bytes at 3e8.
 MAX_WITNESS_LIMIT = 2 * 10**8
 # Largest n accepted by interval_sum_check and symmetric_pair_check.
 # On a 2-core x86-64 VM interval_sum_check(1e7) takes 0.31-0.34 s and
 # peaks at 43 MB RSS (VmHWM): the prime array and one block of windows.
-# 1e8 would take 5.0-5.2 s and 119 MB. symmetric_pair_check's docstring
+# 1e8 would take 3.9-4.6 s and 82 MB. symmetric_pair_check's docstring
 # gives its cost.
 MAX_INTERVAL_SUM_N = 10**7
 MAX_SYMMETRIC_N = 10**8
@@ -62,9 +62,11 @@ _INTERVAL_BLOCK_F = 1 << 16
 # 2-core x86-64 VM, in-process and interleaved, scan(1e7) took
 # 0.030-0.036 s at 256, level with 192 and 384, where 128 took
 # 0.038-0.048 s and 512 0.050-0.058 s. Larger scans leave more n to the
-# gathers: 320 and 384 were 4-7% faster at 1e8, and 384 took 4.3-4.4 s
-# against 5.0-5.1 s at 1e9. But with on_block, 384 puts p past one byte
-# of the counts, and scan(1e7) took 0.088-0.096 s against 0.056-0.067 s.
+# gathers: at 1e9 384 took 3.8-4.2 s against 4.0-4.7 s at 256, and at
+# 1e8 the two were level with on_block and without. But with on_block,
+# min of 7 in fresh processes, scan(1e7) took 0.073-0.077 s at 384
+# against 0.069-0.070 s at 256 (without it 0.034-0.036 s against
+# 0.033-0.034 s), so 256 stays until a cutoff can follow the mode.
 DENSE_PEEL_BELOW = 256
 # The largest p a scan block reads from its window of the stream; see
 # _smallest_p_blocks.
@@ -176,9 +178,10 @@ def scan(
     block reads off each n's p (see _block_smallest_p). The primes are
     streamed, so memory is one segment, a window and one block, whatever
     the limit: on a 2-core x86-64 VM `ova360 goldbach scan --limit
-    100000000` takes 0.75-0.76 s and peaks at 37 MB RSS, interpreter
-    and numpy included, and at MAX_SCAN_LIMIT = 1e9 it takes 5.1-5.6 s
-    and 38 MB.
+    100000000` takes 0.72-0.77 s and peaks at 37 MB RSS, interpreter
+    and numpy included, and at MAX_SCAN_LIMIT = 1e9 it takes 5.2-5.6 s
+    and 38 MB. With --emit-witnesses at MAX_WITNESS_LIMIT = 2e8 it
+    takes 10.6-11.3 s and 45 MB.
 
     The report also carries a four-odd-primes spot witness for the
     largest even n >= 12 in range, built as 3 + 3 + p + q from the
@@ -222,20 +225,24 @@ def _smallest_p_blocks(
 ) -> Iterator[tuple[int, _Block]]:
     """Yield (first_n, block) for consecutive blocks of the even n in
     [6, limit], summed up by _block_smallest_p with its every flag and
-    probe_n's index as its probe.
+    probe_n as its probe.
 
     The odd numbers stream in from odd_prime_segments(limit). A block
     reads n - p for the odd primes p <= MAX_WINDOW_P, so a window keeps
     only the odds from first_n - MAX_WINDOW_P on; the primes p are read
     from the same stream. Any n still unresolved when those primes run
-    out is finished by decompose_even's per-n trial, whose Miller-Rabin
-    is exact at every scan limit. The largest smallest Goldbach prime
-    below 4e18 is 9781 (Oliveira e Silva, Herzog & Pardi, Math. Comp.
-    83, 2014), so at these scales the trial never runs.
+    out is finished by _smallest_p_from's per-n trial, whose
+    Miller-Rabin is exact at every scan limit. The largest smallest
+    Goldbach prime below 4e18 is 9781 (Oliveira e Silva, Herzog &
+    Pardi, Math. Comp. 83, 2014), so at these scales the trial never
+    runs.
     """
     reach = (MAX_WINDOW_P + 1) >> 1  # odds a block reads below its first n
     primes: list[int] = []  # the odd primes <= MAX_WINDOW_P streamed so far
-    window, off = np.zeros(0, dtype=bool), 0  # window[i] is bit off + i
+    # window[i] is bit off + i. The bits below 0 stand for negative odds
+    # and bit 0 for 1, none of them prime, so every n - p < 3 reads
+    # composite and no read needs a guard.
+    window, off = np.zeros(reach, dtype=bool), -reach
     first = 6
     for start, seg in odd_prime_segments(limit):
         end = start + seg.size
@@ -248,19 +255,24 @@ def _smallest_p_blocks(
             if (last >> 1) - 2 >= end:
                 break
             yield first, _block_smallest_p(first, last, window, off, primes,
-                                           every, (probe_n - first) // 2)
+                                           every, probe_n)
             first = last + 2
-        keep = min(max((first >> 1) - reach, off), end)
+        # Every block has off <= (first >> 1) - reach, and every p in
+        # primes is at most 2 * reach - 1, so the lowest bit it reads,
+        # (first - p) >> 1, is at least off: numpy would wrap a negative
+        # index silently. The block before first was ready, so keep <=
+        # end when reach >= 2 (with reach 1 there are no primes to read).
+        keep = (first >> 1) - reach
         window, off = window[keep - off:].copy(), keep  # frees the rest
 
 
 def _block_smallest_p(
     first: int, last: int, window: np.ndarray, off: int, primes: list[int],
-    every: bool, probe: int,
+    every: bool, probe_n: int,
 ) -> _Block:
     """The smallest p of the evens first..last, reading bit b of the
     prime bitmap as window[b - off], as a _Block whose probe_p belongs
-    to index probe. Its best is every n's p when every is set, and
+    to the even probe_n. Its best is every n's p when every is set, and
     otherwise None unless the block needed it for top.
 
     The primes below DENSE_PEEL_BELOW are peeled off the whole block
@@ -270,18 +282,17 @@ def _block_smallest_p(
     the block's top and its first n come from those alone, and the
     peel need not record which dense p resolved each n. Only the every
     mode, and a block where no n is resolved that way (the peel left
-    none, as at small limits, or every n it left failed), count the
-    dense primes tried per n for _every_p to read p off. The probed n,
-    if the peel resolved it, walks the dense primes alone. On a 2-core
-    x86-64 VM the 20 blocks of scan(1e7) spend 0.012-0.015 s in the
-    peel and 0.008-0.011 s in the gathers and the rest; with on_block
-    the peel takes 0.024 s and reading p off the counts 0.015-0.016 s
+    none, or every n it left failed), count the dense primes tried per
+    n, and read p off those counts by one int64 table lookup. The
+    probed n walks the primes alone. On a 2-core x86-64 VM the 20
+    blocks of scan(1e7) spend 0.012-0.015 s in the peel and
+    0.008-0.011 s in the gathers and the rest; with on_block the peel
+    takes 0.024 s and reading p off the counts 0.78-0.84 ms per block
     more.
     """
     m = (last - first) // 2 + 1
     half = first >> 1
-    # the dense primes p <= last - 3, so some n - p >= 3 for each
-    dense = primes[:bisect.bisect_left(primes, min(DENSE_PEEL_BELOW, last - 2))]
+    dense = primes[:bisect.bisect_left(primes, DENSE_PEEL_BELOW)]
     tried = np.zeros(m, dtype=np.uint8) if every else None
     left = np.flatnonzero(_dense_peel(half, m, window, off, dense, tried))
     found = np.zeros(left.size, dtype=np.int64)  # left[k]'s p, 0 for none
@@ -290,11 +301,7 @@ def _block_smallest_p(
     for p in primes[len(dense):]:
         if not rest.size or p > last - 3:
             break
-        qi = qbase - ((p + 1) >> 1)
-        if p > first - 3:  # some n - p fall below 3 (and off is 0)
-            hit = window[np.maximum(qi, 0)] & (qi >= 1)
-        else:
-            hit = window[qi]
+        hit = window[qbase - ((p + 1) >> 1)]
         found[rest[hit]] = p
         miss = ~hit
         rest, qbase = rest[miss], qbase[miss]
@@ -305,21 +312,18 @@ def _block_smallest_p(
         if tried is None:  # the top is a dense p: count them after all
             tried = np.zeros(m, dtype=np.uint8)
             _dense_peel(half, m, window, off, dense, tried)
-        best = _every_p(tried, dense, left, found)
+        best = np.array(dense + [0], dtype=np.int64)[tried]
+        best[left] = found
     if found.any():  # larger than every dense p
         k = int(np.argmax(found))
         top, top_at = int(found[k]), int(left[k])
     else:
         top_at = int(np.argmax(best))
         top = int(best[top_at])
-    k = int(np.searchsorted(left, probe))
-    if k < left.size and left[k] == probe:
-        probe_p = int(found[k])
-    elif 0 <= probe < m:  # a dense p resolved it: the first that reads prime
-        n = first + 2 * probe
-        probe_p = next(p for p in dense if n - p >= 3 and window[((n - p) >> 1) - off])
-    else:
-        probe_p = 0
+    probe_p = 0
+    if first <= probe_n <= last:  # the first p whose probe_n - p reads prime
+        probe_p = next((p for p in primes if window[((probe_n - p) >> 1) - off]), 0)
+        probe_p = probe_p or _smallest_p_from(probe_n, (MAX_WINDOW_P + 1) | 1)
     return _Block(top, top_at, left[found == 0], probe_p, best)
 
 
@@ -328,7 +332,7 @@ def _dense_peel(
     tried: np.ndarray | None,
 ) -> np.ndarray:
     """The mask of the m evens n from 2 * half for which no p in dense
-    makes n - p >= 3 an odd prime, reading bit b as window[b - off].
+    makes n - p an odd prime, reading bit b as window[b - off].
 
     Within a block the evens are consecutive, so for a fixed p the bits
     of n - p form one contiguous slice. The window's bits that the peel
@@ -343,35 +347,14 @@ def _dense_peel(
     unresolved = np.ones(m, dtype=bool)
     if not dense:
         return unresolved
-    low = max(half - ((dense[-1] + 1) >> 1), 1)  # bits low.. of every n - p >= 3
+    low = half - ((dense[-1] + 1) >> 1)  # bits low.. of every n - p
     composite = ~window[low - off : half + m - 2 - off]
     for p in dense:
         lo = half - ((p + 1) >> 1)  # bit of 2 * half - p
-        skip = max(1 - lo, 0)  # leading n with n - p < 3
-        rows = unresolved[skip:]
-        np.logical_and(rows, composite[lo + skip - low : lo + m - low], out=rows)
+        np.logical_and(unresolved, composite[lo - low : lo + m - low], out=unresolved)
         if tried is not None:
             np.add(tried, unresolved.view(np.uint8), out=tried)
     return unresolved
-
-
-def _every_p(
-    tried: np.ndarray, dense: list[int], left: np.ndarray, found: np.ndarray
-) -> np.ndarray:
-    """Every n's smallest p as int64: found for the n in left, and for
-    the others the dense p that _dense_peel's count tried indexes."""
-    # read off the counts one byte of p at a time by bytes.translate:
-    # at 1e8 half the time of an int64 fancy index
-    table = np.zeros(256, dtype=np.uint16)
-    table[:len(dense)] = dense
-    counts = tried.tobytes()
-    low8 = counts.translate(table.astype(np.uint8))
-    best = np.frombuffer(low8, np.uint8).astype(np.int64)
-    if table.max() > 255:  # a cutoff above 256 has p past one byte
-        high8 = counts.translate((table >> 8).astype(np.uint8))
-        best |= np.frombuffer(high8, np.uint8).astype(np.int64) << 8
-    best[left] = found
-    return best
 
 
 def bertrand_construction(n: int) -> BertrandConstruction:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import ova360
-from ova360 import goldbach, goldens, primality
+from ova360 import goldbach, goldens, mersenne, primality
 from ova360.cli import dispatch
 
 
@@ -549,6 +549,18 @@ def test_a_prime_past_the_size_bound_exits_1_with_one_short_line(capsys, argv):
     assert (rc, out) == (1, "")
     assert err.endswith("\n") and err.count("\n") == 1 and len(err) < 100, err
     assert "13288 bits" in err
+
+
+def test_mersenne_scan_bound_exits_1_before_any_test(capsys, monkeypatch):
+    def no_test(p):
+        raise AssertionError("tested past the exponent scan bound")
+
+    monkeypatch.setattr(mersenne, "lucas_lehmer", no_test)
+    past = mersenne.MAX_SCAN_EXPONENT + 1
+    rc, out, err = run(capsys, "mersenne", "scan", "--max", str(past))
+    assert (rc, out) == (1, "")
+    assert err == (f"error: max_p {past} exceeds exponent scan bound "
+                   f"{mersenne.MAX_SCAN_EXPONENT}\n")
 
 
 def test_mersenne_classify(capsys):

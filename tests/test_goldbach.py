@@ -281,29 +281,21 @@ def test_scan_report_is_the_same_in_both_modes_when_every_left_n_fails(
 
 
 def test_scan_without_on_block_counts_no_block_with_a_gathered_p(monkeypatch):
-    # the peel counts the dense primes per n, and _every_p reads p off
-    # the counts, only for the witness rows or a block whose top is dense
-    peel, every_p = goldbach._dense_peel, goldbach._every_p
-    counted, read = [], []
+    # the peel counts the dense primes per n, for p to be read off the
+    # counts, only for the witness rows or a block whose top is dense
+    peel = goldbach._dense_peel
+    counted = []
 
     def spy_peel(half, m, window, off, dense, tried):
         counted.append(tried is not None)
         return peel(half, m, window, off, dense, tried)
 
-    def no_read_after_gathers(tried, dense, left, found):
-        read.append(bool(found.any()))
-        if found.any():
-            raise AssertionError("counted a block with a gathered p")
-        return every_p(tried, dense, left, found)
-
     monkeypatch.setattr(goldbach, "_dense_peel", spy_peel)
-    monkeypatch.setattr(goldbach, "_every_p", no_read_after_gathers)
     r = scan(10**6)
     assert (r.max_smallest_p, r.argmax_n, r.failures) == (523, 503222, ())
-    assert counted == [False, False] and read == []
-    with pytest.raises(AssertionError, match="counted a block with a gathered p"):
-        scan(10**6, on_block=lambda first, best: None)
-    assert counted[2:] == [True] and read == [True]
+    assert counted == [False, False]
+    scan(10**6, on_block=lambda first, best: None)
+    assert counted[2:] == [True, True]
 
 
 # 1621 is the largest cutoff with at most 255 odd primes below it, the
@@ -325,8 +317,9 @@ def test_dense_prime_count_fits_the_uint8_counter(oracle_primes_10k):
 def _kernel_inputs(draw):
     """(dense_below, window_p, first, last, off) for one block: the
     first block (where n - p < 3 occurs) or a later one, cut short as a
-    scan's last block may be, with its window starting anywhere from 0
-    to the lowest bit the block reads."""
+    scan's last block may be, with its window starting anywhere from
+    -reach, the start of _smallest_p_blocks' zero padding, to the
+    lowest bit the block reads."""
     dense_below = draw(st.sampled_from(_DENSE_CUTOFFS))
     block = draw(st.sampled_from(_BLOCKS))
     # a small window_p leaves n to the trial fallback: only in small blocks
@@ -336,8 +329,8 @@ def _kernel_inputs(draw):
     k = draw(st.one_of(st.just(0), st.integers(0, (2 * reach) // (2 * block) + 3)))
     first = 6 + 2 * block * k
     m = draw(st.one_of(st.just(block), st.integers(1, block)))
-    low = max((first >> 1) - reach, 0)
-    off = draw(st.one_of(st.just(low), st.integers(0, low)))
+    low = (first >> 1) - reach
+    off = draw(st.one_of(st.just(low), st.integers(-reach, low)))
     return dense_below, window_p, first, first + 2 * (m - 1), off
 
 
@@ -348,7 +341,9 @@ def test_block_kernel_matches_masked_scatter(case, reference_odd_prime_bitmap,
     dense_below, window_p, first, last, off = case
     bitmap = reference_odd_prime_bitmap(6 + 8 * goldbach.BLOCK_EVENS)
     primes = [2 * i + 1 for i in np.flatnonzero(bitmap[: (window_p + 1) >> 1]).tolist()]
-    window = bitmap[off : (last >> 1) - 1].copy()  # to bit last/2 - 2, no further
+    # zeros for the bits below 0, then the bitmap to bit last/2 - 2, no further
+    window = np.concatenate((np.zeros(max(-off, 0), dtype=bool),
+                             bitmap[max(off, 0) : (last >> 1) - 1]))
     with mock.patch.object(goldbach, "DENSE_PEEL_BELOW", dense_below), \
             mock.patch.object(goldbach, "MAX_WINDOW_P", window_p):
         want = reference_block_smallest_p(first, last, window, off, primes)
@@ -356,7 +351,7 @@ def test_block_kernel_matches_masked_scatter(case, reference_odd_prime_bitmap,
         for every in (True, False):
             for probe in (-1, 0, m - 1, int(np.argmax(want))):
                 got = goldbach._block_smallest_p(first, last, window, off,
-                                                 primes, every, probe)
+                                                 primes, every, first + 2 * probe)
                 _assert_block(got, want, every, probe)
 
 
@@ -405,10 +400,10 @@ def test_scan_blocks_match_masked_scatter(case, reference_block_smallest_p):
     kernel = goldbach._block_smallest_p
     offs = []
 
-    def both(first, last, window, off, primes, every, probe):
-        got = kernel(first, last, window, off, primes, every, probe)
+    def both(first, last, window, off, primes, every, probe_n):
+        got = kernel(first, last, window, off, primes, every, probe_n)
         want = reference_block_smallest_p(first, last, window, off, primes)
-        _assert_block(got, want, every, probe)
+        _assert_block(got, want, every, (probe_n - first) // 2)
         offs.append(off)
         return got
 

@@ -199,7 +199,7 @@ def test_scan_exponents_counts():
 
 def test_scan_exponents_bound():
     with pytest.raises(BoundError):
-        scan_exponents(10001)
+        scan_exponents(mersenne.MAX_SCAN_EXPONENT + 1)
 
 
 def test_singular_class_check():
