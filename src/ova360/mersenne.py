@@ -20,7 +20,7 @@ from typing import Iterable
 from . import goldens
 from .errors import BoundError, DomainError, NotMersennePrime
 from .ova import residue_sets
-from .primality import is_prime, is_prime_big
+from .primality import is_prime, is_prime_big, sieve_primes
 
 MAX_LL_EXPONENT = 10000
 # Largest max_p for scan_exponents, which runs Lucas-Lehmer on every
@@ -29,9 +29,11 @@ MAX_LL_EXPONENT = 10000
 # took 22.1 s.
 MAX_SCAN_EXPONENT = 6000
 # Lucas-Lehmer first tries the factors q = 2kp + 1 for k <= p //
-# LL_TRIAL_K_DIVISOR, q below about p**2. On scan_exponents(2300) this
-# cuts 1.13 s to 0.77 s on a 2-core x86-64 VM (k <= p/4 gives the same,
-# k <= 2p 0.93 s).
+# LL_TRIAL_K_DIVISOR, q below about p**2. On scan_exponents(2300), with
+# the constant patched in one process and the settings interleaved on a
+# 2-core x86-64 VM, this takes the median of two runs from 0.88-1.23 s
+# without trial factors to 0.52-0.63 s (k <= p/4 gives the same,
+# 0.55-0.62 s; k <= 2p 0.65-0.66 s).
 LL_TRIAL_K_DIVISOR = 2
 MAX_KSEQ_INDEX = 2000
 # decimal digits of 2**(12*MAX_KSEQ_INDEX), more than any K up to that index
@@ -282,45 +284,35 @@ def lucas_lehmer(p: int) -> bool:
 def scan_exponents(max_p: int) -> ScanReport:
     """Search exponents <= max_p for Mersenne primes.
 
-    Walks the exponents e >= 5 coprime to 6, which are exactly the
-    members of the four class progressions 12i-11, 12i-7, 12i-5, 12i-1,
-    skipping composite ones, and runs Lucas-Lehmer on the prime ones;
-    the singular exponents 2 and 3 are checked directly.
-    skipped_by_class counts the composite progression members discarded
-    without a test.
+    Reads the primes p <= max_p from the sieve: the singular exponents
+    2 and 3 are checked directly and every larger p by Lucas-Lehmer, so
+    tested = pi(max_p). Every p > 3 lies on one of the four class
+    progressions 12i-11, 12i-7, 12i-5, 12i-1, whose members are the
+    e >= 5 coprime to 6; skipped_by_class counts the composite members
+    up to max_p, discarded without a test.
     """
     if max_p < 2:
         raise DomainError(f"max_p must be >= 2, got {max_p}")
     if max_p > MAX_SCAN_EXPONENT:
         raise BoundError(
             f"max_p {max_p} exceeds exponent scan bound {MAX_SCAN_EXPONENT}")
-    found = [2] if is_prime_big(3) else []
-    tested = 1
-    if max_p >= 3:
-        tested += 1
-        if is_prime_big(7):
-            found.append(3)
-    skipped = 0
-    for e in range(5, max_p + 1):
-        if math.gcd(e, 6) > 1:
-            continue
-        if not is_prime(e):
-            skipped += 1
-            continue
-        tested += 1
-        if lucas_lehmer(e):
-            found.append(e)
-    return ScanReport(max_p, tested, tuple(sorted(found)), skipped)
+    primes = sieve_primes(max_p).tolist()
+    found = [p for p in primes if
+             (is_prime_big((1 << p) - 1) if p <= 3 else lucas_lehmer(p))]
+    members = len(range(5, max_p + 1, 6)) + len(range(7, max_p + 1, 6))
+    skipped = members - max(len(primes) - 2, 0)
+    return ScanReport(max_p, len(primes), tuple(found), skipped)
 
 
 def singular_class_check(max_p: int) -> SingularReport:
-    """Verify residues 3 and 7 occur only at exponents 2 and 3."""
+    """Verify residues 3 and 7 occur only at exponents 2 and 3, over
+    the primes p <= max_p from the sieve, whose bound,
+    MAX_PRIME_LIST_LIMIT, max_p shares: past it, BoundError comes
+    before any work."""
     if max_p < 3:
         raise DomainError(f"max_p must be >= 3, got {max_p}")
     r3, r7, seen = [], [], set()
-    for p in range(2, max_p + 1):
-        if not is_prime(p):
-            continue
+    for p in sieve_primes(max_p).tolist():
         r = (pow(2, p, 360) - 1) % 360
         seen.add(r)
         if r == 3:

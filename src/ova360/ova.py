@@ -19,7 +19,7 @@ from functools import cache
 import numpy as np
 
 from .errors import BoundError, DomainError
-from .primality import _check_sieve_limit, is_prime, is_prime_big, sieve_primes
+from .primality import _check_sieve_limit, is_prime_big, sieve_primes
 
 MODULUS = 360
 # Most coefficients genfunc_coefficients computes; see there for the cost.
@@ -100,7 +100,7 @@ def residue_sets() -> ResidueSets:
     primes above 360 can take (totatives plus 1), C* their union, and
     C = C* minus the singleton residues 2, 3, 5.
     """
-    a = frozenset(r for r in range(2, MODULUS) if is_prime(r))
+    a = frozenset(sieve_primes(MODULUS).tolist())
     cstar = frozenset(
         r for r in range(1, MODULUS) if math.gcd(r, MODULUS) == 1
     ) | {2, 3, 5}

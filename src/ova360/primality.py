@@ -2,9 +2,11 @@
 
 Provides one segmented sieve over an arithmetic progression: over the
 odd numbers it is streamed one segment at a time, which the prime list
-and every scan read; matrix.density runs it over a residue line
-z + 360*G, and matrix.residue_counts over the eight lines w + 30i of a
-mod-30 wheel.
+and every scan read, the Mersenne exponent scan and the residue sets
+included; matrix.density runs it over a residue line z + 360*G, and
+matrix.residue_counts over the eight lines w + 30i of a mod-30 wheel.
+Its base primes come from a shorter run of the same loop, so it is the
+package's one sieve.
 Also one Miller-Rabin body behind two entry points, and the factorial
 construction of prime-free intervals together with the gap identity
 around them. The body answers n < 256 from a table, rejects any larger
@@ -83,18 +85,6 @@ class CompositeInterval:
         return list(range(self.low, self.high + 1))
 
 
-def _odd_base(limit: int) -> np.ndarray:
-    # plain odd-only sieve; index i represents 2i+1
-    n = (limit + 1) // 2
-    out = np.ones(n, dtype=bool)
-    out[0] = False
-    for i in range(1, (math.isqrt(limit) // 2) + 1):
-        if out[i]:
-            p = 2 * i + 1
-            out[(p * p) // 2 :: p] = False
-    return out
-
-
 # These primes clear their multiples through a pre-sieve pattern rather
 # than by striking, so terms up to the last of them are written as prime
 # or not.
@@ -112,17 +102,23 @@ def _check_sieve_limit(limit: int) -> None:
         raise BoundError(f"limit {limit} exceeds sieve bound {MAX_STREAM_LIMIT}")
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _base_primes(step: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """(ps, inv): the primes 13 < p < bound that do not divide step,
     ascending, and pow(step, -1, p) for each, as read-only int64 arrays.
 
-    bound is a power of two. An entry takes 16 bytes a prime; the
-    largest any public entry point asks for is density's at its rotation
-    bound (bound 2^18, 368 KB), so the 8 entries hold at most 3 MB.
+    The primes come from the strike loop itself, through sieve_primes;
+    that run asks only for the base primes to sqrt(bound), so the
+    recursion ends at bound 2, whose list is empty.
+
+    bound is a power of two. An entry takes 16 bytes a prime. The entry
+    points ask for steps 2 and 30 up to bound 2^17 and for step 360
+    (density at its rotation bound) up to 2^18, 368 KB; the entries of
+    one step differ in bound, so together they hold under 1.7 MB. The
+    16 entries keep both the small step-2 entries of the recursion and
+    a density loop over every bound to 2^10 cached.
     """
-    base = _odd_base(bound - 1)
-    ps = 2 * np.flatnonzero(base).astype(np.int64) + 1
+    ps = sieve_primes(bound - 1)
     ps = ps[(ps > _PRESIEVE_PRIMES[-1]) & (step % ps != 0)]
     inv = np.array([pow(step, -1, p) for p in ps.tolist()], dtype=np.int64)
     ps.flags.writeable = inv.flags.writeable = False

@@ -852,8 +852,6 @@ def test_sieve_bound_exits_1_before_sieving(capsys, monkeypatch, argv):
     def no_sieve(*args):
         raise AssertionError("sieved past the bound")
 
-    # a cached set-up skips _odd_base, so the strike loop is patched too
-    monkeypatch.setattr(primality, "_odd_base", no_sieve)
     monkeypatch.setattr(primality, "_sieve_segments", no_sieve)
     monkeypatch.setattr(matrix, "_sieve_segments", no_sieve)
     bound = getattr(primality, argv[2])

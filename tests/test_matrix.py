@@ -300,7 +300,7 @@ def test_residue_counts_bound_fails_before_sieving_on_a_warm_cache(monkeypatch):
     counts = residue_counts.__wrapped__
     assert sum(counts(10**6)) == 78498  # fills the strike loop's caches
     monkeypatch.setattr(matrix, "_sieve_segments", no_sieve)
-    monkeypatch.setattr(primality, "_odd_base", no_sieve)
+    monkeypatch.setattr(primality, "_sieve_segments", no_sieve)
     with pytest.raises(BoundError, match=str(primality.MAX_STREAM_LIMIT)):
         counts(primality.MAX_STREAM_LIMIT + 1)
 

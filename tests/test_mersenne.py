@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ova360 import goldens, mersenne
+from ova360 import goldens, mersenne, primality
 from ova360.errors import BoundError, DomainError, NotMersennePrime
 from ova360.mersenne import (
     MersenneClass,
+    SingularReport,
     classify_exponent,
     criteria_eliminations,
     criteria_filter,
@@ -23,7 +26,7 @@ from ova360.mersenne import (
     scan_exponents,
     singular_class_check,
 )
-from ova360.primality import is_prime, sieve_primes
+from ova360.primality import MAX_PRIME_LIST_LIMIT, is_prime, sieve_primes
 
 
 def test_residue_examples():
@@ -200,6 +203,37 @@ def test_scan_exponents_counts():
 def test_scan_exponents_bound():
     with pytest.raises(BoundError):
         scan_exponents(mersenne.MAX_SCAN_EXPONENT + 1)
+
+
+def test_scan_and_singular_check_match_sympy_at_every_max_p(reference_lucas_lehmer):
+    # below 5 the four progressions have no member; 5 and 7 are the first
+    primes, found, residues, composite_members = [], [], [], 0
+    for max_p in range(2, 401):
+        if sympy.isprime(max_p):
+            primes.append(max_p)
+            if max_p == 2 or reference_lucas_lehmer(max_p):
+                found.append(max_p)
+            residues.append((pow(2, max_p, 360) - 1) % 360)
+        elif max_p >= 5 and math.gcd(max_p, 6) == 1:
+            composite_members += 1
+        r = scan_exponents(max_p)
+        assert (r.max_p, r.tested, r.mersenne_exponents, r.skipped_by_class) == (
+            max_p, len(primes), tuple(found), composite_members)
+        if max_p >= 3:
+            s = singular_class_check(max_p)
+            r3 = tuple(p for p, z in zip(primes, residues) if z == 3)
+            r7 = tuple(p for p, z in zip(primes, residues) if z == 7)
+            assert s == SingularReport(max_p, r3 == (2,) and r7 == (3,), r3, r7,
+                                       tuple(sorted(set(residues)))), max_p
+
+
+def test_singular_class_check_bound_fails_before_sieving(monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("sieved past the bound")
+
+    monkeypatch.setattr(primality, "_sieve_segments", no_sieve)
+    with pytest.raises(BoundError, match=str(MAX_PRIME_LIST_LIMIT)):
+        singular_class_check(MAX_PRIME_LIST_LIMIT + 1)
 
 
 def test_singular_class_check():

@@ -135,10 +135,10 @@ def test_segments_join_to_the_bitmap(monkeypatch, reference_odd_prime_bitmap):
 
 
 def test_stream_bound_fails_before_sieving(monkeypatch):
-    def no_sieve(limit):
+    def no_sieve(*args):
         raise AssertionError("sieved past the bound")
 
-    monkeypatch.setattr(primality, "_odd_base", no_sieve)
+    monkeypatch.setattr(primality, "_sieve_segments", no_sieve)
     with pytest.raises(BoundError, match=str(MAX_STREAM_LIMIT)):
         odd_prime_segments(MAX_STREAM_LIMIT + 1)
     with pytest.raises(DomainError):
@@ -151,7 +151,6 @@ def test_stream_bound_fails_before_sieving_on_a_warm_cache(monkeypatch):
 
     assert sieve_primes(10**6).size == 78498  # fills the strike loop's caches
     monkeypatch.setattr(primality, "_sieve_segments", no_sieve)
-    monkeypatch.setattr(primality, "_odd_base", no_sieve)
     with pytest.raises(BoundError, match=str(MAX_STREAM_LIMIT)):
         odd_prime_segments(MAX_STREAM_LIMIT + 1)
 
@@ -200,8 +199,10 @@ def test_strike_loop_caches_serve_interleaved_progressions(
 
 
 def test_small_calls_build_no_full_segment_tile(monkeypatch):
-    from ova360 import matrix
+    from ova360 import matrix, ova
 
+    ova.residue_sets()  # cached on its own, so it sieves nothing below
+    primality._base_primes.cache_clear()
     sizes = []
     build = primality._presieve_tile.__wrapped__
 
@@ -214,7 +215,22 @@ def test_small_calls_build_no_full_segment_tile(monkeypatch):
     assert sieve_primes(1000).size == 168
     assert matrix.density(7, 100) * 100 == 41
     assert sum(matrix.residue_counts.__wrapped__(10**4)) == 1229
-    assert len(sizes) == 1 + 1 + 8 and max(sizes) < SEGMENT_ODDS // 8
+    # each call builds the tiles of its own progressions (1 + 1 + 8), and
+    # the cold base primes those of the sieve_primes runs that list them:
+    # to 31, 7 and 3 for the odds to 1000, to 255 and 15 for density's
+    # line (15's base primes are cached by then), to 127 for the wheel
+    assert len(sizes) == (1 + 3) + (1 + 2) + (8 + 1)
+    assert max(sizes) < SEGMENT_ODDS // 8
+
+
+@pytest.mark.parametrize("step", [2, 30, 360])
+def test_base_primes_match_sympy(step):
+    # 2^18 is density's bound at MAX_DENSITY_ROTATIONS, the largest asked for
+    for k in range(4, 19):
+        ps, inv = primality._base_primes(step, 1 << k)
+        want = [p for p in sympy.primerange(14, 1 << k) if step % p]
+        assert ps.tolist() == want, (step, k)
+        assert np.all(step * inv % ps == 1), (step, k)
 
 
 def test_period_counts_match_bincount():

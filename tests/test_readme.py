@@ -139,6 +139,8 @@ def test_readme_cli_example(capsys, tmp_path, example, fmt):
      "limit {} exceeds scan bound {}"),
     (("mersenne", "scan", "--max"), mersenne.MAX_SCAN_EXPONENT,
      "max_p {} exceeds exponent scan bound {}"),
+    (("mersenne", "ll", "--p"), mersenne.MAX_LL_EXPONENT,
+     "exponent {} exceeds Lucas-Lehmer bound {}"),
     # a 301-digit bound would make a 301-digit test id
     pytest.param(("goldbach", "construct", "--n"), goldbach.MAX_CONSTRUCT_N,
                  "n {} exceeds construction bound {}", id="goldbach-construct"),
