@@ -4,7 +4,8 @@ Provides one segmented sieve over an arithmetic progression: over the
 odd numbers it is streamed one segment at a time, which the prime list
 and every scan read, the Mersenne exponent scan and the residue sets
 included; matrix.density runs it over a residue line z + 360*G, and
-matrix.residue_counts over the eight lines w + 30i of a mod-30 wheel.
+matrix.residue_counts over the eight lines w + 30i of a mod-30 wheel,
+with its base primes cut at the cube root of x.
 Its base primes come from a shorter run of the same loop, so it is the
 package's one sieve.
 Also one Miller-Rabin body behind two entry points, and the factorial
@@ -31,8 +32,10 @@ import numpy as np
 from .errors import BoundError, CounterexampleFound, DomainError
 
 # The strike loop holds one segment, so time, not memory, bounds it. On
-# a 2-core x86-64 VM, `dirichlet --all` takes 11-14 s at 1e10 and
-# 0.6-0.8 s at 1e9, start-up excluded, and peaks at 35 MB. `germain`
+# a 2-core x86-64 VM, `dirichlet --all` takes 4.6-5.3 s at 1e10 and
+# 0.34-0.46 s at 1e9, start-up excluded, and peaks at 41 MB: its lines
+# are struck only to the cube root of x (12.6-13.3 s and 0.64-0.77 s
+# to the square root, measured side by side). `germain`
 # keeps this bound, though it reads only the primes
 # to 4096, which already hold a safe prime in every class one can take:
 # at 1e10 it takes 0.26-0.31 s and 31 MB, start-up included.
@@ -112,9 +115,10 @@ def _base_primes(step: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
     recursion ends at bound 2, whose list is empty.
 
     bound is a power of two. An entry takes 16 bytes a prime. The entry
-    points ask for steps 2 and 30 up to bound 2^17 and for step 360
-    (density at its rotation bound) up to 2^18, 368 KB; the entries of
-    one step differ in bound, so together they hold under 1.7 MB. The
+    points ask for step 2 up to bound 2^17, for step 30 (the wheel, cut
+    at the cube root of 1e10) up to 2^12 and for step 360 (density at
+    its rotation bound) up to 2^18, 368 KB; the entries of one step
+    differ in bound, so together they hold under 1.3 MB. The
     16 entries keep both the small step-2 entries of the recursion and
     a density loop over every bound to 2^10 cached.
     """
@@ -141,7 +145,8 @@ def _presieve_tile(pre: tuple[int, ...], periods: int) -> np.ndarray:
     return tile
 
 
-def _sieve_segments(first: int, step: int, count: int) -> Iterator[tuple[int, np.ndarray]]:
+def _sieve_segments(first: int, step: int, count: int, *,
+                    cut: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """The one strike loop, over the progression first + step*i for i
     in [0, count); step is even and coprime to first. Yield (start, seg)
     with seg[j] == (first + step*(start+j) is prime) for consecutive
@@ -149,14 +154,17 @@ def _sieve_segments(first: int, step: int, count: int) -> Iterator[tuple[int, np
     overwrites.
 
     A prime p that divides step never divides a term. Each other base
-    prime p <= sqrt(last term) divides the terms with i = -first/step
-    (mod p); p from 3 to 13 clear theirs through a pre-sieve pattern of
-    period prod(p) that each segment starts as, and every larger p
-    strikes its class from the first term >= p*p, which spares p itself
-    when it lies on the progression (Bays & Hudson, BIT 17, 1977).
+    prime p <= sqrt(last term), and p <= cut when a cut is given,
+    divides the terms with i = -first/step (mod p); p from 3 to 13 clear
+    theirs through a pre-sieve pattern of period prod(p) that each
+    segment starts as, whatever the cut, and every larger p strikes its
+    class from the first term >= p*p, which spares p itself when it
+    lies on the progression (Bays & Hudson, BIT 17, 1977). With a cut,
+    a composite survives when all its prime factors exceed
+    max(cut, 13); matrix.residue_counts subtracts those itself.
 
     What does not depend on first is built once and cached: the base
-    primes with their inverses of step, per step and sqrt(last term)
+    primes with their inverses of step, per step and largest base prime
     rounded up to a power of two, so a class table is a few numpy
     operations; and one pre-sieve tile per length, built for the
     progression from 0, whose pattern for first is the same tile read
@@ -172,6 +180,8 @@ def _sieve_segments(first: int, step: int, count: int) -> Iterator[tuple[int, np
     phase = first * pow(step, -1, period) % period
     head = [v in _SMALL_PRIMES for v in range(first, _PRESIEVE_PRIMES[-1] + 1, step)]
     root = math.isqrt(first + step * (count - 1))
+    if cut is not None:
+        root = min(root, cut)
     ps, inv = _base_primes(step, 1 << root.bit_length())
     ps = ps[:ps.searchsorted(root, "right")]
     primes = ps.tolist()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -257,6 +258,41 @@ def test_residue_counts_match_gathered_counts(reference_residue_counts):
     for k in (2777, 2778, 2800):
         for x in (360 * k - 1, 360 * k, 360 * k + 1):
             assert residue_counts(x) == reference_residue_counts(x), x
+
+
+def test_residue_counts_at_the_cube_root_cut(reference_residue_counts):
+    # the lines are struck by the primes to max(cbrt(x), 13) only, so the
+    # cut moves at every cube: k^3 - 1, k^3 and k^3 + 1 straddle it
+    for k in range(13, 61):
+        for x in (k**3 - 1, k**3, k**3 + 1):
+            assert residue_counts(x) == reference_residue_counts(x), x
+
+
+def test_residue_counts_at_two_factor_edges(monkeypatch, reference_residue_counts):
+    # p^2 and p*q are the composites left standing by the cut at their
+    # own x, with q at the low (q = p) or high (q = x // p) end of p's span
+    for low in (13, 20, 50, 100, 200, 450):
+        p = sympy.nextprime(low)
+        q = sympy.nextprime(p)
+        # the largest q' < p^2 keeps p just above the cut of p*q'
+        top = sympy.prevprime(p * p)
+        for x in (p * p - 1, p * p, p * p + 1, p * q - 1, p * q, p * q + 1,
+                  p * top - 1, p * top, p * top + 1):
+            assert matrix._icbrt(x) < p <= math.isqrt(x) or x < p * p, x
+            assert residue_counts(x) == reference_residue_counts(x), x
+    # the 143 primes p in (100, 1000] in steps of 7, the last one short
+    monkeypatch.setattr(matrix, "_PAIR_CHUNK", 7)
+    for x in (10**6 - 1, 10**6, 10**6 + 1):
+        assert residue_counts.__wrapped__(x) == reference_residue_counts(x), x
+
+
+def test_residue_counts_at_1e8_pinned():
+    counts = residue_counts(10**8)
+    assert sum(counts) == sympy.primepi(10**8) == 5761455
+    # the per-class tuple, sha256 of its comma-joined decimals, as the
+    # strike loop over every base prime to 10^4 counted it
+    digest = hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()
+    assert digest == "76b2cb7d7a71553f5b213a65cebef54b536fee90b2db8fd441c03842b5e2627e"
 
 
 def test_residue_counts_stream_matches_whole_bitmap(monkeypatch,

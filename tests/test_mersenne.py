@@ -227,6 +227,25 @@ def test_scan_and_singular_check_match_sympy_at_every_max_p(reference_lucas_lehm
                                        tuple(sorted(set(residues)))), max_p
 
 
+def loop_singular_report(max_p: int) -> SingularReport:
+    """singular_class_check by one pow(2, p, 360) per prime."""
+    residues = {p: (pow(2, p, 360) - 1) % 360
+                for p in sieve_primes(max_p).tolist()}
+    r3 = tuple(p for p, z in residues.items() if z == 3)
+    r7 = tuple(p for p, z in residues.items() if z == 7)
+    return SingularReport(max_p, r3 == (2,) and r7 == (3,), r3, r7,
+                          tuple(sorted(set(residues.values()))))
+
+
+def test_singular_class_check_matches_pow_loop(monkeypatch):
+    # 78498 primes to 1e6: four whole chunks and a short one
+    assert singular_class_check(10**6) == loop_singular_report(10**6)
+    # chunks of 7 primes, ending on and between the chunk edges
+    monkeypatch.setattr(mersenne, "_RESIDUE_CHUNK", 7)
+    for max_p in (3, 17, 19, 23, 1000):
+        assert singular_class_check(max_p) == loop_singular_report(max_p), max_p
+
+
 def test_singular_class_check_bound_fails_before_sieving(monkeypatch):
     def no_sieve(*args):
         raise AssertionError("sieved past the bound")

@@ -218,8 +218,11 @@ def test_small_calls_build_no_full_segment_tile(monkeypatch):
     # each call builds the tiles of its own progressions (1 + 1 + 8), and
     # the cold base primes those of the sieve_primes runs that list them:
     # to 31, 7 and 3 for the odds to 1000, to 255 and 15 for density's
-    # line (15's base primes are cached by then), to 127 for the wheel
-    assert len(sizes) == (1 + 3) + (1 + 2) + (8 + 1)
+    # line (15's base primes are cached by then), to 31 for the wheel cut
+    # at 21 = max(cbrt(10^4), 13); the last 1 is residue_counts' list of
+    # the primes to 10^4 // 22 = 454, whose two-factor products it
+    # subtracts (its base primes to 31 are cached by then)
+    assert len(sizes) == (1 + 3) + (1 + 2) + (8 + 1) + 1
     assert max(sizes) < SEGMENT_ODDS // 8
 
 
