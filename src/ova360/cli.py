@@ -64,11 +64,10 @@ def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
     reader closes stdout early (`| head`), the rest is dropped without
     a traceback and dispatch still returns the verb's exit code; any
     other failed write raises OvaError.
-    Python's int -> str limit (4300 digits; none before 3.10.7) is
+    Python's int -> str limit (4300 digits by default, 0 for none) is
     raised to _MAX_DIGITS while it writes.
     """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    old = get_limit() if get_limit else 0
+    old = sys.get_int_max_str_digits()
     if 0 < old < _MAX_DIGITS:
         sys.set_int_max_str_digits(_MAX_DIGITS)
     try:
@@ -87,8 +86,7 @@ def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
         if not isinstance(exc, BrokenPipeError):
             raise OvaError(f"cannot write stdout: {exc.strerror}") from None
     finally:
-        if get_limit:
-            sys.set_int_max_str_digits(old)
+        sys.set_int_max_str_digits(old)
 
 
 # ---------------------------------------------------------------- handlers
@@ -223,7 +221,7 @@ def _cmd_goldbach_scan(args):
         )
     if report.failures:
         lines.append(f"FAILURES: {list(report.failures)}")
-    return dataclasses.asdict(report), lines, None, 2 if report.failures else 0
+    return report, lines, None, 2 if report.failures else 0
 
 
 def _cmd_goldbach_construct(args):
@@ -244,7 +242,7 @@ def _cmd_goldbach_combine(args):
     if not r.hits:
         lines.append("FINDING: no candidate residue is prime at the "
                      "combined rotation")
-    return dataclasses.asdict(r), lines, None, 0 if r.hits else 2
+    return r, lines, None, 0 if r.hits else 2
 
 
 def _cmd_mersenne_classify(args):
@@ -270,7 +268,7 @@ def _cmd_mersenne_filter(args):
 
 def _cmd_mersenne_scan(args):
     r = mersenne.scan_exponents(args.max)
-    return dataclasses.asdict(r), [
+    return r, [
         f"max_p={r.max_p} tested={r.tested} "
         f"skipped_by_class={r.skipped_by_class}",
         f"exponents={list(r.mersenne_exponents)}",

@@ -4,8 +4,9 @@ puts their parts on a stream.
 JSON output is canonical: keys sorted, exact integers and rationals
 rendered as strings so nothing is subject to floating-point precision
 loss. Long integer arrays (the `sieve` primes, the Goldbach witness
-rows, JSON int arrays) become decimal text in numpy parts, with no
-Python work per integer, and every part reaches a stream through write.
+rows, JSON int arrays) are non-negative int64 and become decimal text in
+numpy parts by one kernel, int_text, with no Python work per integer;
+every part reaches a stream through write.
 """
 
 from __future__ import annotations
@@ -63,7 +64,9 @@ def int_text(cols, seps):
     bytes parts of up to EMIT_CHUNK rows, each a new object that the
     caller writes as it is.
 
-    Non-negative int64 arrays take no Python work per integer. Each
+    The columns are non-negative int64 arrays and no separator holds a
+    NUL (the translate below would delete it), as joined and
+    witness_rows send them. No Python work is done per integer. Each
     value fills fixed-width 4-digit groups from a 10**4-entry table, in
     which the leading zeros are NUL bytes, and one translate per part
     deletes them; the translated bytearray is the part. The text buffer
@@ -76,19 +79,9 @@ def int_text(cols, seps):
     block took 0.21 s and 11-13k, and 0.11 s and 8.1-9.6k. A group is
     split off with floor_divide, multiply and subtract: int64 divmod has
     no fast path for a constant divisor, and took 71 us per part of
-    16384 values against 33 us. Anything else, or a separator that
-    holds a NUL (the translate would delete it), is formatted one value
-    at a time.
+    16384 values against 33 us.
     """
     n = len(cols[0])
-    if any("\0" in s for s in seps) or not all(
-            isinstance(c, np.ndarray) and c.dtype == np.int64
-            and not (c.size and c.min() < 0) for c in cols):
-        fmt = "".join("%d" + s.replace("%", "%%") for s in seps)
-        for i in range(0, n, EMIT_CHUNK):
-            rows = zip(*(c[i:i + EMIT_CHUNK] for c in cols))
-            yield "".join([fmt % row for row in rows]).encode("ascii")
-        return
     if not n:
         return
     rows = min(n, EMIT_CHUNK)
@@ -160,9 +153,11 @@ def json_items(obj) -> list:
     int64 arrays lists of strings, dataclasses dicts, dict keys
     str(key); sets are sorted and enums give their value.
 
-    Every item is a str, except that a non-empty int64 array's values
-    are one lazy item: the kernel's bytes parts, rendered only as write
-    consumes them, so an array streams the way the plain lines do."""
+    Every item is a str, except that the values of a non-empty int64
+    array with no negative value are one lazy item: the kernel's bytes
+    parts, rendered only as write consumes them, so an array streams the
+    way the plain lines do. An array that holds a negative value is
+    written as its list."""
     out = []
     _json_parts(obj, out, "")
     out.append("\n")
@@ -189,8 +184,9 @@ def _json_parts(obj, out: list, indent: str) -> None:
         seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
         _json_container("[]", [("", v) for v in seq], out, indent)
     elif isinstance(obj, np.ndarray) and obj.dtype == np.int64:
-        if not obj.size:
-            out.append("[]")
+        # the list rule writes "[]", and the signs the kernel cannot
+        if not obj.size or obj.min() < 0:
+            _json_parts(obj.tolist(), out, indent)
             return
         inner = indent + "  "
         out += ["[\n", inner, '"', joined(obj, '",\n' + inner + '"', ""),

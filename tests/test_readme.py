@@ -10,9 +10,10 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ova360 import goldbach, mersenne, primality
+from ova360 import goldbach, mersenne, primality, render
 from ova360.cli import dispatch
 
 README = Path(__file__).parents[1] / "README.md"
@@ -128,6 +129,37 @@ def test_readme_cli_example(capsys, tmp_path, example, fmt):
     file_sha = _sha(witness.read_bytes()) if witness.exists() else None
     assert (rc, _sha(out.out.encode()), file_sha) == EXPECTED[example, fmt]
     assert out.err == ""
+
+
+def test_int_text_receives_only_kernel_input(capsys, tmp_path, monkeypatch):
+    # render.int_text has one path, the numpy kernel: whatever the CLI
+    # sends it must be non-negative int64 columns and NUL-free separators
+    # (the kernel's NULs mark leading zeros), in every README example and
+    # format, the witness file at 2e6, and the shortest prime lists
+    kernel, sent = render.int_text, []
+
+    def spy(cols, seps):
+        for c in cols:
+            assert isinstance(c, np.ndarray) and c.dtype == np.int64
+            assert c.ndim == 1 and len(c) == len(cols[0])
+            assert not (c.size and c.min() < 0)
+        assert len(seps) == len(cols) and not any("\0" in s for s in seps)
+        sent.append(len(cols[0]))
+        return kernel(cols, seps)
+
+    monkeypatch.setattr(render, "int_text", spy)
+    witness = str(tmp_path / "w.csv")
+    runs = [(argv, fmt) for argv in _cli_examples() for fmt in _formats(argv)]
+    runs += [(["goldbach", "scan", "--limit", "2000000", "--emit-witnesses",
+               "w.csv"], "plain")]
+    runs += [(["sieve", "--limit", top], fmt)
+             for top in ("1", "2") for fmt in ("plain", "csv", "json")]
+    for argv, fmt in runs:
+        argv = [witness if a == "w.csv" else a for a in argv]
+        assert dispatch([*argv, "--format", fmt]) in (0, 2), argv
+        assert capsys.readouterr().err == ""
+    # the witness rows of 2e6 and the lists of sieve, genfunc and landau
+    assert sum(sent) > 10**6
 
 
 @pytest.mark.parametrize("argv, bound, message", [
