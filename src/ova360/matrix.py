@@ -9,9 +9,9 @@ odd number below the line's top. The Dirichlet-style diagnostic
 compares each class's prime count against the equidistribution
 prediction (x/ln x)/96; the counts come from the same sieve run over
 the eight lines w + 30i of a mod-30 wheel, each folded by its period
-of 12 terms mod 360, with base primes only to the cube root of x; the
-products of two larger primes it leaves standing are then subtracted
-class by class (Meissel's split).
+of 12 terms mod 360, with base primes only to the fourth root of x
+from 2e6 on; the products of two and of three larger primes it leaves
+standing are then subtracted class by class (Lehmer's split).
 Determinants are computed exactly over the integers (Bareiss
 fraction-free elimination) so invertibility gets an exact verdict
 instead of a floating-point guess: these matrices are not invertible
@@ -34,6 +34,7 @@ from .primality import (
     _check_sieve_limit,
     _sieve_segments,
     is_prime_big,
+    odd_prime_segments,
     period_counts,
     sieve_primes,
 )
@@ -50,13 +51,28 @@ _SINGLETONS = (2, 3, 5)
 # w + 30i with w coprime to 30, and 30 divides 360.
 _WHEEL = math.prod(_SINGLETONS)
 _WHEEL_LINES = tuple(w for w in range(1, _WHEEL) if math.gcd(w, _WHEEL) == 1)
-# _two_factor_counts' p per step: 96 x 256 int64 spans are 192 KB. All
-# 9.3k p at 1e10 at once took dirichlet's peak RSS from 35 to 59 MB, and
-# steps of 1024 p took it at 1e8 from 33.7 to 35.8 MB, at the same speed
-_PAIR_CHUNK = 1 << 8
-# the 96 classes mod 360 that hold the primes past 5, as a column
+# _product_counts' rows per step, of primes to sqrt(x) or of pair ends
+# past it: a step's table is _STEP_ROWS x 96 int64, 768 KB. 2^10 took
+# 5.3 ms at 1e8 against 6.0-6.6 ms for 2^11 to 2^13, level at 1e9
+_STEP_ROWS = 1 << 10
+# residue_counts cuts the strikes at x**(1/4) from here on: on a 2-core
+# x86-64 VM, striking to sqrt(x) took 0.9-1.0 against 1.1-1.5 ms at
+# 1e6, was level at 2e6, and took 2.8-3.0 against 2.1-2.3 ms at 5e6.
+# It is at least 17**2, below which no product of primes past 13 lies
+_LEHMER_FROM = 2 * 10**6
+# the 96 classes mod 360 that hold the primes past 5; the index of each
+# residue among them (0 off them); and _COFACTOR[a, c], the b with
+# _UNITS[a] * _UNITS[b] = _UNITS[c] (mod 360), a permutation in c as
+# the units form a group, as a flat index a * 96 + b
 _UNITS = np.array([r for r in range(MODULUS) if math.gcd(r, MODULUS) == 1],
-                  dtype=np.int64)[:, None]
+                  dtype=np.int64)
+_UNIT_INDEX = np.zeros(MODULUS, dtype=np.intp)
+_UNIT_INDEX[_UNITS] = np.arange(_UNITS.size)
+_COFACTOR = _UNIT_INDEX[np.outer(_UNITS, _UNITS) % MODULUS].argsort(axis=1)
+_COFACTOR += _UNITS.size * np.arange(_UNITS.size)[:, None]
+# the class index of the odd number 2i+1, by i mod 180
+_ODD_PERIOD = MODULUS // 2
+_ODD_CLASS = _UNIT_INDEX[2 * np.arange(_ODD_PERIOD) + 1].astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -184,40 +200,128 @@ def density(ova: int, rotations: int) -> Fraction:
     return Fraction(hits, rotations)
 
 
-def _icbrt(x: int) -> int:
-    """The largest y with y**3 <= x, for x >= 0."""
-    y = round(x ** (1 / 3))
-    while y ** 3 > x:
+def _iroot(x: int, k: int) -> int:
+    """The largest y with y**k <= x, for x >= 0."""
+    y = round(x ** (1 / k))
+    while y ** k > x:
         y -= 1
-    while (y + 1) ** 3 <= x:
+    while (y + 1) ** k <= x:
         y += 1
     return y
 
 
-def _two_factor_counts(x: int, y: int) -> np.ndarray:
-    """c[r] = number of pairs of primes y < p <= q with p*q <= x and
-    p*q = r (mod 360); y >= 5.
+def _sum_by_key(rows: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, s): the distinct keys, ascending, and s[j] = the int64 sum of
+    the rows whose key is k[j], by one sort and one np.add.reduceat."""
+    o = keys.argsort()
+    keys = keys[o]
+    heads = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[heads], np.add.reduceat(rows[o], heads, dtype=np.int64)
 
-    For each p <= sqrt(x), the q in [p, x/p] of each of the 96 unit
-    classes are the span of one sorted key array (q mod 360) * 2^40 + q
-    between two searchsorted bounds, and that count falls on class
-    r*p mod 360: a few numpy calls per _PAIR_CHUNK p, whatever x.
+
+def _product_counts(x: int, y: int) -> np.ndarray:
+    """c[a] = number of products p*q and p*q*r <= x of primes
+    y < p <= q <= r in the class _UNITS[a] mod 360, for 13 <= y and
+    (y+1)**4 > x.
+
+    Each product is m*r with m = p and p <= r <= x // p, or m = p*q
+    and q <= r <= x // (p*q): a query per m, which adds the class
+    histogram of its range of r to row class(m) of a 96 x 96 table.
+    Multiplying by a unit permutes the units, so one gather maps the
+    rows to the product classes at the end. Every range starts below
+    sqrt(x), and only the pairs' ranges pass it, as p*q >= (y+1)**2 >
+    sqrt(x); _ranges_to_sqrt and _pairs_past_sqrt count the two parts.
     """
-    qs = sieve_primes(x // (y + 1))
-    qs = qs[qs.searchsorted(y, "right"):]
-    ps = qs[:qs.searchsorted(math.isqrt(x), "right")]
-    keys = qs % MODULUS
-    keys <<= 40
-    keys |= qs
-    keys.sort()
-    rows = _UNITS << 40
-    counts = np.zeros(MODULUS, dtype=np.int64)
-    for s in range(0, ps.size, _PAIR_CHUNK):
-        p = ps[s:s + _PAIR_CHUNK]
-        spans = (keys.searchsorted(rows | x // p, "right")
-                 - keys.searchsorted(rows | p, "left"))
-        np.add.at(counts, _UNITS * p % MODULUS, spans)
-    return counts
+    ps = sieve_primes(math.isqrt(x))
+    ps = ps[ps.searchsorted(y, "right"):]
+    cls = _UNIT_INDEX[ps % MODULUS]
+    sums = _ranges_to_sqrt(x, ps, cls)
+    sums += _pairs_past_sqrt(x, y, ps, cls)
+    return sums.take(_COFACTOR).sum(axis=0)
+
+
+def _ranges_to_sqrt(x: int, ps: np.ndarray, cls: np.ndarray) -> np.ndarray:
+    """The 96 x 96 table of _product_counts over the ranges' primes up
+    to sqrt(x), the primes ps past the cut, of classes cls.
+
+    A difference array over the queries' ends gives, for each prime, the
+    queries of each class whose range holds it, _STEP_ROWS primes at a
+    time; those rows are then summed by the prime's class.
+    """
+    units = _UNITS.size
+    # the triples' p; p = ps[i] takes q in ps[i:tops[i]], so q*q <= x // p
+    p3 = ps[:ps.searchsorted(_iroot(x, 3), "right")]
+    tops = ps.searchsorted([math.isqrt(x // p) for p in p3.tolist()], "right")
+    spans = tops - np.arange(p3.size)
+    qi = np.arange(spans.sum()) - np.repeat(np.cumsum(spans) - tops, spans)
+    ms = np.concatenate((ps, np.repeat(p3, spans) * ps[qi]))
+    rows = _UNIT_INDEX[ms % MODULUS]
+    # the flat places (prime, class) where each query's range opens and
+    # where it shuts, past its last prime
+    opens = np.concatenate((np.arange(ps.size), qi)) * units + rows
+    opens.sort()
+    shuts = ps.searchsorted(x // ms, "right") * units + rows
+    shuts.sort()
+    sums = np.zeros((units, units), dtype=np.int64)
+    run = np.zeros(units, dtype=np.int64)
+    for s in range(0, ps.size, _STEP_ROWS):
+        e = min(s + _STEP_ROWS, ps.size)
+        bounds = (s * units, e * units)
+        lo, hi = opens.searchsorted(bounds)
+        cover = np.bincount(opens[lo:hi] - s * units, minlength=(e - s) * units)
+        lo, hi = shuts.searchsorted(bounds)
+        cover -= np.bincount(shuts[lo:hi] - s * units, minlength=(e - s) * units)
+        # cover[i, a]: the queries of class a whose range holds ps[s + i]
+        cover = cover.reshape(e - s, units)
+        np.cumsum(cover, axis=0, out=cover)
+        cover += run
+        run = cover[-1].copy()
+        b, by_class = _sum_by_key(cover, cls[s:e])
+        sums[:, b] += by_class.T
+    return sums
+
+
+def _pairs_past_sqrt(x: int, y: int, ps: np.ndarray, cls: np.ndarray) -> np.ndarray:
+    """The 96 x 96 table of _product_counts over the pairs' primes past
+    sqrt(x), for the primes ps past the cut y, of classes cls.
+
+    The pairs' histograms are taken at their ends x // p with a running
+    total over one stream of the odd primes to x // (y+1), _STEP_ROWS
+    ends at a time: each prime is binned once, into the gap between
+    ends it falls in, so memory is one segment whatever x.
+    """
+    units = _UNITS.size
+    # the odd prime 2i+1 is past sqrt(x) iff i >= first, and it counts
+    # toward the end t = (x//p + 1) // 2 of the pair with p iff i < t
+    first = (math.isqrt(x) + 1) >> 1
+    ends = (x // ps[::-1] + 1) >> 1
+    keys = cls[::-1]
+    sums = np.zeros((units, units), dtype=np.int64)
+    run = np.zeros(units, dtype=np.int64)
+    k = 0
+    for start, seg in odd_prime_segments(x // (y + 1)):
+        idx = np.flatnonzero(seg[max(first - start, 0):])
+        idx += max(first, start)
+        classes = _ODD_CLASS.take(idx % _ODD_PERIOD)
+        stop = ends.searchsorted(start + seg.size, "right")
+        done = 0
+        for s in range(k, stop, _STEP_ROWS):
+            t = ends[s:min(s + _STEP_ROWS, stop)]
+            # the primes before each end, so the gap each one falls in
+            cuts = idx.searchsorted(t)
+            gap = np.repeat(np.arange(t.size), np.diff(cuts, prepend=done))
+            gap *= units
+            gap += classes[done:cuts[-1]]
+            hist = np.bincount(gap, minlength=t.size * units).reshape(t.size, units)
+            np.cumsum(hist, axis=0, out=hist)
+            hist += run
+            run = hist[-1].copy()
+            done = cuts[-1]
+            a, by_class = _sum_by_key(hist, keys[s:s + t.size])
+            sums[a] += by_class
+        run += np.bincount(classes[done:], minlength=units)
+        k = stop
+    return sums
 
 
 @lru_cache(maxsize=4)
@@ -231,21 +335,26 @@ def residue_counts(x: int) -> tuple[int, ...]:
     so each segment folds into 12 columns, column c counting residue
     w + 30c; 2, 3 and 5 are added last.
 
-    Meissel's split (Lehmer, Illinois J. Math. 3, 1959): the lines are
-    struck only by the primes to y = max(cbrt(x), 13), 13 being the
-    largest prime the pre-sieve clears whatever the cut. A composite
-    left standing then has every prime factor above y, and three of
-    them would exceed (y+1)**3 > x, so it is p*q with y < p <= q; those
-    pairs, counted by class from the primes to x/(y+1), are subtracted.
-    Memory is one segment plus that list (the primes to 4.6e6 at 1e10),
-    whatever x; x past MAX_STREAM_LIMIT raises BoundError before
-    anything is sieved.
+    Lehmer's split (Illinois J. Math. 3, 1959): from _LEHMER_FROM on,
+    the lines are struck only by the primes to y = max(x**(1/4), 13),
+    13 being the largest prime the pre-sieve clears whatever the cut. A
+    composite left standing then has every prime factor above y, and
+    four of them would exceed (y+1)**4 > x, so it is p*q or p*q*r with
+    y < p <= q <= r; _product_counts subtracts those products class by
+    class. Below _LEHMER_FROM the lines are struck to sqrt(x), which
+    leaves no composite and costs less than the products' count.
+    Memory is one segment, one query per pair and triple (75.5k at 1e10)
+    and a table of _STEP_ROWS x 96 counts, whatever x; x past
+    MAX_STREAM_LIMIT raises BoundError before anything is sieved.
     """
     counts = np.zeros(MODULUS, dtype=np.int64)
     if x < 2:
         return tuple(counts.tolist())
     _check_sieve_limit(x)
-    y = max(_icbrt(x), _PRESIEVE_PRIMES[-1])
+    if x < _LEHMER_FROM:
+        y = math.isqrt(x)
+    else:
+        y = max(_iroot(x, 4), _PRESIEVE_PRIMES[-1])
     period = MODULUS // _WHEEL
     for w in _WHEEL_LINES:
         if w <= x:
@@ -254,7 +363,8 @@ def residue_counts(x: int) -> tuple[int, ...]:
                 period_counts(seg, start, period)
                 for start, seg in _sieve_segments(
                     w, _WHEEL, (x - w) // _WHEEL + 1, cut=y))
-    counts -= _two_factor_counts(x, y)
+    if x >= _LEHMER_FROM:
+        counts[_UNITS] -= _product_counts(x, y)
     for p in _SINGLETONS:
         counts[p] += p <= x
     return tuple(counts.tolist())

@@ -5,7 +5,7 @@ odd numbers it is streamed one segment at a time, which the prime list
 and every scan read, the Mersenne exponent scan and the residue sets
 included; matrix.density runs it over a residue line z + 360*G, and
 matrix.residue_counts over the eight lines w + 30i of a mod-30 wheel,
-with its base primes cut at the cube root of x.
+with its base primes cut at the fourth root of x from 2e6 on.
 Its base primes come from a shorter run of the same loop, so it is the
 package's one sieve.
 Also one Miller-Rabin body behind two entry points, and the factorial
@@ -32,10 +32,10 @@ import numpy as np
 from .errors import BoundError, CounterexampleFound, DomainError
 
 # The strike loop holds one segment, so time, not memory, bounds it. On
-# a 2-core x86-64 VM, `dirichlet --all` takes 4.6-5.3 s at 1e10 and
-# 0.34-0.46 s at 1e9, start-up excluded, and peaks at 41 MB: its lines
-# are struck only to the cube root of x (12.6-13.3 s and 0.64-0.77 s
-# to the square root, measured side by side). `germain`
+# a 2-core x86-64 VM, `dirichlet --all` takes 2.5-2.7 s at 1e10 and
+# 0.23-0.30 s at 1e9, start-up excluded, and peaks at 43 MB: its lines
+# are struck only to the fourth root of x (3.9-5.0 s and 0.34-0.40 s
+# to the cube root, measured side by side). `germain`
 # keeps this bound, though it reads only the primes
 # to 4096, which already hold a safe prime in every class one can take:
 # at 1e10 it takes 0.26-0.31 s and 31 MB, start-up included.
@@ -115,12 +115,12 @@ def _base_primes(step: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
     recursion ends at bound 2, whose list is empty.
 
     bound is a power of two. An entry takes 16 bytes a prime. The entry
-    points ask for step 2 up to bound 2^17, for step 30 (the wheel, cut
-    at the cube root of 1e10) up to 2^12 and for step 360 (density at
-    its rotation bound) up to 2^18, 368 KB; the entries of one step
-    differ in bound, so together they hold under 1.3 MB. The
-    16 entries keep both the small step-2 entries of the recursion and
-    a density loop over every bound to 2^10 cached.
+    points ask for step 2 up to bound 2^17, for step 30 (the wheel,
+    struck to sqrt(x) below 2e6 and to x**(1/4) from there) up to 2^11
+    and for step 360 (density at its rotation bound) up to 2^18, 368 KB;
+    the entries of one step differ in bound, so together they hold
+    under 1.3 MB. The 16 entries keep both the small step-2 entries of
+    the recursion and a density loop over every bound to 2^10 cached.
     """
     ps = sieve_primes(bound - 1)
     ps = ps[(ps > _PRESIEVE_PRIMES[-1]) & (step % ps != 0)]

@@ -52,6 +52,27 @@ def test_import_leaves_out_importlib_metadata():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
+def test_sieve_scans_leave_out_numpy_ma():
+    # np.unique and np.r_ import numpy.ma on their first call, which took
+    # 8-9 ms in a fresh process: the four verbs of perfbench's sieve-scans
+    # workload, run in one interpreter, call neither
+    code = """
+import os, sys
+from contextlib import redirect_stdout
+from ova360.cli import dispatch
+with open(os.devnull, "w") as sink, redirect_stdout(sink):
+    codes = [dispatch(argv) for argv in (
+        ["goldbach", "scan", "--limit", "10000000"],
+        ["dirichlet", "--x", "100000000", "--all"],
+        ["germain", "--limit", "100000000"],
+        ["density", "--ova", "7", "--rotations", "1000000"])]
+print(codes, "numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout) == (0, "[0, 0, 2, 0] False\n"), proc.stderr
+
+
 def test_help_exits_zero(capsys):
     rc, _, _ = run(capsys, "--help")
     assert rc == 0

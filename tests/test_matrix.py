@@ -260,17 +260,74 @@ def test_residue_counts_match_gathered_counts(reference_residue_counts):
             assert residue_counts(x) == reference_residue_counts(x), x
 
 
-def test_residue_counts_at_the_cube_root_cut(reference_residue_counts):
-    # the lines are struck by the primes to max(cbrt(x), 13) only, so the
-    # cut moves at every cube: k^3 - 1, k^3 and k^3 + 1 straddle it
+@pytest.fixture
+def lehmer_from_its_floor(monkeypatch):
+    # residue_counts strikes to sqrt(x) below _LEHMER_FROM; at its floor,
+    # 17**2, the x**(1/4) cut and the products' count serve every x that
+    # can leave a product standing
+    monkeypatch.setattr(matrix, "_LEHMER_FROM", 17**2)
+    return residue_counts.__wrapped__  # the cache would hide the patch
+
+
+def test_residue_counts_at_the_cube_root_cut(lehmer_from_its_floor,
+                                             reference_residue_counts):
+    # the triples' p runs to cbrt(x), so their count moves at every cube:
+    # k^3 - 1, k^3 and k^3 + 1 straddle it
+    counts = lehmer_from_its_floor
     for k in range(13, 61):
         for x in (k**3 - 1, k**3, k**3 + 1):
-            assert residue_counts(x) == reference_residue_counts(x), x
+            assert counts(x) == reference_residue_counts(x), x
 
 
-def test_residue_counts_at_two_factor_edges(monkeypatch, reference_residue_counts):
+def test_residue_counts_at_the_fourth_root_cut(lehmer_from_its_floor,
+                                               reference_residue_counts):
+    # the lines are struck by the primes to max(x**(1/4), 13) only, so the
+    # cut moves at every fourth power
+    counts = lehmer_from_its_floor
+    for k in range(13, 61):
+        for x in (k**4 - 1, k**4, k**4 + 1):
+            assert max(matrix._iroot(x, 4), 13) == max(k - (x < k**4), 13), x
+            assert counts(x) == reference_residue_counts(x), x
+
+
+def test_residue_counts_at_the_first_triples(lehmer_from_its_floor,
+                                             reference_residue_counts):
+    # 17^3 and 17^2 * 19 are the least products of three primes past 13
+    counts = lehmer_from_its_floor
+    for n in (17**3, 17**2 * 19):
+        for x in (n - 1, n, n + 1):
+            assert counts(x) == reference_residue_counts(x), x
+
+
+def _triple_edges(p: int) -> list[int]:
+    """Products p*q*r of primes p <= q <= r below p^4, so that p is past
+    the cut at their own x. q is p or the largest prime with p*q*q below
+    p^4; r is at either end of q's span: r = q, or the largest prime with
+    p*q*r below p^4, where p is the first prime past the cut."""
+    bound = p**4
+    edges = []
+    for q in (p, sympy.prevprime(math.isqrt(bound // p))):
+        edges += [p * q * q, p * q * sympy.prevprime(bound // (p * q))]
+    return edges
+
+
+def test_residue_counts_at_three_factor_edges(lehmer_from_its_floor,
+                                              reference_residue_counts):
+    counts = lehmer_from_its_floor
+    for low in (13, 20, 30, 50):
+        p = sympy.nextprime(low)
+        for n in _triple_edges(p):
+            for x in (n - 1, n, n + 1):
+                assert max(matrix._iroot(x, 4), 13) < p, x
+                assert x < n or p <= matrix._iroot(x, 3), x
+                assert counts(x) == reference_residue_counts(x), x
+
+
+def test_residue_counts_at_two_factor_edges(monkeypatch, lehmer_from_its_floor,
+                                            reference_residue_counts):
     # p^2 and p*q are the composites left standing by the cut at their
     # own x, with q at the low (q = p) or high (q = x // p) end of p's span
+    counts = lehmer_from_its_floor
     for low in (13, 20, 50, 100, 200, 450):
         p = sympy.nextprime(low)
         q = sympy.nextprime(p)
@@ -278,12 +335,36 @@ def test_residue_counts_at_two_factor_edges(monkeypatch, reference_residue_count
         top = sympy.prevprime(p * p)
         for x in (p * p - 1, p * p, p * p + 1, p * q - 1, p * q, p * q + 1,
                   p * top - 1, p * top, p * top + 1):
-            assert matrix._icbrt(x) < p <= math.isqrt(x) or x < p * p, x
-            assert residue_counts(x) == reference_residue_counts(x), x
-    # the 143 primes p in (100, 1000] in steps of 7, the last one short
-    monkeypatch.setattr(matrix, "_PAIR_CHUNK", 7)
+            assert max(matrix._iroot(x, 4), 13) < p <= math.isqrt(x) or x < p * p, x
+            assert counts(x) == reference_residue_counts(x), x
+    # the 157 primes p in (31, 1000], as difference array rows and as pair
+    # ends, in steps of 7, the last one short
+    monkeypatch.setattr(matrix, "_STEP_ROWS", 7)
     for x in (10**6 - 1, 10**6, 10**6 + 1):
-        assert residue_counts.__wrapped__(x) == reference_residue_counts(x), x
+        assert counts(x) == reference_residue_counts(x), x
+
+
+@pytest.mark.parametrize("segment_odds", [7, 180, 1000])
+def test_product_counts_stream_at_segment_ends(monkeypatch, lehmer_from_its_floor,
+                                               reference_residue_counts,
+                                               segment_odds):
+    # the pairs' ends past sqrt(x) are taken from the odd primes' stream:
+    # every x here crosses segment ends there, and sqrt(x) lies inside a
+    # segment or on its first term
+    counts = lehmer_from_its_floor
+    monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
+    for x in range(30000, 30061):
+        assert counts(x) == reference_residue_counts(x), (segment_odds, x)
+    for r in (2 * segment_odds - 1, 2 * segment_odds + 1):
+        x = r * r
+        assert counts(x) == reference_residue_counts(x), (segment_odds, x)
+
+
+def test_residue_counts_match_on_both_sides_of_lehmer_from(reference_residue_counts):
+    assert matrix._LEHMER_FROM >= 17**2  # the floor the fixture above patches in
+    counts = residue_counts.__wrapped__
+    for x in (matrix._LEHMER_FROM - 1, matrix._LEHMER_FROM):
+        assert counts(x) == reference_residue_counts(x), x
 
 
 def test_residue_counts_at_1e8_pinned():
