@@ -59,15 +59,19 @@ _INTERVAL_BLOCK_F = 1 << 16
 # Odd primes below this are peeled off each block with dense slices;
 # the rest by gathers over the n still unresolved. There must be at
 # most 255 of them (the uint8 count in _dense_peel); 256 keeps 53. On a
-# 2-core x86-64 VM, in-process and interleaved, scan(1e7) took
-# 0.030-0.036 s at 256, level with 192 and 384, where 128 took
-# 0.038-0.048 s and 512 0.050-0.058 s. Larger scans leave more n to the
-# gathers: at 1e9 384 took 3.8-4.2 s against 4.0-4.7 s at 256, and at
-# 1e8 the two were level with on_block and without. But with on_block,
-# min of 7 in fresh processes, scan(1e7) took 0.073-0.077 s at 384
-# against 0.069-0.070 s at 256 (without it 0.034-0.036 s against
-# 0.033-0.034 s), so 256 stays until a cutoff can follow the mode.
+# 2-core x86-64 VM, in-process and interleaved, with the gathers in
+# chunks of GATHER_CHUNK, scan(1e7) / scan(1e8) took 18.1-18.5 /
+# 213-218 ms at 256, against 21.0-21.4 / 226-235 ms at 384,
+# 24.1-25.4 / 348-368 ms at 128 and 61.5-82.8 / 799-1043 ms at 64:
+# below 256 the gathers are left too many n.
 DENSE_PEEL_BELOW = 256
+# Primes per gather in _block_smallest_p: each gather reads n - p for
+# every n left and GATHER_CHUNK primes at once, and each n takes its
+# first hit. On a 2-core x86-64 VM, in-process and interleaved,
+# scan(1e7) took 18.4-19.2 ms in chunks of 32, level with 16, 64 and
+# 128 (18.2-19.9 ms), where one gather per prime took 27.0-40.4 ms; at
+# 1e8 32 took 208-216 ms against 212-219 ms at 64 and 234-279 at 128.
+GATHER_CHUNK = 32
 # The largest p a scan block reads from its window of the stream; see
 # _smallest_p_blocks.
 MAX_WINDOW_P = 1 << 15
@@ -178,9 +182,9 @@ def scan(
     block reads off each n's p (see _block_smallest_p). The primes are
     streamed, so memory is one segment, a window and one block, whatever
     the limit: on a 2-core x86-64 VM `ova360 goldbach scan --limit
-    100000000` takes 0.72-0.77 s and peaks at 37 MB RSS, interpreter
-    and numpy included, and at MAX_SCAN_LIMIT = 1e9 it takes 5.2-5.6 s
-    and 38 MB. With --emit-witnesses at MAX_WITNESS_LIMIT = 2e8 it
+    100000000` takes 0.43-0.45 s and peaks at 38 MB RSS, interpreter
+    and numpy included, and at MAX_SCAN_LIMIT = 1e9 it takes 3.0-3.2 s
+    and 37 MB. With --emit-witnesses at MAX_WITNESS_LIMIT = 2e8 it
     takes 10.6-11.3 s and 45 MB.
 
     The report also carries a four-odd-primes spot witness for the
@@ -277,17 +281,20 @@ def _block_smallest_p(
 
     The primes below DENSE_PEEL_BELOW are peeled off the whole block
     (_dense_peel). The few n it leaves are resolved by gathers over the
-    ascending primes, and those still left by trial. Every gathered or
-    trial p exceeds every dense p, so once one n is resolved that way
-    the block's top and its first n come from those alone, and the
-    peel need not record which dense p resolved each n. Only the every
-    mode, and a block where no n is resolved that way (the peel left
-    none, or every n it left failed), count the dense primes tried per
-    n, and read p off those counts by one int64 table lookup. The
-    probed n walks the primes alone. On a 2-core x86-64 VM the 20
-    blocks of scan(1e7) spend 0.012-0.015 s in the peel and
-    0.008-0.011 s in the gathers and the rest; with on_block the peel
-    takes 0.024 s and reading p off the counts 0.78-0.84 ms per block
+    ascending primes, GATHER_CHUNK primes at a time: one gather reads
+    n - p for every n left and every p of the chunk, each n takes its
+    first hit, and the n with none go on to the next chunk. Those still
+    left when the primes to last - 3 run out are resolved by trial.
+    Every gathered or trial p exceeds every dense p, so once one n is
+    resolved that way the block's top and its first n come from those
+    alone, and the peel need not record which dense p resolved each n.
+    Only the every mode, and a block where no n is resolved that way
+    (the peel left none, or every n it left failed), count the dense
+    primes tried per n, and read p off those counts by one int64 table
+    lookup. The probed n walks the primes alone. On a 2-core x86-64 VM
+    the 20 blocks of scan(1e7) spend 0.009-0.013 s in the peel and
+    0.003-0.006 s in the gathers and the rest; with on_block the peel
+    takes 0.018-0.019 s and reading p off the counts 0.8 ms per block
     more.
     """
     m = (last - first) // 2 + 1
@@ -298,11 +305,16 @@ def _block_smallest_p(
     found = np.zeros(left.size, dtype=np.int64)  # left[k]'s p, 0 for none
     rest = np.arange(left.size)  # the k no p has resolved yet
     qbase = half - off + left  # window index of n >> 1, every n left
-    for p in primes[len(dense):]:
-        if not rest.size or p > last - 3:
+    gathered = primes[len(dense):bisect.bisect_right(primes, last - 3)]
+    for c in range(0, len(gathered), GATHER_CHUNK):
+        if not rest.size:
             break
-        hit = window[qbase - ((p + 1) >> 1)]
-        found[rest[hit]] = p
+        ps = np.array(gathered[c:c + GATHER_CHUNK])
+        # hits[r, j]: is n - ps[j] prime, for the r-th n left
+        hits = window[qbase[:, None] - ((ps + 1) >> 1)]
+        j = hits.argmax(axis=1)  # each row's first hit, or 0 if none
+        hit = hits[np.arange(j.size), j]
+        found[rest[hit]] = ps[j[hit]]
         miss = ~hit
         rest, qbase = rest[miss], qbase[miss]
     for k in rest.tolist():  # no p <= MAX_WINDOW_P works: try the larger p

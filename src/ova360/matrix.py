@@ -183,8 +183,9 @@ def density(ova: int, rotations: int) -> Fraction:
     time: each base prime p <= sqrt(ova + 360*rotations), p >= 7,
     clears the rotations G = -ova/360 (mod p) from the first term >= p*p
     on, so a base prime on the line itself survives. Memory is one
-    segment plus the base primes: at MAX_DENSITY_ROTATIONS = 1e8 a call
-    takes 0.5-0.8 s and 34 MB peak RSS (VmHWM) on a 2-core x86-64 VM.
+    segment plus the base primes: at MAX_DENSITY_ROTATIONS = 1e8
+    `ova360 density` takes 0.63-0.67 s and 35 MB peak RSS, start-up
+    included, on a 2-core x86-64 VM.
     """
     _require_cstar(ova)
     if rotations < 1:

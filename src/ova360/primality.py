@@ -32,13 +32,13 @@ import numpy as np
 from .errors import BoundError, CounterexampleFound, DomainError
 
 # The strike loop holds one segment, so time, not memory, bounds it. On
-# a 2-core x86-64 VM, `dirichlet --all` takes 2.5-2.7 s at 1e10 and
-# 0.23-0.30 s at 1e9, start-up excluded, and peaks at 43 MB: its lines
-# are struck only to the fourth root of x (3.9-5.0 s and 0.34-0.40 s
-# to the cube root, measured side by side). `germain`
-# keeps this bound, though it reads only the primes
-# to 4096, which already hold a safe prime in every class one can take:
-# at 1e10 it takes 0.26-0.31 s and 31 MB, start-up included.
+# a 2-core x86-64 VM, `dirichlet --all` takes 2.0-2.3 s at 1e10 and
+# 0.17-0.18 s at 1e9, start-up excluded, and peaks at 40 MB: its lines
+# are struck only to the fourth root of x, 1.3-1.9 times faster than to
+# the cube root, measured side by side. `germain` keeps this
+# bound, though it reads only the primes to 4096, which already hold a
+# safe prime in every class one can take: at 1e10 it takes 0.21-0.23 s
+# and 31 MB, start-up included.
 MAX_STREAM_LIMIT = 10**10
 # sieve_primes lists every prime, and the `sieve` verb renders each one
 # as text: at 1e8 (5.76M primes) it takes 0.7 s and peaks at 81 MB in
@@ -89,9 +89,13 @@ class CompositeInterval:
 
 
 # These primes clear their multiples through a pre-sieve pattern rather
-# than by striking, so terms up to the last of them are written as prime
-# or not.
+# than by striking, whatever the cut.
 _PRESIEVE_PRIMES = (3, 5, 7, 11, 13)
+# The primes 17 to 61 in groups, each of which clears its multiples by
+# one AND with a pattern of period prod(group) rather than by striking,
+# so terms up to the last of them are written as prime or not. The
+# periods are 7429, 33263, 82861 and 190747.
+_PATTERN_GROUPS = ((17, 19, 23), (29, 31, 37), (41, 43, 47), (53, 59, 61))
 # 180 odds (one period of 2i+1 mod 360) times 2^13: 1.4 MB, which fits
 # the 2 MB per-core L2 of the 2-core x86-64 VM it was measured on. Every
 # segmented sieve, over the odd numbers or a residue line, uses it.
@@ -112,7 +116,10 @@ def _base_primes(step: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
 
     The primes come from the strike loop itself, through sieve_primes;
     that run asks only for the base primes to sqrt(bound), so the
-    recursion ends at bound 2, whose list is empty.
+    recursion ends at bound 2, whose list is empty. The inverses need
+    no loop over the primes: with k = -pow(p, -1, step) % step, read
+    from a table over the units mod step, step divides k*p + 1, and
+    (k*p + 1) // step is pow(step, -1, p), as it is below p.
 
     bound is a power of two. An entry takes 16 bytes a prime. The entry
     points ask for step 2 up to bound 2^17, for step 30 (the wheel,
@@ -124,75 +131,111 @@ def _base_primes(step: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """
     ps = sieve_primes(bound - 1)
     ps = ps[(ps > _PRESIEVE_PRIMES[-1]) & (step % ps != 0)]
-    inv = np.array([pow(step, -1, p) for p in ps.tolist()], dtype=np.int64)
+    units = [r for r in range(step) if math.gcd(r, step) == 1]
+    tab = np.zeros(step, dtype=np.int64)
+    tab[units] = [-pow(r, -1, step) % step for r in units]
+    inv = (tab[ps % step] * ps + 1) // step
     ps.flags.writeable = inv.flags.writeable = False
     return ps, inv
 
 
-@lru_cache(maxsize=4)
-def _presieve_tile(pre: tuple[int, ...], periods: int) -> np.ndarray:
-    """periods repeats of the pre-sieve pattern of the progression from
-    0: t[i] == (no q in pre divides i), read-only.
+@lru_cache(maxsize=8)
+def _period_pattern(primes: tuple[int, ...]) -> np.ndarray:
+    """Two periods of the pattern of the progression from 0 for primes:
+    t[i] == (no q in primes divides i), period prod(primes), read-only.
 
-    A tile is at most SEGMENT_ODDS + 2 * prod(pre) bytes (1.5 MB at the
-    default segment), so the 4 entries hold at most 6 MB.
+    Two periods hold a whole period from any phase. The entries are the
+    pre-sieve patterns of steps 2 and 30 or 360 (30 KB and 2 KB) and the
+    four _PATTERN_GROUPS (15 KB to 381 KB), 660 KB in all.
     """
-    pattern = np.ones(math.prod(pre), dtype=bool)
-    for q in pre:
+    pattern = np.ones(2 * math.prod(primes), dtype=bool)
+    for q in primes:
         pattern[::q] = False
-    tile = np.tile(pattern, periods)
-    tile.flags.writeable = False
-    return tile
+    pattern.flags.writeable = False
+    return pattern
+
+
+def _aligned(seg: np.ndarray, pattern: np.ndarray, period: int,
+             o: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """seg's whole periods as rows and its tail, each paired with the
+    slice of pattern from phase o that lines up with it."""
+    whole = seg.size - seg.size % period
+    return ((seg[:whole].reshape(-1, period), pattern[o:o + period]),
+            (seg[whole:], pattern[o:o + seg.size - whole]))
 
 
 def _sieve_segments(first: int, step: int, count: int, *,
                     cut: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """The one strike loop, over the progression first + step*i for i
-    in [0, count); step is even and coprime to first. Yield (start, seg)
-    with seg[j] == (first + step*(start+j) is prime) for consecutive
-    segments of SEGMENT_ODDS terms, in one buffer that each segment
-    overwrites.
+    in [0, count); step is even and coprime to first and to the primes
+    17 to 61 (2, 30 and 360 are). Yield (start, seg) with seg[j] ==
+    (first + step*(start+j) is prime) for consecutive segments of
+    SEGMENT_ODDS terms, in one buffer that each segment overwrites.
 
     A prime p that divides step never divides a term. Each other base
     prime p <= sqrt(last term), and p <= cut when a cut is given,
     divides the terms with i = -first/step (mod p); p from 3 to 13 clear
-    theirs through a pre-sieve pattern of period prod(p) that each
-    segment starts as, whatever the cut, and every larger p strikes its
-    class from the first term >= p*p, which spares p itself when it
+    theirs through a pre-sieve pattern of period prod(p), which each
+    segment is filled with whatever the cut, and every larger p strikes
+    its class from the first term >= p*p, which spares p itself when it
     lies on the progression (Bays & Hudson, BIT 17, 1977). With a cut,
     a composite survives when all its prime factors exceed
     max(cut, 13); matrix.residue_counts subtracts those itself.
 
+    The primes 17 to 61 are cleared by pattern instead, in the
+    _PATTERN_GROUPS: each group whose last prime is a base prime and
+    whose period is at most count clears the segment by one in-place
+    AND of its rows, one period long, with the group's pattern, where
+    its 3 strikes would each pass over the whole segment. A pattern
+    also clears the group's own primes, and the terms up to 61 are
+    written back as prime or not. The period rule keeps a short call
+    from building a pattern it cannot use; a group past the cut or the
+    root is struck as before, so a cut stays exact.
+
     What does not depend on first is built once and cached: the base
     primes with their inverses of step, per step and largest base prime
     rounded up to a power of two, so a class table is a few numpy
-    operations; and one pre-sieve tile per length, built for the
-    progression from 0, whose pattern for first is the same tile read
-    from phase first/step (mod period). A call with a small count
-    builds only a tile as long as its count.
+    operations; and two periods of each pattern, for the progression
+    from 0, whose pattern for first starts at phase first/step (mod
+    period). The pre-sieve pattern is broadcast into each segment's
+    rows, so a segment is filled from two periods (30 KB at step 2),
+    whatever its length.
     """
     size = SEGMENT_ODDS
     out = np.empty(min(size, count), dtype=bool)
-    pre = tuple(q for q in _PRESIEVE_PRIMES if step % q)
-    period = math.prod(pre)
-    # long enough for a slice of any segment's length at any offset
-    tiled = _presieve_tile(pre, min(size, count) // period + 2)
-    phase = first * pow(step, -1, period) % period
-    head = [v in _SMALL_PRIMES for v in range(first, _PRESIEVE_PRIMES[-1] + 1, step)]
+    head = [v in _SMALL_PRIMES for v in range(first, _PATTERN_GROUPS[-1][-1] + 1, step)]
     root = math.isqrt(first + step * (count - 1))
     if cut is not None:
         root = min(root, cut)
+    groups = []  # in order, while each is struck whole and fits count
+    for group in _PATTERN_GROUPS:
+        period = math.prod(group)
+        if group[-1] > root or period > count:
+            break
+        groups.append(group)
+    # (pattern, period, phase) of the pre-sieve, then of each group
+    fills = []
+    for group in (tuple(q for q in _PRESIEVE_PRIMES if step % q), *groups):
+        period = math.prod(group)
+        fills.append((_period_pattern(group), period, first * pow(step, -1, period) % period))
     ps, inv = _base_primes(step, 1 << root.bit_length())
-    ps = ps[:ps.searchsorted(root, "right")]
+    # the groups' primes are cleared, the rest to root struck
+    skip = ps.searchsorted(groups[-1][-1], "right") if groups else 0
+    stop = ps.searchsorted(root, "right")
+    ps, inv = ps[skip:stop], inv[skip:stop]
     primes = ps.tolist()
     # the class each p strikes, and the index of its first term >= p*p
-    cls = -(first % ps) * inv[:ps.size] % ps
+    cls = -(first % ps) * inv % ps
     from_i = np.maximum(-((first - ps * ps) // step), 0)
     for start in range(0, count, size):
         end = min(start + size, count)
         seg = out[:end - start]
-        o = (start + phase) % period
-        seg[:] = tiled[o:o + end - start]
+        (pattern, period, phase), *ands = fills
+        for part, row in _aligned(seg, pattern, period, (start + phase) % period):
+            part[:] = row
+        for pattern, period, phase in ands:
+            for part, row in _aligned(seg, pattern, period, (start + phase) % period):
+                np.logical_and(part, row, out=part)
         n = from_i.searchsorted(end)  # the p with a term >= p*p before end
         lo = np.maximum(from_i[:n], start)
         offsets = lo + (cls[:n] - lo) % ps[:n] - start
@@ -208,14 +251,15 @@ def odd_prime_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     yield (start, seg) with seg[i] == (2(start+i)+1 is prime), for start
     = 0, SEGMENT_ODDS, 2*SEGMENT_ODDS, ...
 
-    Each segment starts as a slice of the tiled pre-sieve pattern, which
-    already clears the multiples of 3, 5, 7, 11 and 13, and is then
-    struck by the base primes from 17 to sqrt(limit), so it stays in
-    cache while it is sieved. seg is one buffer of SEGMENT_ODDS bytes,
-    overwritten by the next segment: copy what must outlive the
-    iteration step. Memory is that buffer plus the base primes to
-    sqrt(limit), which stay cached, whatever the limit. The limit is
-    checked here, before anything is sieved.
+    Each segment is filled with the pre-sieve pattern, which already
+    clears the multiples of 3, 5, 7, 11 and 13, ANDed with the patterns
+    of the groups of primes from 17 to 61 (those the limit reaches), and
+    is then struck by the base primes from there to sqrt(limit), so it
+    stays in cache while it is sieved. seg is one buffer of SEGMENT_ODDS
+    bytes, overwritten by the next segment: copy what must outlive the
+    iteration step. Memory is that buffer, the patterns (at most 660 KB)
+    and the base primes to sqrt(limit), which stay cached, whatever the
+    limit. The limit is checked here, before anything is sieved.
     """
     _check_sieve_limit(limit)
     return _sieve_segments(1, 2, (limit + 1) // 2)

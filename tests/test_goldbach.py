@@ -219,6 +219,20 @@ def test_scan_trial_fallback_matches_whole_bitmap(monkeypatch,
     assert trials
 
 
+@pytest.mark.parametrize("chunk", [1, 3, goldbach.GATHER_CHUNK])
+@pytest.mark.parametrize("dense_below", [3, goldbach.DENSE_PEEL_BELOW])
+def test_gathers_match_trial_division_in_any_chunk(monkeypatch, oracle_goldbach_p,
+                                                   chunk, dense_below):
+    # with no dense prime the gathers resolve every n; blocks of 64 evens
+    # leave each its own gathers, and a chunk of 3 ends inside them
+    monkeypatch.setattr(goldbach, "GATHER_CHUNK", chunk)
+    monkeypatch.setattr(goldbach, "DENSE_PEEL_BELOW", dense_below)
+    monkeypatch.setattr(goldbach, "BLOCK_EVENS", 64)
+    assert _scan_smallest_p(20000) == {
+        n: oracle_goldbach_p[n] for n in range(6, 20001, 2)}
+    assert scan(20000) == _reference_report(20000, oracle_goldbach_p)
+
+
 def test_scan_failure_is_reported_never_patched(bitmap_without_three):
     r = scan(100)
     assert 6 in r.failures

@@ -367,6 +367,18 @@ def test_residue_counts_match_on_both_sides_of_lehmer_from(reference_residue_cou
         assert counts(x) == reference_residue_counts(x), x
 
 
+def test_residue_counts_where_the_cut_meets_the_pattern_groups(reference_residue_counts):
+    # the strike loop clears 17..61 by group patterns only up to the cut:
+    # at _LEHMER_FROM the cut falls from sqrt(x) to x**(1/4) = 37, the
+    # second group's last prime, so 41..61 go unstruck, and at 61^4 it
+    # reaches 61, the last group's
+    counts = residue_counts.__wrapped__
+    assert matrix._iroot(matrix._LEHMER_FROM, 4) == 37
+    for x in (matrix._LEHMER_FROM - 1, matrix._LEHMER_FROM + 1,
+              61**4 - 1, 61**4, 61**4 + 1):
+        assert counts(x) == reference_residue_counts(x), x
+
+
 def test_residue_counts_at_1e8_pinned():
     counts = residue_counts(10**8)
     assert sum(counts) == sympy.primepi(10**8) == 5761455

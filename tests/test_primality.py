@@ -155,18 +155,18 @@ def test_stream_bound_fails_before_sieving_on_a_warm_cache(monkeypatch):
         odd_prime_segments(MAX_STREAM_LIMIT + 1)
 
 
-def _progression(first, step, count):
+def _progression(first, step, count, cut=None):
     """The strike loop's segments over first + step*i, joined."""
     return np.concatenate([seg.copy() for _, seg in
-                           primality._sieve_segments(first, step, count)])
+                           primality._sieve_segments(first, step, count, cut=cut)])
 
 
 def test_strike_loop_caches_serve_interleaved_progressions(
         monkeypatch, reference_odd_prime_bitmap, reference_line_prime_bits):
-    # the cached base primes and tiles are keyed without first, so calls
-    # that differ in first, step, bound and segment size take turns
+    # the cached base primes and patterns are keyed without first, so
+    # calls that differ in first, step, bound and segment size take turns
     primality._base_primes.cache_clear()
-    primality._presieve_tile.cache_clear()
+    primality._period_pattern.cache_clear()
 
     def odd_stream(limit):
         got = _progression(1, 2, (limit + 1) // 2)
@@ -195,7 +195,7 @@ def test_strike_loop_caches_serve_interleaved_progressions(
             odd_stream(limit // 3)
             odd_stream(limit)
     assert primality._base_primes.cache_info().hits > 0
-    assert primality._presieve_tile.cache_info().hits > 0
+    assert primality._period_pattern.cache_info().hits > 0
 
 
 def test_small_calls_build_no_full_segment_tile(monkeypatch):
@@ -203,27 +203,94 @@ def test_small_calls_build_no_full_segment_tile(monkeypatch):
 
     ova.residue_sets()  # cached on its own, so it sieves nothing below
     primality._base_primes.cache_clear()
-    sizes = []
-    build = primality._presieve_tile.__wrapped__
+    built = []
+    build = primality._period_pattern.__wrapped__
 
-    def recorded(pre, periods):
-        tile = build(pre, periods)
-        sizes.append(tile.size)
-        return tile
+    def recorded(primes):
+        pattern = build(primes)
+        built.append((primes, pattern.size))
+        return pattern
 
-    monkeypatch.setattr(primality, "_presieve_tile", recorded)
+    monkeypatch.setattr(primality, "_period_pattern", recorded)
     assert sieve_primes(1000).size == 168
     assert matrix.density(7, 100) * 100 == 41
     assert sum(matrix.residue_counts.__wrapped__(10**4)) == 1229
-    # each call builds the tiles of its own progressions (1 + 1 + 8), and
-    # the cold base primes those of the sieve_primes runs that list them:
-    # to 31, 7 and 3 for the odds to 1000, to 255 and 15 for density's
-    # line (15's base primes are cached by then), and to 127 for the wheel
-    # struck to 100 = sqrt(10^4): below matrix._LEHMER_FROM no product is
-    # left standing, so none is counted
+    # each call builds the pre-sieve patterns of its own progressions (1 +
+    # 1 + 8), and the cold base primes those of the sieve_primes runs that
+    # list them: to 31, 7 and 3 for the odds to 1000, to 255 and 15 for
+    # density's line (15's base primes are cached by then), and to 127 for
+    # the wheel struck to 100 = sqrt(10^4): below matrix._LEHMER_FROM no
+    # product is left standing, so none is counted. No count reaches the
+    # first group's period, so no group's pattern is built
     assert matrix._LEHMER_FROM > 10**4
-    assert len(sizes) == (1 + 3) + (1 + 2) + (8 + 1)
-    assert max(sizes) < SEGMENT_ODDS // 8
+    assert len(built) == (1 + 3) + (1 + 2) + (8 + 1)
+    assert {primes for primes, _ in built} == {(3, 5, 7, 11, 13), (7, 11, 13)}
+    assert max(size for _, size in built) == 2 * 15015 < SEGMENT_ODDS // 8
+
+    def groups_built(call):
+        """The groups whose patterns call builds, each two periods long."""
+        built.clear()
+        call()
+        assert all(size == 2 * math.prod(primes) for primes, size in built)
+        return {primes for primes, _ in built} & set(primality._PATTERN_GROUPS)
+
+    # a group is built from the first count that holds its period on
+    g1, g2, g3, g4 = primality._PATTERN_GROUPS
+    assert [math.prod(g) for g in (g1, g2, g3, g4)] == [7429, 33263, 82861, 190747]
+    assert groups_built(lambda: sieve_primes(2 * 7429 - 2)) == set()
+    assert groups_built(lambda: sieve_primes(2 * 7429 - 1)) == {g1}
+    assert groups_built(lambda: matrix.density(7, 190746)) == {g1, g2, g3}
+    assert groups_built(lambda: matrix.density(7, 190747)) == {g1, g2, g3, g4}
+    # and only when its last prime is struck: the odds to 4e5 hold every
+    # period and strike to 632, but cut at 46 only to 46; the wheel line
+    # to 3e5 strikes to 547 but holds only the first period
+    assert groups_built(lambda: list(primality._sieve_segments(1, 2, 2 * 10**5))) == {
+        g1, g2, g3, g4}
+    assert groups_built(lambda: list(primality._sieve_segments(1, 2, 2 * 10**5, cut=46))) == {
+        g1, g2}
+    assert groups_built(lambda: list(primality._sieve_segments(7, 30, 10**4))) == {g1}
+
+
+# each group's period -1, 0 and +1, and cuts on both sides of its primes
+_GROUP_EDGE_COUNTS = tuple(period + d for period in (7429, 33263, 82861, 190747)
+                           for d in (-1, 0, 1))
+_GROUP_EDGE_CUTS = (16, 17, 22, 23, 24, 46, 47, 60, 61, 62)
+
+
+@pytest.mark.parametrize("step, firsts", [
+    (2, (1,)),
+    # the eight wheel lines: each holds one or two of the groups' primes
+    # (31 and 61 on the line from 1), which a pattern clears and the head
+    # restores
+    (30, (1, 7, 11, 13, 17, 19, 23, 29)),
+    # density's lines for ova 7 and 1; 361 = 19^2 is its first term
+    (360, (367, 361)),
+])
+def test_pattern_groups_match_reference_at_their_edges(step, firsts,
+                                                       reference_odd_prime_bitmap):
+    top = _GROUP_EDGE_COUNTS[-1]
+    bits = reference_odd_prime_bitmap(max(firsts) + step * (top - 1))
+
+    def want(first, count, cut):
+        """first + step*i is prime, or, with a cut, free of the odd
+        primes to max(cut, 13): the terms the strike loop leaves."""
+        terms = first + step * np.arange(count)
+        standing = bits[terms // 2]
+        if cut is not None:
+            rough = terms > 1
+            for q in sympy.primerange(3, max(cut, 13) + 1):
+                rough &= terms % q != 0
+            standing |= rough
+        return standing
+
+    for first in firsts:
+        for count in _GROUP_EDGE_COUNTS:
+            assert np.array_equal(_progression(first, step, count),
+                                  want(first, count, None)), (first, count)
+        for cut in _GROUP_EDGE_CUTS:
+            for count in (7430, top):
+                assert np.array_equal(_progression(first, step, count, cut=cut),
+                                      want(first, count, cut)), (first, count, cut)
 
 
 @pytest.mark.parametrize("step", [2, 30, 360])

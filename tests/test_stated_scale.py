@@ -1,7 +1,7 @@
 """The SHA-256 of the CLI's output at its stated scales, each verb run
 in a fresh interpreter: the byte-identity check a refactor of the scans
 is held to. Marked stated_scale, which tier-1 deselects (pyproject's
-addopts); run them with `python -m pytest -m stated_scale`, about 11 s
+addopts); run them with `python -m pytest -m stated_scale`, about 12 s
 on a 2-core VM. A digest that changes with a named behaviour change is
 updated with it."""
 
@@ -34,6 +34,8 @@ _DIGESTS = [
     ("landau_enumerate_1e12_json",
      ["landau", "enumerate", "--limit", "1000000000000", "--format", "json"],
      "d873b90279f893df0fc29be6287c50d478578bc2e206d2fbc60a9660d8326bdd"),
+    ("density_7_1e8", ["density", "--ova", "7", "--rotations", "100000000"],
+     "8279a9522a159ea7e3fcafe13b528be6320c2c376143ec6d907a455b7a70c828"),
     ("goldbach_witnesses_2e6",
      ["goldbach", "scan", "--limit", "2000000", "--emit-witnesses", "{file}"],
      "9fe9b5fa90274881b7e3bb3494bd6735030647b7c04612fbf8ebbe52cead1809"),
