@@ -404,7 +404,7 @@ def _cmd_dirichlet(args):
         "classes": classes,
         "singletons": [{"ova": r.ova, "count": r.count} for r in singles],
         "mean_ratio": mean,
-        "prime_count": matrix.prime_count(args.x),
+        "prime_count": sum(r.count for r in reports),  # C* holds every prime
     }
     plain = [_dirichlet_line(r) for r in classes + singles]
     plain.append(f"mean_ratio={mean:.6f}")

@@ -9,9 +9,9 @@ odd number below the line's top. The Dirichlet-style diagnostic
 compares each class's prime count against the equidistribution
 prediction (x/ln x)/96; the counts come from the same sieve run over
 the eight lines w + 30i of a mod-30 wheel, each folded by its period
-of 12 terms mod 360, with base primes only to the fourth root of x
-from 2e6 on; the products of two and of three larger primes it leaves
-standing are then subtracted class by class (Lehmer's split).
+of 12 terms mod 360, with base primes only to the fourth root of x;
+the products of two and of three larger primes it leaves standing are
+then subtracted class by class (Lehmer's split).
 Determinants are computed exactly over the integers (Bareiss
 fraction-free elimination) so invertibility gets an exact verdict
 instead of a floating-point guess: these matrices are not invertible
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -55,11 +54,6 @@ _WHEEL_LINES = tuple(w for w in range(1, _WHEEL) if math.gcd(w, _WHEEL) == 1)
 # past it: a step's table is _STEP_ROWS x 96 int64, 768 KB. 2^10 took
 # 5.3 ms at 1e8 against 6.0-6.6 ms for 2^11 to 2^13, level at 1e9
 _STEP_ROWS = 1 << 10
-# residue_counts cuts the strikes at x**(1/4) from here on: on a 2-core
-# x86-64 VM, striking to sqrt(x) took 0.9-1.0 against 1.1-1.5 ms at
-# 1e6, was level at 2e6, and took 2.8-3.0 against 2.1-2.3 ms at 5e6.
-# It is at least 17**2, below which no product of primes past 13 lies
-_LEHMER_FROM = 2 * 10**6
 # the 96 classes mod 360 that hold the primes past 5; the index of each
 # residue among them (0 off them); and _COFACTOR[a, c], the b with
 # _UNITS[a] * _UNITS[b] = _UNITS[c] (mod 360), a permutation in c as
@@ -235,6 +229,8 @@ def _product_counts(x: int, y: int) -> np.ndarray:
     """
     ps = sieve_primes(math.isqrt(x))
     ps = ps[ps.searchsorted(y, "right"):]
+    if not ps.size:  # x < 17**2, so no such product lies below x
+        return np.zeros(_UNITS.size, dtype=np.int64)
     cls = _UNIT_INDEX[ps % MODULUS]
     sums = _ranges_to_sqrt(x, ps, cls)
     sums += _pairs_past_sqrt(x, y, ps, cls)
@@ -325,7 +321,6 @@ def _pairs_past_sqrt(x: int, y: int, ps: np.ndarray, cls: np.ndarray) -> np.ndar
     return sums
 
 
-@lru_cache(maxsize=4)
 def residue_counts(x: int) -> tuple[int, ...]:
     """count[r] = number of primes <= x congruent to r mod 360.
 
@@ -336,26 +331,21 @@ def residue_counts(x: int) -> tuple[int, ...]:
     so each segment folds into 12 columns, column c counting residue
     w + 30c; 2, 3 and 5 are added last.
 
-    Lehmer's split (Illinois J. Math. 3, 1959): from _LEHMER_FROM on,
-    the lines are struck only by the primes to y = max(x**(1/4), 13),
-    13 being the largest prime the pre-sieve clears whatever the cut. A
-    composite left standing then has every prime factor above y, and
-    four of them would exceed (y+1)**4 > x, so it is p*q or p*q*r with
+    Lehmer's split (Illinois J. Math. 3, 1959): the lines are struck
+    only by the primes to y = max(x**(1/4), 13), 13 being the largest
+    prime the pre-sieve clears whatever the cut. A composite left
+    standing then has every prime factor above y, and four of them
+    would exceed (y+1)**4 > x, so it is p*q or p*q*r with
     y < p <= q <= r; _product_counts subtracts those products class by
-    class. Below _LEHMER_FROM the lines are struck to sqrt(x), which
-    leaves no composite and costs less than the products' count.
-    Memory is one segment, one query per pair and triple (75.5k at 1e10)
-    and a table of _STEP_ROWS x 96 counts, whatever x; x past
+    class. Memory is one segment, one query per pair and triple (75.5k
+    at 1e10) and a table of _STEP_ROWS x 96 counts, whatever x; x past
     MAX_STREAM_LIMIT raises BoundError before anything is sieved.
     """
     counts = np.zeros(MODULUS, dtype=np.int64)
     if x < 2:
         return tuple(counts.tolist())
     _check_sieve_limit(x)
-    if x < _LEHMER_FROM:
-        y = math.isqrt(x)
-    else:
-        y = max(_iroot(x, 4), _PRESIEVE_PRIMES[-1])
+    y = max(_iroot(x, 4), _PRESIEVE_PRIMES[-1])
     period = MODULUS // _WHEEL
     for w in _WHEEL_LINES:
         if w <= x:
@@ -364,8 +354,7 @@ def residue_counts(x: int) -> tuple[int, ...]:
                 period_counts(seg, start, period)
                 for start, seg in _sieve_segments(
                     w, _WHEEL, (x - w) // _WHEEL + 1, cut=y))
-    if x >= _LEHMER_FROM:
-        counts[_UNITS] -= _product_counts(x, y)
+    counts[_UNITS] -= _product_counts(x, y)
     for p in _SINGLETONS:
         counts[p] += p <= x
     return tuple(counts.tolist())
@@ -373,6 +362,17 @@ def residue_counts(x: int) -> tuple[int, ...]:
 
 def prime_count(x: int) -> int:
     return sum(residue_counts(x))
+
+
+def _require_dirichlet_x(x: int) -> None:
+    if x < 1000:
+        raise DomainError(f"x must be >= 1000, got {x}")
+
+
+def _report(x: int, ova: int, counts: tuple[int, ...]) -> DensityReport:
+    """ova's report from counts = residue_counts(x), for ova in C*."""
+    ratio = None if ova in _SINGLETONS else counts[ova] * 96 / (x / math.log(x))
+    return DensityReport(x=x, ova=ova, count=counts[ova], ratio=ratio)
 
 
 def dirichlet_ratio(x: int, ova: int) -> DensityReport:
@@ -384,22 +384,15 @@ def dirichlet_ratio(x: int, ova: int) -> DensityReport:
     C are a domain error. x past the stream bound MAX_STREAM_LIMIT
     raises BoundError before anything is sieved.
     """
-    if x < 1000:
-        raise DomainError(f"x must be >= 1000, got {x}")
-    sets = residue_sets()
-    if ova in _SINGLETONS:
-        count = residue_counts(x)[ova]
-        return DensityReport(x=x, ova=ova, count=count, ratio=None)
-    if ova not in sets.C:
+    _require_dirichlet_x(x)
+    if ova not in residue_sets().Cstar:  # C and the singletons
         raise DomainError(f"residue {ova} not in C")
-    count = residue_counts(x)[ova]
-    ratio = count * 96 / (x / math.log(x))
-    return DensityReport(x=x, ova=ova, count=count, ratio=ratio)
+    return _report(x, ova, residue_counts(x))
 
 
 def dirichlet_all(x: int) -> list[DensityReport]:
     """Reports for every residue in C plus the three singletons,
-    ordered by residue."""
-    sets = residue_sets()
-    order = sorted(sets.C | set(_SINGLETONS))
-    return [dirichlet_ratio(x, z) for z in order]
+    ordered by residue, all read from one residue_counts(x)."""
+    _require_dirichlet_x(x)
+    counts = residue_counts(x)
+    return [_report(x, z, counts) for z in sorted(residue_sets().Cstar)]

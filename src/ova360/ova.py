@@ -157,7 +157,9 @@ def ova_inverse(ova: int) -> int:
 
 def closure_check(ova1: int, ova2: int, maxpow: int) -> bool:
     """True iff 360-ova1, ova1*ova2 mod 360, and every power
-    ova1**n mod 360 for n <= maxpow all lie in C."""
+    ova1**n mod 360 for n <= maxpow all lie in C. The powers of a unit
+    repeat with a period dividing lambda(360) = 12, so those to
+    min(maxpow, 12) are all of them, whatever maxpow."""
     c = residue_sets().C
     if ova1 not in c or ova2 not in c:
         raise DomainError(f"({ova1}, {ova2}) not both in C")
@@ -166,7 +168,7 @@ def closure_check(ova1: int, ova2: int, maxpow: int) -> bool:
     if (ova1 * ova2) % MODULUS not in c:
         return False
     x = 1
-    for _ in range(maxpow):
+    for _ in range(min(maxpow, 12)):
         x = (x * ova1) % MODULUS
         if x not in c:
             return False

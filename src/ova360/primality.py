@@ -5,7 +5,7 @@ odd numbers it is streamed one segment at a time, which the prime list
 and every scan read, the Mersenne exponent scan and the residue sets
 included; matrix.density runs it over a residue line z + 360*G, and
 matrix.residue_counts over the eight lines w + 30i of a mod-30 wheel,
-with its base primes cut at the fourth root of x from 2e6 on.
+with its base primes cut at the fourth root of x.
 Its base primes come from a shorter run of the same loop, so it is the
 package's one sieve.
 Also one Miller-Rabin body behind two entry points, and the factorial
@@ -123,11 +123,11 @@ def _base_primes(step: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
 
     bound is a power of two. An entry takes 16 bytes a prime. The entry
     points ask for step 2 up to bound 2^17, for step 30 (the wheel,
-    struck to sqrt(x) below 2e6 and to x**(1/4) from there) up to 2^11
-    and for step 360 (density at its rotation bound) up to 2^18, 368 KB;
-    the entries of one step differ in bound, so together they hold
-    under 1.3 MB. The 16 entries keep both the small step-2 entries of
-    the recursion and a density loop over every bound to 2^10 cached.
+    struck to x**(1/4), at most 316) up to 2^9 and for step 360
+    (density at its rotation bound) up to 2^18, 368 KB; the entries of
+    one step differ in bound, so together they hold under 1.3 MB. The
+    16 entries keep both the small step-2 entries of the recursion and
+    a density loop over every bound to 2^10 cached.
     """
     ps = sieve_primes(bound - 1)
     ps = ps[(ps > _PRESIEVE_PRIMES[-1]) & (step % ps != 0)]

@@ -933,6 +933,26 @@ def test_dirichlet_all(capsys):
     assert doc["prime_count"] == "1229"
 
 
+@pytest.mark.parametrize("how", [("--all",), ("--ova", "13"), ("--ova", "2")])
+def test_dirichlet_counts_the_classes_once_per_call(capsys, monkeypatch, how):
+    # every report, and --all's prime_count, reads one residue_counts(x)
+    from ova360 import matrix
+
+    calls = []
+    count = matrix.residue_counts
+
+    def spy(x):
+        calls.append(x)
+        return count(x)
+
+    monkeypatch.setattr(matrix, "residue_counts", spy)
+    for fmt in ("plain", "csv", "json"):
+        calls.clear()
+        rc, _, _ = run(capsys, "dirichlet", "--x", "10000", *how,
+                       "--format", fmt)
+        assert (rc, calls) == (0, [10000]), fmt
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "ova360.cli", "--version"],

@@ -260,43 +260,28 @@ def test_residue_counts_match_gathered_counts(reference_residue_counts):
             assert residue_counts(x) == reference_residue_counts(x), x
 
 
-@pytest.fixture
-def lehmer_from_its_floor(monkeypatch):
-    # residue_counts strikes to sqrt(x) below _LEHMER_FROM; at its floor,
-    # 17**2, the x**(1/4) cut and the products' count serve every x that
-    # can leave a product standing
-    monkeypatch.setattr(matrix, "_LEHMER_FROM", 17**2)
-    return residue_counts.__wrapped__  # the cache would hide the patch
-
-
-def test_residue_counts_at_the_cube_root_cut(lehmer_from_its_floor,
-                                             reference_residue_counts):
+def test_residue_counts_at_the_cube_root_cut(reference_residue_counts):
     # the triples' p runs to cbrt(x), so their count moves at every cube:
     # k^3 - 1, k^3 and k^3 + 1 straddle it
-    counts = lehmer_from_its_floor
     for k in range(13, 61):
         for x in (k**3 - 1, k**3, k**3 + 1):
-            assert counts(x) == reference_residue_counts(x), x
+            assert residue_counts(x) == reference_residue_counts(x), x
 
 
-def test_residue_counts_at_the_fourth_root_cut(lehmer_from_its_floor,
-                                               reference_residue_counts):
+def test_residue_counts_at_the_fourth_root_cut(reference_residue_counts):
     # the lines are struck by the primes to max(x**(1/4), 13) only, so the
     # cut moves at every fourth power
-    counts = lehmer_from_its_floor
     for k in range(13, 61):
         for x in (k**4 - 1, k**4, k**4 + 1):
             assert max(matrix._iroot(x, 4), 13) == max(k - (x < k**4), 13), x
-            assert counts(x) == reference_residue_counts(x), x
+            assert residue_counts(x) == reference_residue_counts(x), x
 
 
-def test_residue_counts_at_the_first_triples(lehmer_from_its_floor,
-                                             reference_residue_counts):
+def test_residue_counts_at_the_first_triples(reference_residue_counts):
     # 17^3 and 17^2 * 19 are the least products of three primes past 13
-    counts = lehmer_from_its_floor
     for n in (17**3, 17**2 * 19):
         for x in (n - 1, n, n + 1):
-            assert counts(x) == reference_residue_counts(x), x
+            assert residue_counts(x) == reference_residue_counts(x), x
 
 
 def _triple_edges(p: int) -> list[int]:
@@ -311,23 +296,19 @@ def _triple_edges(p: int) -> list[int]:
     return edges
 
 
-def test_residue_counts_at_three_factor_edges(lehmer_from_its_floor,
-                                              reference_residue_counts):
-    counts = lehmer_from_its_floor
+def test_residue_counts_at_three_factor_edges(reference_residue_counts):
     for low in (13, 20, 30, 50):
         p = sympy.nextprime(low)
         for n in _triple_edges(p):
             for x in (n - 1, n, n + 1):
                 assert max(matrix._iroot(x, 4), 13) < p, x
                 assert x < n or p <= matrix._iroot(x, 3), x
-                assert counts(x) == reference_residue_counts(x), x
+                assert residue_counts(x) == reference_residue_counts(x), x
 
 
-def test_residue_counts_at_two_factor_edges(monkeypatch, lehmer_from_its_floor,
-                                            reference_residue_counts):
+def test_residue_counts_at_two_factor_edges(monkeypatch, reference_residue_counts):
     # p^2 and p*q are the composites left standing by the cut at their
     # own x, with q at the low (q = p) or high (q = x // p) end of p's span
-    counts = lehmer_from_its_floor
     for low in (13, 20, 50, 100, 200, 450):
         p = sympy.nextprime(low)
         q = sympy.nextprime(p)
@@ -336,47 +317,37 @@ def test_residue_counts_at_two_factor_edges(monkeypatch, lehmer_from_its_floor,
         for x in (p * p - 1, p * p, p * p + 1, p * q - 1, p * q, p * q + 1,
                   p * top - 1, p * top, p * top + 1):
             assert max(matrix._iroot(x, 4), 13) < p <= math.isqrt(x) or x < p * p, x
-            assert counts(x) == reference_residue_counts(x), x
+            assert residue_counts(x) == reference_residue_counts(x), x
     # the 157 primes p in (31, 1000], as difference array rows and as pair
     # ends, in steps of 7, the last one short
     monkeypatch.setattr(matrix, "_STEP_ROWS", 7)
     for x in (10**6 - 1, 10**6, 10**6 + 1):
-        assert counts(x) == reference_residue_counts(x), x
+        assert residue_counts(x) == reference_residue_counts(x), x
 
 
 @pytest.mark.parametrize("segment_odds", [7, 180, 1000])
-def test_product_counts_stream_at_segment_ends(monkeypatch, lehmer_from_its_floor,
-                                               reference_residue_counts,
+def test_product_counts_stream_at_segment_ends(monkeypatch, reference_residue_counts,
                                                segment_odds):
     # the pairs' ends past sqrt(x) are taken from the odd primes' stream:
     # every x here crosses segment ends there, and sqrt(x) lies inside a
     # segment or on its first term
-    counts = lehmer_from_its_floor
     monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
     for x in range(30000, 30061):
-        assert counts(x) == reference_residue_counts(x), (segment_odds, x)
+        assert residue_counts(x) == reference_residue_counts(x), (segment_odds, x)
     for r in (2 * segment_odds - 1, 2 * segment_odds + 1):
         x = r * r
-        assert counts(x) == reference_residue_counts(x), (segment_odds, x)
-
-
-def test_residue_counts_match_on_both_sides_of_lehmer_from(reference_residue_counts):
-    assert matrix._LEHMER_FROM >= 17**2  # the floor the fixture above patches in
-    counts = residue_counts.__wrapped__
-    for x in (matrix._LEHMER_FROM - 1, matrix._LEHMER_FROM):
-        assert counts(x) == reference_residue_counts(x), x
+        assert residue_counts(x) == reference_residue_counts(x), (segment_odds, x)
 
 
 def test_residue_counts_where_the_cut_meets_the_pattern_groups(reference_residue_counts):
-    # the strike loop clears 17..61 by group patterns only up to the cut:
-    # at _LEHMER_FROM the cut falls from sqrt(x) to x**(1/4) = 37, the
-    # second group's last prime, so 41..61 go unstruck, and at 61^4 it
-    # reaches 61, the last group's
-    counts = residue_counts.__wrapped__
-    assert matrix._iroot(matrix._LEHMER_FROM, 4) == 37
-    for x in (matrix._LEHMER_FROM - 1, matrix._LEHMER_FROM + 1,
-              61**4 - 1, 61**4, 61**4 + 1):
-        assert counts(x) == reference_residue_counts(x), x
+    # the strike loop clears 17..61 by group patterns only up to the cut,
+    # x**(1/4), which reaches the last prime q of a group at q**4; around
+    # 2e6 it is 37 as well
+    assert [g[-1] for g in primality._PATTERN_GROUPS] == [23, 37, 47, 61]
+    assert matrix._iroot(2 * 10**6, 4) == 37
+    for n in (23**4, 37**4, 47**4, 61**4, 2 * 10**6):
+        for x in (n - 1, n, n + 1):
+            assert residue_counts(x) == reference_residue_counts(x), x
 
 
 def test_residue_counts_at_1e8_pinned():
@@ -390,21 +361,22 @@ def test_residue_counts_at_1e8_pinned():
 
 def test_residue_counts_stream_matches_whole_bitmap(monkeypatch,
                                                    reference_whole_bitmap_counts):
-    counts = residue_counts.__wrapped__  # the cache would hide the stream
     for x in range(1, 3001):
-        assert counts(x) == reference_whole_bitmap_counts(x), x
+        assert residue_counts(x) == reference_whole_bitmap_counts(x), x
     seg = primality.SEGMENT_ODDS
     for x in (2 * seg - 2, 2 * seg - 1, 2 * seg, 2 * seg + 1, 4 * seg + 2):
-        assert counts(x) == reference_whole_bitmap_counts(x), x
+        assert residue_counts(x) == reference_whole_bitmap_counts(x), x
     # segment ends (the last odd of segment j is 2 * j * segment_odds - 1),
     # with segments that do and do not start on a period of 180 odds
     for segment_odds in (7, 180, 1000, 15016):
         monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
         for j in (1, 2, 5):
             for x in range(2 * j * segment_odds - 2, 2 * j * segment_odds + 3):
-                assert counts(x) == reference_whole_bitmap_counts(x), (segment_odds, x)
+                assert residue_counts(x) == reference_whole_bitmap_counts(x), (
+                    segment_odds, x)
         for x in (360 * 97 - 1, 360 * 97, 360 * 97 + 1):
-            assert counts(x) == reference_whole_bitmap_counts(x), (segment_odds, x)
+            assert residue_counts(x) == reference_whole_bitmap_counts(x), (
+                segment_odds, x)
 
 
 @pytest.mark.parametrize("segment", [7, 12, 180, 1000, 15016])
@@ -413,25 +385,23 @@ def test_residue_counts_match_whole_bitmap_at_wheel_segment_ends(
     # each wheel line w + 30i, 0 < w < 30, ends segment j at its term
     # i = j * segment - 1, so x within 30 of 30 * j * segment crosses the
     # end on every line; 12 is one period of 30i mod 360
-    counts = residue_counts.__wrapped__
     monkeypatch.setattr(primality, "SEGMENT_ODDS", segment)
     for x in range(1, 101):
-        assert counts(x) == reference_whole_bitmap_counts(x), (segment, x)
+        assert residue_counts(x) == reference_whole_bitmap_counts(x), (segment, x)
     for j in (1, 2, 5):
         for x in range(30 * j * segment - 30, 30 * j * segment + 31):
-            assert counts(x) == reference_whole_bitmap_counts(x), (segment, x)
+            assert residue_counts(x) == reference_whole_bitmap_counts(x), (segment, x)
 
 
 def test_residue_counts_bound_fails_before_sieving_on_a_warm_cache(monkeypatch):
     def no_sieve(*args):
         raise AssertionError("sieved past the stream bound")
 
-    counts = residue_counts.__wrapped__
-    assert sum(counts(10**6)) == 78498  # fills the strike loop's caches
+    assert sum(residue_counts(10**6)) == 78498  # fills the strike loop's caches
     monkeypatch.setattr(matrix, "_sieve_segments", no_sieve)
     monkeypatch.setattr(primality, "_sieve_segments", no_sieve)
     with pytest.raises(BoundError, match=str(primality.MAX_STREAM_LIMIT)):
-        counts(primality.MAX_STREAM_LIMIT + 1)
+        residue_counts(primality.MAX_STREAM_LIMIT + 1)
 
 
 @pytest.mark.parametrize("x", [2, 1000, 1081, 65537, 10**6 + 1, 3 * 10**6])

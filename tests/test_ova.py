@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -136,6 +137,34 @@ def test_closure_all_pairs():
     for a in c:
         for b in c:
             assert closure_check(a, b, 4)
+
+
+def _closure_by_full_loop(c, maxpows: range) -> dict:
+    """closure_check's verdict for every (a, b, maxpow), a and b in c,
+    with every power a**n, n <= maxpow, tested."""
+    verdicts = {}
+    for a in c:
+        for m in maxpows:
+            powers = all(pow(a, n, 360) in c for n in range(1, m + 1))
+            for b in c:
+                verdicts[a, b, m] = (powers and (360 - a) in c
+                                     and a * b % 360 in c)
+    return verdicts
+
+
+@pytest.mark.parametrize("dropped", [None, 1, 49])
+def test_closure_check_equals_the_full_loop(monkeypatch, dropped):
+    # the loop stops at min(maxpow, 12), lambda(360); with a unit dropped
+    # from C (1, a power of every unit, or 49 = 7**2) the verdict turns
+    # on maxpow, so a shorter loop would show
+    sets = dataclasses.replace(residue_sets(), C=residue_sets().C - {dropped})
+    monkeypatch.setattr(ova, "residue_sets", lambda: sets)
+    c = sets.C
+    want = _closure_by_full_loop(c, range(41))
+    if dropped:
+        assert len(set(want.values())) == 2
+    for (a, b, m), verdict in want.items():
+        assert closure_check(a, b, m) == verdict, (a, b, m)
 
 
 def test_twin_pairs():

@@ -214,16 +214,16 @@ def test_small_calls_build_no_full_segment_tile(monkeypatch):
     monkeypatch.setattr(primality, "_period_pattern", recorded)
     assert sieve_primes(1000).size == 168
     assert matrix.density(7, 100) * 100 == 41
-    assert sum(matrix.residue_counts.__wrapped__(10**4)) == 1229
+    assert sum(matrix.residue_counts(10**4)) == 1229
     # each call builds the pre-sieve patterns of its own progressions (1 +
     # 1 + 8), and the cold base primes those of the sieve_primes runs that
     # list them: to 31, 7 and 3 for the odds to 1000, to 255 and 15 for
-    # density's line (15's base primes are cached by then), and to 127 for
-    # the wheel struck to 100 = sqrt(10^4): below matrix._LEHMER_FROM no
-    # product is left standing, so none is counted. No count reaches the
-    # first group's period, so no group's pattern is built
-    assert matrix._LEHMER_FROM > 10**4
-    assert len(built) == (1 + 3) + (1 + 2) + (8 + 1)
+    # density's line (15's base primes are cached by then), and to 15 for
+    # the wheel struck to 13 = max(10^4**(1/4), 13). The products' count
+    # then sieves the odds twice, to 100 = sqrt(10^4) and to 714 =
+    # 10^4 // 14, on cached base primes. No count reaches the first
+    # group's period, so no group's pattern is built
+    assert len(built) == (1 + 3) + (1 + 2) + (8 + 1) + (1 + 1)
     assert {primes for primes, _ in built} == {(3, 5, 7, 11, 13), (7, 11, 13)}
     assert max(size for _, size in built) == 2 * 15015 < SEGMENT_ODDS // 8
 
