@@ -22,7 +22,13 @@ import numpy as np
 
 from .errors import BoundError, CounterexampleFound, DomainError
 from .ova import MODULUS, decompose, residue_sets
-from .primality import is_prime, is_prime_big, odd_prime_segments, sieve_primes
+from .primality import (
+    MAX_CONSTRUCT_N,
+    is_prime,
+    is_prime_big,
+    odd_prime_segments,
+    sieve_primes,
+)
 
 # The scan streams the primes, so time, not memory, bounds it: see scan.
 MAX_SCAN_LIMIT = 10**9
@@ -38,12 +44,6 @@ MAX_WITNESS_LIMIT = 2 * 10**8
 # gives its cost.
 MAX_INTERVAL_SUM_N = 10**7
 MAX_SYMMETRIC_N = 10**8
-# Largest n accepted by bertrand_construction, which tests the odd
-# numbers down from n - 3 with is_prime_big, so its cost grows with
-# the digits of n and the distance to the prime. On a 2-core x86-64 VM
-# ten n near 1e300 took 0.04-0.52 s (the slowest one 966 above its
-# prime), and four n near 1e400 0.18-6.4 s (the slowest one 6220 above).
-MAX_CONSTRUCT_N = 10**300
 # Evens per scan block. A block pays fixed work (its set-ups, the Python
 # steps of its peel and gathers) however many n it holds, and its three
 # peel arrays, 768 KB at 2^18, still fit a 2 MB L2. On a 2-core x86-64
@@ -153,8 +153,14 @@ def _smallest_p_from(n: int, p0: int) -> int:
 
 
 def decompose_even(n: int) -> GoldbachWitness:
-    """Witness n = p + q over odd primes with the smallest possible p."""
+    """Witness n = p + q over odd primes with the smallest possible p.
+
+    p is found by trial from 3, one is_prime_big(n - p) a step, so n
+    past MAX_CONSTRUCT_N raises BoundError before any test.
+    """
     _check_even(n, 6)
+    if n > MAX_CONSTRUCT_N:
+        raise BoundError(f"n {n} exceeds construction bound {MAX_CONSTRUCT_N}")
     p = _smallest_p_from(n, 3)
     if not p:
         raise CounterexampleFound(f"no Goldbach decomposition of {n}")

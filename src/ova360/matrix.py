@@ -7,11 +7,12 @@ itself rather than the odd numbers: memory is one segment of G values
 plus the base primes up to sqrt(z + 360*R), never a bitmap of every
 odd number below the line's top. The Dirichlet-style diagnostic
 compares each class's prime count against the equidistribution
-prediction (x/ln x)/96; the counts come from the same sieve run over
-the eight lines w + 30i of a mod-30 wheel, each folded by its period
-of 12 terms mod 360, with base primes only to the fourth root of x;
-the products of two and of three larger primes it leaves standing are
-then subtracted class by class (Lehmer's split).
+prediction (x/ln x)/96; the counts come from Legendre's phi, the
+numbers free of the primes to the fourth root of x, carried over the
+96 classes at once by a recursion that never walks [0, x]; the
+products of two and of three larger primes it leaves are then
+subtracted class by class (Lehmer's split), from the same sieve's
+stream of the odd primes.
 Determinants are computed exactly over the integers (Bareiss
 fraction-free elimination) so invertibility gets an exact verdict
 instead of a floating-point guess: these matrices are not invertible
@@ -23,18 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from .errors import BoundError, DomainError
 from .ova import MODULUS, residue_sets
 from .primality import (
-    _PRESIEVE_PRIMES,
     _check_sieve_limit,
     _sieve_segments,
     is_prime_big,
     odd_prime_segments,
-    period_counts,
     sieve_primes,
 )
 
@@ -46,10 +46,15 @@ MAX_DENSITY_ROTATIONS = 10**8
 MAX_MATRIX_START = 10**100
 MAX_MATRIX_K = 100
 _SINGLETONS = (2, 3, 5)
-# residue_counts' wheel: every prime past 5 lies on one of the lines
-# w + 30i with w coprime to 30, and 30 divides 360.
-_WHEEL = math.prod(_SINGLETONS)
-_WHEEL_LINES = tuple(w for w in range(1, _WHEEL) if math.gcd(w, _WHEEL) == 1)
+# residue_counts reads the numbers free of these primes off a table of
+# one period, 360 * 1001, per class, so it never splits on them
+_TABLE_PRIMES = (7, 11, 13)
+_TABLE_TERMS = math.prod(_TABLE_PRIMES)
+# _rough_counts' nodes per chunk: a chunk's rows and their indices are
+# _PHI_CHUNK x 96 int32, 384 KB each. In-process at 1e10, 2^10 took
+# 0.26 s against 0.31 s for 2^9 and 0.25-0.32 s for 2^11 and 2^12,
+# whose frontier peaked 1.2 and 7 MB higher
+_PHI_CHUNK = 1 << 10
 # _product_counts' rows per step, of primes to sqrt(x) or of pair ends
 # past it: a step's table is _STEP_ROWS x 96 int64, 768 KB. 2^10 took
 # 5.3 ms at 1e8 against 6.0-6.6 ms for 2^11 to 2^13, level at 1e9
@@ -321,42 +326,143 @@ def _pairs_past_sqrt(x: int, y: int, ps: np.ndarray, cls: np.ndarray) -> np.ndar
     return sums
 
 
+@cache
+def _free_counts() -> tuple[np.ndarray, np.ndarray]:
+    """(t, at): t[k, c] counts the n = _UNITS[c] + 360*i, i < k, free of
+    _TABLE_PRIMES, for k in [0, _TABLE_TERMS], so its last row is a
+    whole period's; at[b, c] is the flat index of t[k, c] for k = 0 or,
+    where _UNITS[c] <= b, k = 1. Both int32 and read-only, 0.5 MB,
+    built on first use in under 1 ms, not at import."""
+    units = _UNITS.size
+    free = np.ones((_TABLE_TERMS, units), dtype=bool)
+    for q in _TABLE_PRIMES:
+        # q divides _UNITS[c] + 360*i for i = -_UNITS[c]/360 (mod q): 288
+        # strided strikes took 0.13 ms against 1.1 ms for the moduli
+        for c, i in enumerate((-_UNITS * pow(MODULUS, -1, q) % q).tolist()):
+            free[i::q, c] = False
+    t = np.zeros((_TABLE_TERMS + 1, units), dtype=np.int32)
+    np.cumsum(free, axis=0, out=t[1:])
+    at = (_UNITS <= np.arange(MODULUS)[:, None]) * units + np.arange(units)
+    at = at.astype(np.int32)
+    t.flags.writeable = at.flags.writeable = False
+    return t, at
+
+
+def _free_rows(z: np.ndarray) -> np.ndarray:
+    """s[i, c]: the n <= z[i] in the class _UNITS[c] free of
+    _TABLE_PRIMES, 1 included, as a len(z) x 96 int32 array, which
+    holds them for every z < 1e12 (about z / 500 each).
+
+    z = 360*(1001*w + a) + b with b < 360 holds w whole periods, and of
+    the last one the terms i < a of each class, and i = a too where the
+    class is at most b.
+    """
+    t, at = _free_counts()
+    w, r = np.divmod(z, MODULUS * _TABLE_TERMS)
+    a, b = np.divmod(r, MODULUS)
+    k = at.take(b, axis=0)
+    k += (a * _UNITS.size).astype(np.int32)[:, None]
+    rows = t.take(k)
+    big = w.nonzero()[0]
+    if big.size:
+        rows[big] += w[big, None] * t[-1]
+    return rows
+
+
+def _rough_counts(x: int, qs: np.ndarray) -> np.ndarray:
+    """c[a] = number of n <= x in the class _UNITS[a] free of the primes
+    to 13 and of qs, 1 included; qs are the primes from 17 to some
+    bound, ascending.
+
+    Legendre's phi (Deleglise & Rivat, Math. Comp. 65, 1996), over the
+    96 classes at once: with q_0 < q_1 < ... the primes qs, the n <= z
+    free of the first j of them are those free of none, less, for each
+    i < j, q_i times the m <= z // q_i free of the first i. Multiplying
+    by q_i maps m's class to its product with q_i's, a permutation of
+    the units, so a node (z, j, u) stands for those counts taken to the
+    classes u*c, and the root is (x, len(qs), 1). A node reads its first
+    term, the n free of the primes to 13, off _free_rows, and splits on
+    each q_i, i < j, with q_i**2 <= z into (z // q_i, i, u * q_i), of
+    the opposite sign. Where q_i <= z < q_i**2 the only such m is 1, so
+    those q_i are subtracted off a prefix table of the primes' classes
+    instead; where z < q_i there is none. z falls by 17 or more per
+    depth, so the frontier is expanded one depth at a time, in chunks
+    of _PHI_CHUNK nodes: 2.8k nodes in all at 1e8, 30k at 1e9 and 310k
+    at 1e10. Each chunk's rows are summed by u into a 96 x 96 table,
+    and one gather maps the table's rows to the classes u*c at the end.
+    """
+    units = _UNITS.size
+    cls = _UNIT_INDEX[qs % MODULUS]
+    # primes[i]: the class histogram of qs[:i]
+    primes = np.zeros((qs.size + 1, units), dtype=np.int32)
+    primes[np.arange(1, qs.size + 1), cls] = 1
+    np.cumsum(primes, axis=0, out=primes)
+    # times[u, i]: the unit index of _UNITS[u] * qs[i]
+    times = _UNIT_INDEX[np.outer(_UNITS, qs) % MODULUS].astype(np.int8)
+    squares = qs * qs
+    sums = np.zeros((units, units), dtype=np.int64)
+    z = np.array([x], dtype=np.int64)
+    j = np.array([qs.size], dtype=np.int16)
+    u = np.zeros(1, dtype=np.int8)
+    sign = 1
+    while z.size:
+        nodes = ([], [], [])
+        for s in range(0, z.size, _PHI_CHUNK):
+            zs, js, us = z[s:s + _PHI_CHUNK], j[s:s + _PHI_CHUNK], u[s:s + _PHI_CHUNK]
+            # the node splits on qs[:split] and subtracts qs[split:top]
+            split = np.minimum(js, squares.searchsorted(zs, "right"))
+            top = np.maximum(np.minimum(js, qs.searchsorted(zs, "right")), split)
+            rows = _free_rows(zs)
+            rows -= primes.take(top, axis=0)
+            rows += primes.take(split, axis=0)
+            keys, by_unit = _sum_by_key(rows, us)
+            sums[keys] += sign * by_unit
+            parent = np.repeat(np.arange(zs.size), split)
+            i = np.arange(parent.size) - np.repeat(split.cumsum() - split, split)
+            nodes[0].append(zs[parent] // qs[i])
+            nodes[1].append(i.astype(np.int16))
+            nodes[2].append(times[us[parent], i])
+        z, j, u = map(np.concatenate, nodes)
+        sign = -sign
+    return sums.take(_COFACTOR).sum(axis=0)
+
+
 def residue_counts(x: int) -> tuple[int, ...]:
     """count[r] = number of primes <= x congruent to r mod 360.
 
-    The primes past 5 lie on the eight lines w + 30i, w coprime to 30
-    (a mod-30 wheel; Pritchard, Acta Informatica 17, 1982), and the
-    strike loop runs over each line, which holds 8 of every 30 numbers
-    where the odd numbers hold 15. w + 30i mod 360 has period 12 in i,
-    so each segment folds into 12 columns, column c counting residue
-    w + 30c; 2, 3 and 5 are added last.
+    Lehmer's split (Illinois J. Math. 3, 1959) with y = max(x**(1/4),
+    13): the n <= x free of the primes to y are 1, the primes past y and
+    the composites whose prime factors all exceed y. Four of those would
+    exceed (y+1)**4 > x, so the composites are p*q and p*q*r with
+    y < p <= q <= r, which _product_counts counts class by class. The n
+    free of the primes to y are Legendre's phi(x, y), which
+    _rough_counts carries over the 96 classes at once by the truncated
+    recursion of Deleglise & Rivat (Math. Comp. 65, 1996), reading the
+    primes 7, 11 and 13 off a table of one period; so nothing walks [0,
+    x]. The primes to y are added back, 2, 3 and 5 among them.
 
-    Lehmer's split (Illinois J. Math. 3, 1959): the lines are struck
-    only by the primes to y = max(x**(1/4), 13), 13 being the largest
-    prime the pre-sieve clears whatever the cut. A composite left
-    standing then has every prime factor above y, and four of them
-    would exceed (y+1)**4 > x, so it is p*q or p*q*r with
-    y < p <= q <= r; _product_counts subtracts those products class by
-    class. Memory is one segment, one query per pair and triple (75.5k
-    at 1e10) and a table of _STEP_ROWS x 96 counts, whatever x; x past
-    MAX_STREAM_LIMIT raises BoundError before anything is sieved.
+    In-process on a 2-core x86-64 VM it takes 8-10 ms at 1e8, 35-40 ms
+    at 1e9 and 0.26-0.34 s at 1e10, against 16-19 ms, 0.19-0.21 s and
+    2.1-2.5 s when the classes were struck on the eight lines of a
+    mod-30 wheel to x, measured side by side; `dirichlet --all` peaks
+    at 35, 40 and 40 MB (VmHWM, start-up included). Memory is the
+    products' stream of one segment and one query per pair and triple
+    (75.5k at 1e10), and the recursion's frontier (at 1e10 at most 212k
+    of its 310k nodes, 11 bytes each) with a few chunk-sized tables.
+    x past MAX_STREAM_LIMIT raises BoundError before anything is sieved.
     """
     counts = np.zeros(MODULUS, dtype=np.int64)
     if x < 2:
         return tuple(counts.tolist())
     _check_sieve_limit(x)
-    y = max(_iroot(x, 4), _PRESIEVE_PRIMES[-1])
-    period = MODULUS // _WHEEL
-    for w in _WHEEL_LINES:
-        if w <= x:
-            # a generator, so no segment outlives its line
-            counts[w::_WHEEL] = sum(
-                period_counts(seg, start, period)
-                for start, seg in _sieve_segments(
-                    w, _WHEEL, (x - w) // _WHEEL + 1, cut=y))
-    counts[_UNITS] -= _product_counts(x, y)
-    for p in _SINGLETONS:
-        counts[p] += p <= x
+    y = max(_iroot(x, 4), _TABLE_PRIMES[-1])
+    small = sieve_primes(min(x, y))
+    # the products first: at 1e10 the verb peaked at 40.0 MB in this
+    # order and at 41.4 MB in the other
+    counts[_UNITS] = -_product_counts(x, y)
+    counts[_UNITS] += _rough_counts(x, small[small > _TABLE_PRIMES[-1]])
+    counts[1] -= 1  # 1 is free of every prime but is not one
+    counts[small] += 1
     return tuple(counts.tolist())
 
 

@@ -2,12 +2,10 @@
 
 Provides one segmented sieve over an arithmetic progression: over the
 odd numbers it is streamed one segment at a time, which the prime list
-and every scan read, the Mersenne exponent scan and the residue sets
-included; matrix.density runs it over a residue line z + 360*G, and
-matrix.residue_counts over the eight lines w + 30i of a mod-30 wheel,
-with its base primes cut at the fourth root of x.
-Its base primes come from a shorter run of the same loop, so it is the
-package's one sieve.
+and every scan read, the Mersenne exponent scan, the residue sets and
+matrix.residue_counts' products of two primes included; matrix.density
+runs it over a residue line z + 360*G. Its base primes come from a
+shorter run of the same loop, so it is the package's one sieve.
 Also one Miller-Rabin body behind two entry points, and the factorial
 construction of prime-free intervals together with the gap identity
 around them. The body answers n < 256 from a table, rejects any larger
@@ -31,14 +29,16 @@ import numpy as np
 
 from .errors import BoundError, CounterexampleFound, DomainError
 
-# The strike loop holds one segment, so time, not memory, bounds it. On
-# a 2-core x86-64 VM, `dirichlet --all` takes 2.0-2.3 s at 1e10 and
-# 0.17-0.18 s at 1e9, start-up excluded, and peaks at 40 MB: its lines
-# are struck only to the fourth root of x, 1.3-1.9 times faster than to
-# the cube root, measured side by side. `germain` keeps this
-# bound, though it reads only the primes to 4096, which already hold a
-# safe prime in every class one can take: at 1e10 it takes 0.21-0.23 s
-# and 31 MB, start-up included.
+# The stream holds one segment, so time, not memory, bounds it. On a
+# 2-core x86-64 VM, `dirichlet --all` takes 0.28-0.39 s at 1e10 and
+# 0.045 s at 1e9, start-up excluded, against 2.0-2.6 s and 0.17-0.18 s
+# when its classes were struck on the lines of a mod-30 wheel to x,
+# measured side by side, and peaks at 40 MB: it counts the classes by
+# Legendre's phi (matrix.residue_counts) and streams the odds only to
+# x // (x**(1/4) + 1), 3.2e7, for the products of two primes. `germain`
+# keeps this bound, though it reads only the primes to 4096, which
+# already hold a safe prime in every class one can take: at 1e10 it
+# takes 0.21-0.23 s and 31 MB, start-up included.
 MAX_STREAM_LIMIT = 10**10
 # sieve_primes lists every prime, and the `sieve` verb renders each one
 # as text: at 1e8 (5.76M primes) it takes 0.7 s and peaks at 81 MB in
@@ -47,6 +47,17 @@ MAX_STREAM_LIMIT = 10**10
 # by segment, with the text written part by part.
 MAX_PRIME_LIST_LIMIT = 10**8
 MAX_FACTORIAL_N = 40
+# Largest n accepted by the constructions that walk to a prime near n
+# with is_prime_big: goldbach.bertrand_construction down from n - 3,
+# bertrand_prime up from n + 1 and goldbach.decompose_even over n - p
+# for p from 3, so their cost grows with the digits of n and the
+# distance walked. On a 2-core x86-64 VM, in-process, ten n near 1e300
+# took 0.04-0.52 s in bertrand_construction (the slowest one 966 above
+# its prime) and four n near 1e400 0.18-6.4 s (6220 above); ten other
+# even n just below 1e300 took 0.01-0.38 s in decompose_even (p up to
+# 4241) and 0.01-0.74 s in bertrand_prime (primes up to 2789 above n).
+# At 1e1000 decompose_even took 46.8 s and bertrand_prime 4.2 s.
+MAX_CONSTRUCT_N = 10**300
 # The primality body raises BoundError past this size, before any round.
 # At 10000 bits, on a 2-core x86-64 VM, the base-2 round takes 2.8 s,
 # which stops most composites, and the Lucas half a further 9.4 s. The
@@ -89,7 +100,7 @@ class CompositeInterval:
 
 
 # These primes clear their multiples through a pre-sieve pattern rather
-# than by striking, whatever the cut.
+# than by striking.
 _PRESIEVE_PRIMES = (3, 5, 7, 11, 13)
 # The primes 17 to 61 in groups, each of which clears its multiples by
 # one AND with a pattern of period prod(group) rather than by striking,
@@ -122,10 +133,9 @@ def _base_primes(step: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
     (k*p + 1) // step is pow(step, -1, p), as it is below p.
 
     bound is a power of two. An entry takes 16 bytes a prime. The entry
-    points ask for step 2 up to bound 2^17, for step 30 (the wheel,
-    struck to x**(1/4), at most 316) up to 2^9 and for step 360
-    (density at its rotation bound) up to 2^18, 368 KB; the entries of
-    one step differ in bound, so together they hold under 1.3 MB. The
+    points ask for step 2 up to bound 2^17 and for step 360 (density at
+    its rotation bound) up to 2^18, 368 KB; the entries of one step
+    differ in bound, so together they hold under 1.2 MB. The
     16 entries keep both the small step-2 entries of the recursion and
     a density loop over every bound to 2^10 cached.
     """
@@ -145,7 +155,7 @@ def _period_pattern(primes: tuple[int, ...]) -> np.ndarray:
     t[i] == (no q in primes divides i), period prod(primes), read-only.
 
     Two periods hold a whole period from any phase. The entries are the
-    pre-sieve patterns of steps 2 and 30 or 360 (30 KB and 2 KB) and the
+    pre-sieve patterns of steps 2 and 360 (30 KB and 2 KB) and the
     four _PATTERN_GROUPS (15 KB to 381 KB), 660 KB in all.
     """
     pattern = np.ones(2 * math.prod(primes), dtype=bool)
@@ -164,8 +174,8 @@ def _aligned(seg: np.ndarray, pattern: np.ndarray, period: int,
             (seg[whole:], pattern[o:o + seg.size - whole]))
 
 
-def _sieve_segments(first: int, step: int, count: int, *,
-                    cut: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+def _sieve_segments(first: int, step: int,
+                    count: int) -> Iterator[tuple[int, np.ndarray]]:
     """The one strike loop, over the progression first + step*i for i
     in [0, count); step is even and coprime to first and to the primes
     17 to 61 (2, 30 and 360 are). Yield (start, seg) with seg[j] ==
@@ -173,24 +183,22 @@ def _sieve_segments(first: int, step: int, count: int, *,
     SEGMENT_ODDS terms, in one buffer that each segment overwrites.
 
     A prime p that divides step never divides a term. Each other base
-    prime p <= sqrt(last term), and p <= cut when a cut is given,
-    divides the terms with i = -first/step (mod p); p from 3 to 13 clear
-    theirs through a pre-sieve pattern of period prod(p), which each
-    segment is filled with whatever the cut, and every larger p strikes
-    its class from the first term >= p*p, which spares p itself when it
-    lies on the progression (Bays & Hudson, BIT 17, 1977). With a cut,
-    a composite survives when all its prime factors exceed
-    max(cut, 13); matrix.residue_counts subtracts those itself.
+    prime p <= sqrt(last term) divides the terms with i = -first/step
+    (mod p); p from 3 to 13 clear theirs through a pre-sieve pattern of
+    period prod(p), which each segment is filled with, and every larger
+    p strikes its class from the first term >= p*p, which spares p
+    itself when it lies on the progression (Bays & Hudson, BIT 17,
+    1977).
 
     The primes 17 to 61 are cleared by pattern instead, in the
-    _PATTERN_GROUPS: each group whose last prime is a base prime and
-    whose period is at most count clears the segment by one in-place
-    AND of its rows, one period long, with the group's pattern, where
-    its 3 strikes would each pass over the whole segment. A pattern
-    also clears the group's own primes, and the terms up to 61 are
-    written back as prime or not. The period rule keeps a short call
-    from building a pattern it cannot use; a group past the cut or the
-    root is struck as before, so a cut stays exact.
+    _PATTERN_GROUPS: each group whose period is at most count clears
+    the segment by one in-place AND of its rows, one period long, with
+    the group's pattern, where its 3 strikes would each pass over the
+    whole segment. A pattern also clears the group's own primes, and
+    the terms up to 61 are written back as prime or not. The period
+    rule keeps a short call from building a pattern it cannot use; a
+    count that holds the first period, 7429, reaches past 61**2, so
+    every group it applies holds base primes only.
 
     What does not depend on first is built once and cached: the base
     primes with their inverses of step, per step and largest base prime
@@ -205,14 +213,8 @@ def _sieve_segments(first: int, step: int, count: int, *,
     out = np.empty(min(size, count), dtype=bool)
     head = [v in _SMALL_PRIMES for v in range(first, _PATTERN_GROUPS[-1][-1] + 1, step)]
     root = math.isqrt(first + step * (count - 1))
-    if cut is not None:
-        root = min(root, cut)
-    groups = []  # in order, while each is struck whole and fits count
-    for group in _PATTERN_GROUPS:
-        period = math.prod(group)
-        if group[-1] > root or period > count:
-            break
-        groups.append(group)
+    # the groups whose period fits count: a prefix, as the periods rise
+    groups = [g for g in _PATTERN_GROUPS if math.prod(g) <= count]
     # (pattern, period, phase) of the pre-sieve, then of each group
     fills = []
     for group in (tuple(q for q in _PRESIEVE_PRIMES if step % q), *groups):
@@ -263,26 +265,6 @@ def odd_prime_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     """
     _check_sieve_limit(limit)
     return _sieve_segments(1, 2, (limit + 1) // 2)
-
-
-def period_counts(bits: np.ndarray, start: int, period: int) -> np.ndarray:
-    """c[r] = number of set bits[i] with (start + i) % period == r.
-
-    Rows of 128 periods are summed as bytes, at most 255 rows at a time
-    so no byte overflows; the long rows keep numpy's inner loop long,
-    which measured 10x faster than one row per period. The row sums
-    then fold by period, the short tail is binned, and the columns are
-    rotated to start's phase.
-    """
-    wide = period << 7
-    whole = bits.size - bits.size % wide
-    cols = np.bincount(np.flatnonzero(bits[whole:]) % period, minlength=period)
-    for s in range(0, whole, 255 * wide):
-        rows = bits[s:min(s + 255 * wide, whole)].view(np.uint8).reshape(-1, wide)
-        row_sums = np.add.reduce(rows, axis=0, dtype=np.uint8)
-        cols += row_sums.reshape(-1, period).sum(axis=0, dtype=np.int64)
-    cut = period - start % period
-    return np.concatenate((cols[cut:], cols[:cut]))
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -462,9 +444,12 @@ def interval_gap(n: int) -> int:
 
 
 def bertrand_prime(n: int) -> int:
-    """Smallest prime strictly between n and 2n (n >= 2)."""
+    """Smallest prime strictly between n and 2n (n >= 2); n past
+    MAX_CONSTRUCT_N raises BoundError before any test."""
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
+    if n > MAX_CONSTRUCT_N:
+        raise BoundError(f"n {n} exceeds construction bound {MAX_CONSTRUCT_N}")
     for c in range(n + 1, 2 * n):
         if is_prime_big(c):
             return c

@@ -1188,6 +1188,32 @@ def test_streamed_verbs_peak_under_100_mb(argv, rc, tmp_path):
 
 
 @_NEEDS_VMHWM
+def test_dirichlet_at_the_stream_bound_peaks_under_50_mb(tmp_path):
+    # the class counts walk no line to x: Legendre's phi is 310k nodes at
+    # 1e10, taken in chunks, and the products' stream holds one segment
+    out = tmp_path / "out"
+    rc, peak_kb = _peak_rss(out, ("dirichlet", "--x", "10000000000", "--all",
+                                  "--format", "json"))
+    assert rc == 0
+    assert peak_kb * 1024 < 50 * 10**6, peak_kb
+    doc = json.loads(out.read_text())
+    counts = [int(r["count"]) for r in doc["classes"] + doc["singletons"]]
+    assert sum(counts) == int(doc["prime_count"]) == 455052511  # pi(1e10)
+
+
+@_NEEDS_VMHWM
+def test_import_adds_under_5_mb_to_numpy():
+    # every verb pays for the import, so no table is built at import:
+    # tables built there took it from 3.7 to 6.0 MB
+    probe = ("import numpy\n" + _READ_PEAK_KB + "numpy_kb = peak_kb\n"
+             "import ova360.cli\n" + _READ_PEAK_KB + "print(peak_kb - numpy_kb)\n")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) * 1024 < 5 * 10**6, proc.stdout
+
+
+@_NEEDS_VMHWM
 def test_goldbach_scan_to_1e8_peaks_under_60_mb(tmp_path):
     # the primes stream: one segment, a window of 2^14 odds and one
     # block of 2^18 evens with its peel arrays, about 37 MB in all

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ova360 import goldbach
+from ova360 import goldbach, primality
 from ova360.cli import dispatch
 from ova360.errors import BoundError, DomainError
 from ova360.goldbach import (
@@ -629,6 +629,23 @@ def test_construction_bound_fails_before_testing(monkeypatch):
     monkeypatch.setattr(goldbach, "is_prime_big", no_test)
     with pytest.raises(BoundError):
         bertrand_construction(top + 2)
+
+
+def test_decomposition_bound_fails_before_testing(monkeypatch):
+    top = goldbach.MAX_CONSTRUCT_N
+    assert decompose_even(top).p == 347
+    assert goldbach.MAX_CONSTRUCT_N is primality.MAX_CONSTRUCT_N
+
+    def no_test(n):
+        raise AssertionError("tested past the bound")
+
+    monkeypatch.setattr(goldbach, "is_prime", no_test)
+    monkeypatch.setattr(goldbach, "is_prime_big", no_test)
+    # the first even n past the bound, directly and as 2m
+    with pytest.raises(BoundError, match="exceeds construction bound"):
+        decompose_even(top + 2)
+    with pytest.raises(BoundError, match="exceeds construction bound"):
+        average_of_two_primes(top // 2 + 1)
 
 
 def test_symmetric_pair_examples():

@@ -253,8 +253,7 @@ def test_residue_counts_oracle():
 def test_residue_counts_match_gathered_counts(reference_residue_counts):
     for x in range(2, 5001):
         assert residue_counts(x) == reference_residue_counts(x), x
-    # the fold takes whole rows of 180 odds: x = -1, 0 (mod 360) leave no
-    # tail, x = 1 (mod 360) a tail of one
+    # x = -1, 0 and 1 (mod 360) end a whole period of the classes or not
     for k in (2777, 2778, 2800):
         for x in (360 * k - 1, 360 * k, 360 * k + 1):
             assert residue_counts(x) == reference_residue_counts(x), x
@@ -269,12 +268,58 @@ def test_residue_counts_at_the_cube_root_cut(reference_residue_counts):
 
 
 def test_residue_counts_at_the_fourth_root_cut(reference_residue_counts):
-    # the lines are struck by the primes to max(x**(1/4), 13) only, so the
-    # cut moves at every fourth power
+    # the classes are counted free of the primes to max(x**(1/4), 13)
+    # only, so the cut moves at every fourth power
     for k in range(13, 61):
         for x in (k**4 - 1, k**4, k**4 + 1):
             assert max(matrix._iroot(x, 4), 13) == max(k - (x < k**4), 13), x
             assert residue_counts(x) == reference_residue_counts(x), x
+
+
+def test_residue_counts_at_prime_squares(reference_residue_counts):
+    # q^2 - 1, q^2 and q^2 + 1 straddle q^2, where p = q joins the
+    # products' pairs; the recursion's own edge at q^2, where a node
+    # splits on q, is met on _rough_counts below
+    for q in sympy.primerange(14, 400):
+        for x in (q * q - 1, q * q, q * q + 1):
+            assert residue_counts(x) == reference_residue_counts(x), x
+
+
+def test_rough_counts_where_a_node_stops_splitting():
+    # with every prime in (13, 400) to split on, the root (x, ...) takes q
+    # off the primes' table from x = q on and splits on it from x = q^2
+    # on, so q - 1, q and q + 1 and q^2 - 1, q^2 and q^2 + 1 for each q
+    # cross both edges; the n <= x free of the primes to 400 are 1 and the
+    # primes past 400
+    qs = sieve_primes(399)
+    qs = qs[qs > 13]
+    free = np.ones(399**2 + 2, dtype=bool)
+    free[0] = False
+    for p in (7, 11, 13, *qs.tolist()):
+        free[p::p] = False
+    for q in qs.tolist():
+        for x in (q - 1, q, q + 1, q * q - 1, q * q, q * q + 1):
+            # the classes of the units mod 360 hold no multiple of 2, 3, 5
+            want = np.bincount(np.flatnonzero(free[:x + 1]) % 360, minlength=360)
+            assert np.array_equal(matrix._rough_counts(x, qs),
+                                  want[matrix._UNITS]), x
+
+
+def test_residue_counts_at_the_table_period(reference_residue_counts):
+    # the numbers free of 7, 11 and 13 are read off one period, 360 * 1001,
+    # of each class: x = -1, 0 and 1 mod 360360 end a whole period
+    for t in (1, 2, 3):
+        for x in (360360 * t - 1, 360360 * t, 360360 * t + 1):
+            assert residue_counts(x) == reference_residue_counts(x), x
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_residue_counts_in_small_chunks(monkeypatch, reference_residue_counts, chunk):
+    # the frontier's rounds split into chunks of _PHI_CHUNK nodes, the
+    # last one short
+    monkeypatch.setattr(matrix, "_PHI_CHUNK", chunk)
+    for x in (10**6, 10**7):
+        assert residue_counts(x) == reference_residue_counts(x), (chunk, x)
 
 
 def test_residue_counts_at_the_first_triples(reference_residue_counts):
@@ -340,9 +385,8 @@ def test_product_counts_stream_at_segment_ends(monkeypatch, reference_residue_co
 
 
 def test_residue_counts_where_the_cut_meets_the_pattern_groups(reference_residue_counts):
-    # the strike loop clears 17..61 by group patterns only up to the cut,
-    # x**(1/4), which reaches the last prime q of a group at q**4; around
-    # 2e6 it is 37 as well
+    # the cut x**(1/4) reaches the last prime q of a pattern group at q**4
+    # (around 2e6 it is 37 as well), where the primes split on gain q
     assert [g[-1] for g in primality._PATTERN_GROUPS] == [23, 37, 47, 61]
     assert matrix._iroot(2 * 10**6, 4) == 37
     for n in (23**4, 37**4, 47**4, 61**4, 2 * 10**6):
@@ -382,9 +426,9 @@ def test_residue_counts_stream_matches_whole_bitmap(monkeypatch,
 @pytest.mark.parametrize("segment", [7, 12, 180, 1000, 15016])
 def test_residue_counts_match_whole_bitmap_at_wheel_segment_ends(
         monkeypatch, reference_whole_bitmap_counts, segment):
-    # each wheel line w + 30i, 0 < w < 30, ends segment j at its term
-    # i = j * segment - 1, so x within 30 of 30 * j * segment crosses the
-    # end on every line; 12 is one period of 30i mod 360
+    # x within 30 of 30 * j * segment, which ended a segment on each line
+    # w + 30i of the mod-30 wheel that once carried these counts, with
+    # the products' stream of odds cut into the same segments
     monkeypatch.setattr(primality, "SEGMENT_ODDS", segment)
     for x in range(1, 101):
         assert residue_counts(x) == reference_whole_bitmap_counts(x), (segment, x)

@@ -22,7 +22,6 @@ from ova360.primality import (
     is_prime,
     is_prime_big,
     odd_prime_segments,
-    period_counts,
     sieve_primes,
 )
 
@@ -155,10 +154,10 @@ def test_stream_bound_fails_before_sieving_on_a_warm_cache(monkeypatch):
         odd_prime_segments(MAX_STREAM_LIMIT + 1)
 
 
-def _progression(first, step, count, cut=None):
+def _progression(first, step, count):
     """The strike loop's segments over first + step*i, joined."""
     return np.concatenate([seg.copy() for _, seg in
-                           primality._sieve_segments(first, step, count, cut=cut)])
+                           primality._sieve_segments(first, step, count)])
 
 
 def test_strike_loop_caches_serve_interleaved_progressions(
@@ -216,14 +215,16 @@ def test_small_calls_build_no_full_segment_tile(monkeypatch):
     assert matrix.density(7, 100) * 100 == 41
     assert sum(matrix.residue_counts(10**4)) == 1229
     # each call builds the pre-sieve patterns of its own progressions (1 +
-    # 1 + 8), and the cold base primes those of the sieve_primes runs that
-    # list them: to 31, 7 and 3 for the odds to 1000, to 255 and 15 for
-    # density's line (15's base primes are cached by then), and to 15 for
-    # the wheel struck to 13 = max(10^4**(1/4), 13). The products' count
-    # then sieves the odds twice, to 100 = sqrt(10^4) and to 714 =
-    # 10^4 // 14, on cached base primes. No count reaches the first
-    # group's period, so no group's pattern is built
-    assert len(built) == (1 + 3) + (1 + 2) + (8 + 1) + (1 + 1)
+    # 1), and the cold base primes those of the sieve_primes runs that
+    # list them: to 31, 7 and 3 for the odds to 1000, and to 255 and 15
+    # for density's line (15's base primes are cached by then). The class
+    # counts run over the odds three times, on cached base primes: to 13 =
+    # max(10^4**(1/4), 13) for the primes they add back, and for the
+    # products' count to 100 = sqrt(10^4) and to 714 = 10^4 // 14. They
+    # strike no wheel lines, whose 8 patterns and one cold base-prime run
+    # made 18 builds here. No count reaches the first group's period, so
+    # no group's pattern is built
+    assert len(built) == (1 + 3) + (1 + 2) + (1 + 1 + 1)
     assert {primes for primes, _ in built} == {(3, 5, 7, 11, 13), (7, 11, 13)}
     assert max(size for _, size in built) == 2 * 15015 < SEGMENT_ODDS // 8
 
@@ -241,20 +242,16 @@ def test_small_calls_build_no_full_segment_tile(monkeypatch):
     assert groups_built(lambda: sieve_primes(2 * 7429 - 1)) == {g1}
     assert groups_built(lambda: matrix.density(7, 190746)) == {g1, g2, g3}
     assert groups_built(lambda: matrix.density(7, 190747)) == {g1, g2, g3, g4}
-    # and only when its last prime is struck: the odds to 4e5 hold every
-    # period and strike to 632, but cut at 46 only to 46; the wheel line
-    # to 3e5 strikes to 547 but holds only the first period
+    # the odds to 4e5 hold every period; the wheel line to 3e5 strikes to
+    # 547 but holds only the first period
     assert groups_built(lambda: list(primality._sieve_segments(1, 2, 2 * 10**5))) == {
         g1, g2, g3, g4}
-    assert groups_built(lambda: list(primality._sieve_segments(1, 2, 2 * 10**5, cut=46))) == {
-        g1, g2}
     assert groups_built(lambda: list(primality._sieve_segments(7, 30, 10**4))) == {g1}
 
 
-# each group's period -1, 0 and +1, and cuts on both sides of its primes
+# each group's period -1, 0 and +1
 _GROUP_EDGE_COUNTS = tuple(period + d for period in (7429, 33263, 82861, 190747)
                            for d in (-1, 0, 1))
-_GROUP_EDGE_CUTS = (16, 17, 22, 23, 24, 46, 47, 60, 61, 62)
 
 
 @pytest.mark.parametrize("step, firsts", [
@@ -271,26 +268,11 @@ def test_pattern_groups_match_reference_at_their_edges(step, firsts,
     top = _GROUP_EDGE_COUNTS[-1]
     bits = reference_odd_prime_bitmap(max(firsts) + step * (top - 1))
 
-    def want(first, count, cut):
-        """first + step*i is prime, or, with a cut, free of the odd
-        primes to max(cut, 13): the terms the strike loop leaves."""
-        terms = first + step * np.arange(count)
-        standing = bits[terms // 2]
-        if cut is not None:
-            rough = terms > 1
-            for q in sympy.primerange(3, max(cut, 13) + 1):
-                rough &= terms % q != 0
-            standing |= rough
-        return standing
-
     for first in firsts:
         for count in _GROUP_EDGE_COUNTS:
-            assert np.array_equal(_progression(first, step, count),
-                                  want(first, count, None)), (first, count)
-        for cut in _GROUP_EDGE_CUTS:
-            for count in (7430, top):
-                assert np.array_equal(_progression(first, step, count, cut=cut),
-                                      want(first, count, cut)), (first, count, cut)
+            want = bits[(first + step * np.arange(count)) // 2]
+            assert np.array_equal(_progression(first, step, count), want), (
+                first, count)
 
 
 @pytest.mark.parametrize("step", [2, 30, 360])
@@ -301,22 +283,6 @@ def test_base_primes_match_sympy(step):
         want = [p for p in sympy.primerange(14, 1 << k) if step % p]
         assert ps.tolist() == want, (step, k)
         assert np.all(step * inv % ps == 1), (step, k)
-
-
-def test_period_counts_match_bincount():
-    rng = np.random.default_rng(7919)
-    # one row of 128 periods, 255 such rows (the byte sums' chunk) and
-    # sizes around both
-    for period in (12, 90, 180):
-        wide = period << 7
-        for size in (0, 1, period - 1, period + 1, wide - 1, wide, wide + 1,
-                     255 * wide + period + 3, 300 * wide):
-            bits = rng.integers(0, 10, size, dtype=np.uint8) > 0
-            for start in (0, 1, period - 1, 12345):
-                want = np.bincount((start + np.flatnonzero(bits)) % period,
-                                   minlength=period)
-                assert np.array_equal(period_counts(bits, start, period), want), (
-                    period, size, start)
 
 
 def test_bitmap_indexing():
@@ -398,6 +364,18 @@ def test_bertrand_examples():
 def test_bertrand_rejects_small():
     with pytest.raises(DomainError):
         bertrand_prime(1)
+
+
+def test_bertrand_bound_fails_before_testing(monkeypatch):
+    top = primality.MAX_CONSTRUCT_N
+    assert bertrand_prime(top) == top + 331
+
+    def no_test(n):
+        raise AssertionError("tested past the bound")
+
+    monkeypatch.setattr(primality, "is_prime_big", no_test)
+    with pytest.raises(BoundError, match="exceeds construction bound"):
+        bertrand_prime(top + 1)
 
 
 def test_bertrand_exhaustive_to_1e5():

@@ -42,3 +42,60 @@ def test_an_unused_import_is_found():
                      "from os import path\n__all__ = ['path']\n"
                      "np.zeros(math.pi)\n@cache\ndef f(): pass\n")
     assert _unused_imports(tree) == ["lru_cache (line 4)"]
+
+
+def _private_names(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each private function, class and constant that
+    tree defines at module level: one leading underscore, not a dunder."""
+    named = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            named.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            named += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in named
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _read_names(trees: list[ast.Module]) -> set[str]:
+    """The names trees read: as a variable, as an attribute or through
+    a from-import."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {a.name for a in node.names}
+    return read
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private module-level names of sources (module name -> text)
+    that no module reads, as 'module: name (line n)'."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = _read_names(list(trees.values()))
+    return [f"{name}: {var} (line {line})" for name, tree in trees.items()
+            for line, var in _private_names(tree) if var not in read]
+
+
+def test_every_private_name_is_read():
+    # a helper left without a caller fails here, as an unused import does
+    # above; the package is read as a whole, as private names cross modules
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert _unread_private_names(sources) == []
+
+
+def test_an_unread_private_name_is_found():
+    sources = {
+        "a.py": "import math\n_WHEEL = 30\n_WHEEL_LINES = (1, 7)\n__all__ = []\n"
+                "def _strike(n): return n\nclass _Seg: pass\n_used: int = 2\n"
+                "def f(): return math.gcd(_used, 4) + _Seg.x\n",
+        "b.py": "from .a import _strike\nimport a\nprint(a._WHEEL)\n"
+                "def _stranded(): pass\n",
+    }
+    assert _unread_private_names(sources) == ["a.py: _WHEEL_LINES (line 3)",
+                                              "b.py: _stranded (line 4)"]
