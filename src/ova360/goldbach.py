@@ -16,6 +16,7 @@ import enum
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -45,12 +46,13 @@ MAX_WITNESS_LIMIT = 2 * 10**8
 MAX_INTERVAL_SUM_N = 10**7
 MAX_SYMMETRIC_N = 10**8
 # Evens per scan block. A block pays fixed work (its set-ups, the Python
-# steps of its peel and gathers) however many n it holds, and its three
-# peel arrays, 768 KB at 2^18, still fit a 2 MB L2. On a 2-core x86-64
-# VM, in-process and interleaved, scans to 1e7 / 1e8 in blocks of 2^17,
-# 2^18, 2^19 and 2^20 took 0.84 / 0.82, 0.81 / 0.76, 0.83 / 0.74 and
-# 1.17 / 1.05 of their time in blocks of 2^16. interval_sum_check does
-# not read it.
+# steps of its peel and gathers) however many n it holds, and its peel
+# arrays, 512 KB at 2^18 (768 KB with on_block's counts), still fit a 2
+# MB L2. On a 2-core x86-64 VM, in-process and interleaved (medians of
+# 21 calls, 5 at 1e8), scan(1e7) / scan(1e8) / scan(2e6) with on_block
+# took 15.0-15.8 / 172-191 / 10.3-13.2 ms in blocks of 2^18, against
+# 15.5-15.9 / 170-201 / 11.9-13.0 ms in blocks of 2^19. interval_sum_check
+# does not read it.
 BLOCK_EVENS = 1 << 18
 # f per block of interval_sum_check's Bertrand windows: blocks of 2^18
 # made its 1e7 check no faster (0.37-0.43 against 0.36-0.45 s) and
@@ -59,11 +61,12 @@ _INTERVAL_BLOCK_F = 1 << 16
 # Odd primes below this are peeled off each block with dense slices;
 # the rest by gathers over the n still unresolved. There must be at
 # most 255 of them (the uint8 count in _dense_peel); 256 keeps 53. On a
-# 2-core x86-64 VM, in-process and interleaved, with the gathers in
-# chunks of GATHER_CHUNK, scan(1e7) / scan(1e8) took 18.1-18.5 /
-# 213-218 ms at 256, against 21.0-21.4 / 226-235 ms at 384,
-# 24.1-25.4 / 348-368 ms at 128 and 61.5-82.8 / 799-1043 ms at 64:
-# below 256 the gathers are left too many n.
+# 2-core x86-64 VM, in-process and interleaved, as for BLOCK_EVENS,
+# scan(1e7) / scan(1e8) / scan(2e6) with on_block took 15.0-15.8 /
+# 172-191 / 10.3-13.2 ms at 256, against 16.7-19.2 / 170-188 /
+# 11.9-12.3 ms at 384, where the counts cost more. At 128 the gathers
+# are left too many n: in a second series scan(1e7) and scan(1e8) took
+# 1.5-2.0 times as long as at 256.
 DENSE_PEEL_BELOW = 256
 # Primes per gather in _block_smallest_p: each gather reads n - p for
 # every n left and GATHER_CHUNK primes at once, and each n takes its
@@ -188,9 +191,9 @@ def scan(
     block reads off each n's p (see _block_smallest_p). The primes are
     streamed, so memory is one segment, a window and one block, whatever
     the limit: on a 2-core x86-64 VM `ova360 goldbach scan --limit
-    100000000` takes 0.43-0.45 s and peaks at 38 MB RSS, interpreter
-    and numpy included, and at MAX_SCAN_LIMIT = 1e9 it takes 3.0-3.2 s
-    and 37 MB. With --emit-witnesses at MAX_WITNESS_LIMIT = 2e8 it
+    100000000` takes 0.40-0.49 s and peaks at 36 MB RSS, interpreter
+    and numpy included, and at MAX_SCAN_LIMIT = 1e9 it takes 2.5-2.8 s
+    and 36 MB. With --emit-witnesses at MAX_WITNESS_LIMIT = 2e8 it
     takes 10.6-11.3 s and 45 MB.
 
     The report also carries a four-odd-primes spot witness for the
@@ -249,16 +252,25 @@ def _smallest_p_blocks(
     """
     reach = (MAX_WINDOW_P + 1) >> 1  # odds a block reads below its first n
     primes: list[int] = []  # the odd primes <= MAX_WINDOW_P streamed so far
-    # window[i] is bit off + i. The bits below 0 stand for negative odds
-    # and bit 0 for 1, none of them prime, so every n - p < 3 reads
-    # composite and no read needs a guard.
-    window, off = np.zeros(reach, dtype=bool), -reach
+    # buf[i] is bit off + i, for i < kept, and each segment is written
+    # after those bits. The bits below 0 stand for negative odds and bit
+    # 0 for 1, none of them prime, so every n - p < 3 reads composite and
+    # no read needs a guard.
+    buf, kept, off = None, reach, -reach
     first = 6
     for start, seg in odd_prime_segments(limit):
+        if buf is None:
+            # The first segment is the longest, and a kept tail, from bit
+            # (first >> 1) - reach on, is shorter than reach + BLOCK_EVENS:
+            # first's block was not ready, so the stream ends before bit
+            # (first >> 1) + BLOCK_EVENS - 2 (after the last block, before
+            # bit first >> 1).
+            buf = np.zeros(reach + BLOCK_EVENS + seg.size, dtype=bool)
         end = start + seg.size
         if start < reach:
             primes += (2 * (np.flatnonzero(seg[:reach - start]) + start) + 1).tolist()
-        window = np.concatenate((window, seg))
+        buf[kept:kept + seg.size] = seg
+        window = buf[:kept + seg.size]
         # a block is ready once its largest n - 3, bit last/2 - 2, has streamed
         while first <= limit:
             last = min(first + 2 * (BLOCK_EVENS - 1), limit)
@@ -270,10 +282,13 @@ def _smallest_p_blocks(
         # Every block has off <= (first >> 1) - reach, and every p in
         # primes is at most 2 * reach - 1, so the lowest bit it reads,
         # (first - p) >> 1, is at least off: numpy would wrap a negative
-        # index silently. The block before first was ready, so keep <=
-        # end when reach >= 2 (with reach 1 there are no primes to read).
-        keep = (first >> 1) - reach
-        window, off = window[keep - off:].copy(), keep  # frees the rest
+        # index silently. The block before first was ready, so
+        # (first >> 1) - reach <= end when reach >= 2; with reach 1 there
+        # are no primes to read, and keep stops at end.
+        keep = min((first >> 1) - reach, end)
+        kept = end - keep
+        buf[:kept] = window[keep - off:]
+        off = keep
 
 
 def _block_smallest_p(
@@ -293,15 +308,15 @@ def _block_smallest_p(
     left when the primes to last - 3 run out are resolved by trial.
     Every gathered or trial p exceeds every dense p, so once one n is
     resolved that way the block's top and its first n come from those
-    alone, and the peel need not record which dense p resolved each n.
-    Only the every mode, and a block where no n is resolved that way
+    alone, and the peel need not record which dense p resolved each n,
+    so it may share its ANDs between primes (_dense_peel). Only the
+    every mode, and a block where no n is resolved that way
     (the peel left none, or every n it left failed), count the dense
     primes tried per n, and read p off those counts by one int64 table
     lookup. The probed n walks the primes alone. On a 2-core x86-64 VM
-    the 20 blocks of scan(1e7) spend 0.009-0.013 s in the peel and
-    0.003-0.006 s in the gathers and the rest; with on_block the peel
-    takes 0.018-0.019 s and reading p off the counts 0.8 ms per block
-    more.
+    the 20 blocks of scan(1e7) spend 5.0-6.6 ms in the peel and 2.6-4.9
+    ms in the gathers and the rest; with on_block the peel takes
+    16.5-23.0 ms and reading p off the counts 0.7-0.9 ms per block more.
     """
     m = (last - first) // 2 + 1
     half = first >> 1
@@ -354,25 +369,89 @@ def _dense_peel(
 
     Within a block the evens are consecutive, so for a fixed p the bits
     of n - p form one contiguous slice. The window's bits that the peel
-    reads are inverted once, about m + 128 bytes, and the dense primes
-    are peeled in ascending order, each by one in-place AND of the mask
-    with the slice of that composite copy, so the n whose n - p is prime
-    drop out (10 µs on 2^18 bools, where a bool greater with the window
-    itself takes 24 µs). If tried (uint8, m) is given, one more in-place
-    add per prime counts there the primes tried while n was unresolved:
-    the index in dense of n's smallest dense p, or len(dense) if none.
+    reads are inverted once, about m + 128 bytes, and each in-place AND
+    of the mask with a slice of that composite copy drops the n whose
+    n - p is prime. Without tried the ANDs may run in any order, so
+    primes whose slices lie a fixed gap apart share one: the copy is
+    ANDed in place with itself a gap on, and one slice of that stands
+    for a pair of primes, and after a second gap for four (_peel_plan).
+    The 53 primes below 256 take 2 such builds and 27 ANDs where one AND
+    per prime took 53: on a 2-core x86-64 VM, interleaved, a block of
+    2^18 evens took 234-273 µs against 414-480 µs. If tried (uint8, m)
+    is given, the primes are peeled one at a time in ascending order,
+    and one more in-place add per prime counts there the primes tried
+    while n was unresolved: the index in dense of n's smallest dense p,
+    or len(dense) if none (869-1179 µs a block).
     """
-    unresolved = np.ones(m, dtype=bool)
     if not dense:
-        return unresolved
-    low = half - ((dense[-1] + 1) >> 1)  # bits low.. of every n - p
-    composite = ~window[low - off : half + m - 2 - off]
-    for p in dense:
-        lo = half - ((p + 1) >> 1)  # bit of 2 * half - p
-        np.logical_and(unresolved, composite[lo - low : lo + m - low], out=unresolved)
-        if tried is not None:
+        return np.ones(m, dtype=bool)
+    top = (dense[-1] + 1) >> 1
+    low = half - top  # bits low.. of every n - p
+    # One allocation for both arrays: as two, the allocator gave them back
+    # to the system after each block and the next block faulted them in
+    # again (19,474 page faults in a first scan(1e8), against 1,165).
+    scratch = np.empty(2 * m + top - 2, dtype=bool)
+    unresolved, composite = scratch[:m], scratch[m:]
+    unresolved[:] = True
+    np.invert(window[low - off : half + m - 2 - off], out=composite)
+    if tried is not None:
+        for p in dense:
+            o = top - ((p + 1) >> 1)  # bit of 2 * half - p, less low
+            np.logical_and(unresolved, composite[o : o + m], out=unresolved)
             np.add(tried, unresolved.view(np.uint8), out=tried)
+        return unresolved
+    mask = composite
+    for gap, starts in _peel_plan(tuple(dense)):
+        if gap:  # in place: each byte reads itself and one gap on
+            mask = np.logical_and(mask[:-gap], mask[gap:], out=mask[:-gap])
+        for o in starts:
+            np.logical_and(unresolved, mask[o : o + m], out=unresolved)
     return unresolved
+
+
+@lru_cache(maxsize=8)
+def _peel_plan(dense: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """How _dense_peel covers dense without counting: (gap, starts)
+    levels, the first with gap 0. Level k peels its starts against mask
+    k, where mask 0 is the composite copy and mask k is mask k - 1 ANDed
+    with itself gap_k on, so each start o covers the offsets o plus any
+    sum of the gaps up to k. The offset of p is top - (p + 1)/2, top =
+    (dense[-1] + 1)/2, and each offset is covered once.
+
+    gap 1 is the commonest distance between two offsets and gap 2 the
+    commonest other one between the starts of such pairs; each level
+    from the top down takes, ascending, every start whose offsets are
+    all still uncovered. A level is kept only if some pair recurs, so
+    no plan takes more passes (mask builds plus ANDs) than dense has
+    primes: 29 for the 53 odd primes below 256, with gaps 15 and 6 (p
+    and p + 30, p and p + 12).
+    """
+    top = (dense[-1] + 1) >> 1
+    marks = np.zeros(top, dtype=np.int64)
+    marks[[top - ((p + 1) >> 1) for p in dense]] = 1
+    gaps = []
+    while len(gaps) < 2:
+        # lags[d - 1]: how many i have marks[i] and marks[i + d] set
+        lags = np.correlate(marks, marks, "full")[marks.size:]
+        lags[[g - 1 for g in gaps if g < marks.size]] = 0
+        if not lags.size or lags.max() < 2:
+            break
+        gaps.append(int(np.argmax(lags)) + 1)
+        marks = marks[:-gaps[-1]] & marks[gaps[-1]:]  # the pairs' starts
+    left = {top - ((p + 1) >> 1) for p in dense}
+    levels = []
+    for k in range(len(gaps), -1, -1):
+        shape = [0]
+        for g in gaps[:k]:
+            shape += [s + g for s in shape]
+        starts = []
+        for o in sorted(left):
+            cover = {o + s for s in shape}
+            if cover <= left:
+                starts.append(o)
+                left -= cover
+        levels.append(((0, *gaps)[k], tuple(starts)))
+    return tuple(levels[::-1])
 
 
 def bertrand_construction(n: int) -> BertrandConstruction:

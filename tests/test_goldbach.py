@@ -190,6 +190,19 @@ def test_scan_stream_matches_whole_bitmap(monkeypatch, reference_whole_bitmap_sc
                         assert _scan_blocks(scan, limit) == _scan_blocks(
                             reference_whole_bitmap_scan, limit), (
                                 segment_odds, block, limit)
+    # Segments shorter than a block, over several blocks: a block is not
+    # ready until the stream passes its last n, so the window's kept tail
+    # grows to its bound, reach + BLOCK_EVENS - 3 bits, where a segment
+    # ends just short of that. And limits whose last block ends on a
+    # segment edge, so that one more segment, the bit of limit - 1 alone,
+    # streams after the last block.
+    monkeypatch.setattr(goldbach, "BLOCK_EVENS", 64)
+    for segment_odds in (1, 7, 32):
+        monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
+        edge = 2 * segment_odds * (600 // segment_odds) + 2
+        for limit in (*range(1024, 1033, 2), edge - 2 * segment_odds, edge):
+            assert _scan_blocks(scan, limit) == _scan_blocks(
+                reference_whole_bitmap_scan, limit), (segment_odds, limit)
 
 
 def test_scan_trial_fallback_matches_whole_bitmap(monkeypatch,
@@ -325,6 +338,58 @@ def test_dense_prime_count_fits_the_uint8_counter(oracle_primes_10k):
     top = np.iinfo(np.uint8).max
     assert below(goldbach.DENSE_PEEL_BELOW) <= top
     assert below(_DENSE_CUTOFFS[-1]) == top < below(_DENSE_CUTOFFS[-1] + 1)
+
+
+def _peel_lists(oracle_primes_10k):
+    """Every prefix of the odd primes below the largest cutoff, the list
+    without 3 (as under bitmap_without_three), lists in which no distance
+    between two offsets recurs, (3,) and (3, 5, 11), and one with pairs
+    but no quadruple, (3, 5, 7)."""
+    odd = [p for p in oracle_primes_10k if 2 < p < _DENSE_CUTOFFS[-1]]
+    return [*(tuple(odd[:k]) for k in range(1, len(odd) + 1)),
+            tuple(odd[1:53]), (3,), (3, 5, 11), (3, 5, 7)]
+
+
+def _plan_offsets(plan):
+    """Every offset the plan's starts cover, once per start covering it."""
+    gaps = [gap for gap, _ in plan[1:]]
+    covered = []
+    for k, (_, starts) in enumerate(plan):
+        shape = [0]
+        for gap in gaps[:k]:
+            shape += [s + gap for s in shape]
+        covered += [o + s for o in starts for s in shape]
+    return sorted(covered)
+
+
+def test_peel_plan_covers_each_offset_once(oracle_primes_10k):
+    for dense in _peel_lists(oracle_primes_10k):
+        plan = goldbach._peel_plan(dense)
+        top = (dense[-1] + 1) >> 1
+        assert plan[0][0] == 0 and all(gap > 0 for gap, _ in plan[1:]), dense
+        assert _plan_offsets(plan) == sorted(top - ((p + 1) >> 1) for p in dense), dense
+        passes = len(plan) - 1 + sum(len(starts) for _, starts in plan)
+        assert passes <= len(dense), dense
+    # the 53 odd primes below DENSE_PEEL_BELOW: two mask builds and 27 ANDs
+    dense = tuple(p for p in oracle_primes_10k if 2 < p < goldbach.DENSE_PEEL_BELOW)
+    plan = goldbach._peel_plan(dense)
+    assert len(dense) == 53
+    assert len(plan) - 1 + sum(len(starts) for _, starts in plan) == 29
+
+
+def test_dense_peel_matches_one_and_per_prime(oracle_primes_10k):
+    rng = np.random.default_rng(7)
+    for dense in _peel_lists(oracle_primes_10k):
+        top = (dense[-1] + 1) >> 1
+        for half, m in ((10_000, 300), (10_001, 77)):
+            off = half - top - int(rng.integers(0, 5))
+            window = rng.random(half + m - off + 3) < 0.3
+            want = np.ones(m, dtype=bool)
+            for p in dense:
+                lo = half - ((p + 1) >> 1) - off
+                want &= ~window[lo:lo + m]
+            got = goldbach._dense_peel(half, m, window, off, list(dense), None)
+            assert got.tolist() == want.tolist(), (dense, half)
 
 
 @st.composite
