@@ -52,18 +52,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
-    """Render payload as JSON, or write the lines of the chosen format;
-    any other format (matrix's "bits") writes the plain lines.
+    """Write payload as JSON, or the lines of the chosen format; any
+    other format (matrix's "bits") writes the plain lines.
 
     The line arguments may be lazy iterables: only the chosen one is
-    consumed, as it is written, so a handler can pass lines without
-    building them all. A str item is a line, or several "\n"-joined
-    lines, and gets its last "\n" here; a bytes item (the kernel's
-    parts, as render.int_text gives them) holds its own newlines. Every
-    format is written to stdout by render.write, and flushed. If the
-    reader closes stdout early (`| head`), the rest is dropped without
-    a traceback and dispatch still returns the verb's exit code; any
-    other failed write raises OvaError.
+    consumed, as it is written, so a JSON run builds no lines. A str
+    item is a line, or several "\n"-joined lines, and gets its last "\n"
+    here; a bytes item (the kernel's parts, as render.int_text gives
+    them) holds its own newlines. Lines go to stdout by render.write,
+    JSON by render.write_json as it is built; then stdout is flushed. If
+    the reader closes stdout early (`| head`), the rest is dropped
+    without a traceback and dispatch still returns the verb's exit code;
+    any other failed write raises OvaError.
     Python's int -> str limit (4300 digits by default, 0 for none) is
     raised to _MAX_DIGITS while it writes.
     """
@@ -72,13 +72,12 @@ def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
         sys.set_int_max_str_digits(_MAX_DIGITS)
     try:
         if fmt == "json":
-            items = render.json_items(payload)
+            render.write_json(payload, sys.stdout)
         else:
             if fmt == "csv" and csv_lines is not None:
                 plain_lines = csv_lines
-            items = (line + "\n" if isinstance(line, str) else line
-                     for line in plain_lines)
-        render.write(items, sys.stdout)
+            render.write((line + "\n" if isinstance(line, str) else line
+                          for line in plain_lines), sys.stdout)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
     except OSError as exc:
         # point the fd at devnull, so the exit-time flush cannot raise again
@@ -94,11 +93,15 @@ def _emit(fmt: str, payload, plain_lines, csv_lines=None) -> None:
 # csv_lines None means csv repeats the plain lines.
 
 
-def _cmd_sieve(args):
-    primes = primality.sieve_primes(args.limit)
-    payload = {"limit": args.limit, "count": primes.size, "primes": primes}
+def _prime_list(limit: int, primes):
+    """A verb's result that lists the int64 primes up to limit."""
+    payload = {"limit": limit, "count": primes.size, "primes": primes}
     lines = render.int_text([primes], ["\n"])
     return payload, lines, render.joined(primes, ",", "\n"), 0
+
+
+def _cmd_sieve(args):
+    return _prime_list(args.limit, primality.sieve_primes(args.limit))
 
 
 def _cmd_interval(args):
@@ -344,29 +347,22 @@ def _cmd_landau_family(args):
     alphas = _parse_alpha_range(args.alpha)
     rows = landau.quad_families(args.ova, alphas)
     payload = {"ova": args.ova, "rows": rows}
-    plain = []
-    csv_rows = ["label,alpha,k,n,frequency,value,is_prime,skipped"]
-    for r in rows:
-        verdict = "-" if r.is_prime is None else ("prime" if r.is_prime
-                                                  else "composite")
-        note = f" ({r.note})" if r.note else ""
-        plain.append(
-            f"{r.label} alpha={r.alpha} k={r.k} n={r.n} "
-            f"frequency={r.frequency} value={r.value} {verdict}{note}"
-        )
-        csv_rows.append(
-            f"{r.label},{r.alpha},{r.k},{r.n},"
-            f"{'' if r.frequency is None else r.frequency},{r.value},"
-            f"{'' if r.is_prime is None else int(r.is_prime)},{int(r.skipped)}"
-        )
+    verdict = {None: "-", True: "prime", False: "composite"}
+    # lazy, so that only the chosen format's lines are built
+    plain = (f"{r.label} alpha={r.alpha} k={r.k} n={r.n} "
+             f"frequency={r.frequency} value={r.value} {verdict[r.is_prime]}"
+             + (f" ({r.note})" if r.note else "") for r in rows)
+    csv_rows = itertools.chain(["label,alpha,k,n,frequency,value,is_prime,skipped"], (
+        f"{r.label},{r.alpha},{r.k},{r.n},"
+        f"{'' if r.frequency is None else r.frequency},{r.value},"
+        f"{'' if r.is_prime is None else int(r.is_prime)},{int(r.skipped)}"
+        for r in rows))
     return payload, plain, csv_rows, 0
 
 
 def _cmd_landau_enumerate(args):
-    primes = np.array(landau.enumerate_k2_plus_1(args.limit), dtype=np.int64)
-    payload = {"limit": args.limit, "count": primes.size, "primes": primes}
-    lines = render.int_text([primes], ["\n"])
-    return payload, lines, render.joined(primes, ",", "\n"), 0
+    primes = landau.enumerate_k2_plus_1(args.limit)
+    return _prime_list(args.limit, np.array(primes, dtype=np.int64))
 
 
 def _cmd_matrix(args):

@@ -180,16 +180,16 @@ def quad_families(ova: int, alphas) -> list[FamilyRow]:
     Rows with n(alpha) < 0 are emitted with skipped=True and a note
     instead of a primality verdict; negative alpha is otherwise fine.
     alphas is a sized collection, such as a range. Each row is one
-    primality test: on a 2-core x86-64 VM `landau family --ova 37` (five
-    families, the most of any residue) takes 0.9 s as plain and 2.0 s as
-    JSON over MAX_FAMILY_ALPHAS = 1e4 alphas, and 8.3 s and 21 s over
-    1e5. A test's cost grows with the digits of its value: one alpha of
-    1e1000 takes 0.8-1.0 s. Up to MAX_FAMILY_ALPHA = 1e7 every family value
-    is below 2**64, well inside Miller-Rabin's exact fixed bases, and
-    1e4 alphas just below 1e7 take 2.6 s as plain and 4.1 s as JSON,
-    against 1.4 s and 2.5 s at 0..9999 in the same session. More alphas
-    or a larger |alpha| raise BoundError before any test. Each value is
-    k(alpha)**2 + 1 and ova mod 360 by LinkFamily.verify.
+    primality test: on a 2-core x86-64 VM, start-up excluded, `landau
+    family --ova 37` (five families, the most of any residue) takes
+    0.66-0.91 s as plain and 1.75-2.43 s as JSON over MAX_FAMILY_ALPHAS
+    = 1e4 alphas, peaking at 52 and 56 MB, and 8.8-10.1 s and 22-24 s
+    over 1e5. A test's cost grows with its value's digits: one alpha of
+    1e1000 takes 0.8-1.0 s. Up to MAX_FAMILY_ALPHA = 1e7 every family
+    value is below 2**64, inside Miller-Rabin's exact fixed bases, and
+    1e4 alphas just below 1e7 take 1.34-1.58 s as plain and 2.39-3.73 s
+    as JSON. More alphas or a larger |alpha| raise BoundError before any
+    test. Each value is k(alpha)**2 + 1 and ova mod 360 by LinkFamily.verify.
     """
     fams = [f for f in link_families() if f.ova == ova]
     if not fams:

@@ -462,7 +462,7 @@ def residue_counts(x: int) -> tuple[int, ...]:
     counts[_UNITS] = -_product_counts(x, y)
     counts[_UNITS] += _rough_counts(x, small[small > _TABLE_PRIMES[-1]])
     counts[1] -= 1  # 1 is free of every prime but is not one
-    counts[small] += 1
+    np.add.at(counts, small % MODULUS, 1)  # 7 and 367 share a class
     return tuple(counts.tolist())
 
 

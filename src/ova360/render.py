@@ -6,7 +6,8 @@ rendered as strings so nothing is subject to floating-point precision
 loss. Long integer arrays (the `sieve` primes, the Goldbach witness
 rows, JSON int arrays) are non-negative int64 and become decimal text in
 numpy parts by one kernel, int_text, with no Python work per integer;
-every part reaches a stream through write.
+every part, and JSON text as write_json builds it, reaches a stream
+through write.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from fractions import Fraction
 import numpy as np
 
 # Rows per bytes part of the decimal kernel int_text: the lines per part
-# of a plain list, and the values per part of a csv line or a JSON array.
-# Each part is written as it is made, so no format holds more of an
-# array's text than one part. The witness rows of `goldbach scan --limit
-# 2000000` (fresh interpreter, 2-core x86-64 VM, 7 runs each) took
-# 0.12-0.13 s and 9.5k minor page faults at 2^14 rows, about as at 2^12
-# and 2^13 (0.11-0.15 s, 7.7-7.9k faults); 2^15 took 16k faults and 2^16
-# 24k faults and 0.18-0.21 s.
+# of a plain list, and the values per part of a csv line or a JSON array,
+# and the str pieces past which write_json writes those it holds. Each
+# part is written as it is made, so no format holds more of an array's
+# text than one part. The witness rows of `goldbach scan --limit 2000000`
+# (fresh interpreter, 2-core x86-64 VM, 7 runs each) took 0.12-0.13 s and
+# 9.5k minor page faults at 2^14 rows, about as at 2^12 and 2^13
+# (0.11-0.15 s, 7.7-7.9k faults); 2^15 took 16k faults and 2^16 24k
+# faults and 0.18-0.21 s.
 EMIT_CHUNK = 1 << 14
 # Characters of str text (plain or csv lines, JSON pieces) joined and
 # encoded into one write; the kernel's bytes parts are written as they
@@ -146,26 +148,26 @@ def witness_rows(first: int, best):
     return int_text([n, p, n - p], [",", ",", "\n"])
 
 
-def json_items(obj) -> list:
-    """The items of obj's JSON text and a final newline, for write:
-    byte for byte what json.dumps(indent=2, sort_keys=True) gives once
-    exact quantities are strings. Ints and Fractions become strings,
-    int64 arrays lists of strings, dataclasses dicts, dict keys
-    str(key); sets are sorted and enums give their value.
+def write_json(obj, stream) -> None:
+    """Write obj's JSON text and a final newline to the text stream by
+    write, as it is built: byte for byte what json.dumps(indent=2,
+    sort_keys=True) gives once exact quantities are strings. Ints and
+    Fractions become strings, int64 arrays lists of strings, dataclasses
+    dicts, dict keys str(key); sets are sorted and enums give their value.
 
-    Every item is a str, except that the values of a non-empty int64
-    array with no negative value are one lazy item: the kernel's bytes
-    parts, rendered only as write consumes them, so an array streams the
-    way the plain lines do. An array that holds a negative value is
-    written as its list."""
+    The pending str pieces are written whenever a container item leaves
+    more than EMIT_CHUNK of them. A non-negative int64 array writes the
+    pieces before it, then the kernel's bytes parts as they are made, so
+    it streams as the plain lines do; one that holds a negative value is
+    written as its list. The caller flushes or closes the stream."""
     out = []
-    _json_parts(obj, out, "")
+    _json_parts(obj, out, "", stream)
     out.append("\n")
-    return out
+    write(out, stream)
 
 
-def _json_parts(obj, out: list, indent: str) -> None:
-    """Append to out the JSON items of obj at nesting indent."""
+def _json_parts(obj, out: list, indent: str, stream) -> None:
+    """Append to out the JSON pieces of obj at nesting indent."""
     if isinstance(obj, bool):
         out.append(json.dumps(obj))
     elif isinstance(obj, (int, Fraction)):  # a Fraction as "p" or "p/q"
@@ -175,27 +177,29 @@ def _json_parts(obj, out: list, indent: str) -> None:
         out.append(text.replace("\n", "\n" + indent))
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         _json_parts({f.name: getattr(obj, f.name)
-                     for f in dataclasses.fields(obj)}, out, indent)
+                     for f in dataclasses.fields(obj)}, out, indent, stream)
     elif isinstance(obj, dict):
         fields = {str(k): v for k, v in obj.items()}
         _json_container("{}", [(_quote(k) + ": ", fields[k])
-                               for k in sorted(fields)], out, indent)
+                               for k in sorted(fields)], out, indent, stream)
     elif isinstance(obj, (list, tuple, set, frozenset)):
         seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        _json_container("[]", [("", v) for v in seq], out, indent)
+        _json_container("[]", [("", v) for v in seq], out, indent, stream)
     elif isinstance(obj, np.ndarray) and obj.dtype == np.int64:
         # the list rule writes "[]", and the signs the kernel cannot
         if not obj.size or obj.min() < 0:
-            _json_parts(obj.tolist(), out, indent)
+            _json_parts(obj.tolist(), out, indent, stream)
             return
         inner = indent + "  "
-        out += ["[\n", inner, '"', joined(obj, '",\n' + inner + '"', ""),
-                '"\n', indent, "]"]
+        out += ["[\n", inner, '"']
+        write(itertools.chain(out, joined(obj, '",\n' + inner + '"', "")), stream)
+        out[:] = ['"\n', indent, "]"]
     else:  # None, float, str; anything else raises TypeError
         out.append(json.dumps(obj))
 
 
-def _json_container(brackets: str, items, out: list, indent: str) -> None:
+def _json_container(brackets: str, items, out: list, indent: str,
+                    stream) -> None:
     """A JSON object or array of (prefix, value) items, where prefix is
     an object's quoted key and ": ", or "" in an array."""
     if not items:
@@ -204,18 +208,20 @@ def _json_container(brackets: str, items, out: list, indent: str) -> None:
     inner = indent + "  "
     for i, (prefix, value) in enumerate(items):
         out.append((",\n" if i else brackets[0] + "\n") + inner + prefix)
-        _json_parts(value, out, inner)
+        _json_parts(value, out, inner, stream)
+        if len(out) > EMIT_CHUNK:
+            write(out, stream)
+            out.clear()
     out += ["\n", indent, brackets[1]]
 
 
 def write(items, stream) -> None:
-    """Write the items to the text stream's binary buffer, after one
-    flush of its text layer, so that text written to the stream before
-    comes first. A bytes item is written as it is. A run of str items is
-    joined and encoded once, in the stream's encoding, and written when
-    it reaches WRITE_CHARS characters or meets an item that is not a
-    str. Any other item is an iterable of bytes, written as it comes.
-    The caller flushes or closes the stream."""
+    """Write the str and bytes items to the text stream's binary buffer,
+    after one flush of its text layer, so that text written to the
+    stream before comes first. A bytes item is written as it is. A run
+    of str items is joined and encoded once, in the stream's encoding,
+    and written when it reaches WRITE_CHARS characters or meets a bytes
+    item. The caller flushes or closes the stream."""
     stream.flush()
     out = stream.buffer
     run, size = [], 0
@@ -228,9 +234,7 @@ def write(items, stream) -> None:
         if run:
             out.write("".join(run).encode(stream.encoding, stream.errors))
             run, size = [], 0
-        if isinstance(item, (bytes, bytearray)):
+        if not isinstance(item, str):
             out.write(item)
-        elif not isinstance(item, str):
-            out.writelines(item)
     if run:
         out.write("".join(run).encode(stream.encoding, stream.errors))

@@ -378,10 +378,6 @@ class _Writes:
     def write(self, data):
         self.texts.append(bytes(data))
 
-    def writelines(self, items):
-        for data in items:
-            self.write(data)
-
 
 def test_emit_writes_hold_items_up_to_write_chars(monkeypatch):
     from ova360 import cli, render
@@ -1013,18 +1009,25 @@ def test_child_interpreter_writes_the_in_process_bytes(capsys, tmp_path, argv):
             (tmp_path / "own.csv").read_bytes()
 
 
-@pytest.mark.parametrize("fmt", ["plain", "json"])
-def test_closed_stdout_pipe_ends_quietly(fmt):
+_LANDAU_FAMILY_JSON = ("landau", "family", "--ova", "37", "--alpha", "0..9999",
+                       "--format", "json")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("sieve", "--limit", "1000000", "--format", "plain"), b"2\n"),
+    (("sieve", "--limit", "1000000", "--format", "json"), b"{\n"),
+    # 5 x 10^4 rows of JSON pieces, written between the writer's flushes
+    (_LANDAU_FAMILY_JSON, b"{\n"),
+], ids=["plain", "json", "landau_family_json"])
+def test_closed_stdout_pipe_ends_quietly(argv, want):
     # `sieve ... | head -1`: the reader takes one line and closes the pipe
     # long before the 78498 primes are written
-    proc = subprocess.Popen([sys.executable, "-m", "ova360.cli", "sieve",
-                             "--limit", "1000000", "--format", fmt],
+    proc = subprocess.Popen([sys.executable, "-m", "ova360.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=_child_env())
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
-    want = {"plain": b"2\n", "json": b"{\n"}[fmt]
     assert (first, proc.wait(timeout=60), err) == (want, 0, b"")
 
 
@@ -1070,6 +1073,7 @@ def test_stdout_and_witness_file_are_written_by_render_write(capsys, monkeypatch
               str(witness)]]
     cases += [["sieve", "--limit", "1000", "--format", fmt]
               for fmt in ("plain", "csv", "json")]
+    cases.append(list(_LANDAU_FAMILY_JSON))  # JSON pieces in many writes
     for argv in cases:
         seen.clear()
         rc, out, err = run(capsys, *argv)
@@ -1173,10 +1177,12 @@ _NEEDS_VMHWM = pytest.mark.skipif(not Path("/proc/self/status").exists(),
 @pytest.mark.parametrize("argv, rc", [
     (("dirichlet", "--x", "1000000000", "--all", "--format", "json"), 0),
     (("germain", "--limit", "1000000000"), 2),
+    (_LANDAU_FAMILY_JSON, 0),
 ])
 def test_streamed_verbs_peak_under_100_mb(argv, rc, tmp_path):
     # dirichlet's whole bitmap alone would be 500 MB at 1e9; germain
-    # reads the primes to 4096 at any limit
+    # reads the primes to 4096 at any limit; landau family's JSON is
+    # written as it is built, not held whole
     out = tmp_path / "out"
     got_rc, peak_kb = _peak_rss(out, argv)
     assert got_rc == rc
@@ -1185,6 +1191,8 @@ def test_streamed_verbs_peak_under_100_mb(argv, rc, tmp_path):
         doc = json.loads(out.read_text())
         counts = [int(r["count"]) for r in doc["classes"] + doc["singletons"]]
         assert sum(counts) == int(doc["prime_count"]) == 50847534  # pi(1e9)
+    if argv[0] == "landau":  # five families at each of 10^4 alphas
+        assert len(json.loads(out.read_text())["rows"]) == 5 * 10**4
 
 
 @_NEEDS_VMHWM

@@ -322,6 +322,17 @@ def test_residue_counts_in_small_chunks(monkeypatch, reference_residue_counts, c
         assert residue_counts(x) == reference_residue_counts(x), (chunk, x)
 
 
+@pytest.mark.stated_scale
+def test_residue_counts_where_the_small_primes_pass_the_modulus(monkeypatch):
+    # from x = 367^4 the primes to y = x^(1/4) include 367, which shares
+    # 7's class; 367^4 is composite, so its counts are those of the x
+    # below, which sum to pi(x). The bound is lifted past 367^4 for this.
+    monkeypatch.setattr(primality, "MAX_STREAM_LIMIT", 367**4)
+    below = residue_counts(367**4 - 1)
+    assert residue_counts(367**4) == below
+    assert sum(below) == sympy.primepi(367**4 - 1) == 803677448
+
+
 def test_residue_counts_at_the_first_triples(reference_residue_counts):
     # 17^3 and 17^2 * 19 are the least products of three primes past 13
     for n in (17**3, 17**2 * 19):

@@ -30,7 +30,7 @@ def _emitted_json(payload) -> str:
     writes to the binary buffer under the text stream."""
     raw = io.BytesIO()
     out = io.TextIOWrapper(raw, encoding="utf-8")
-    render.write(render.json_items(payload), out)
+    render.write_json(payload, out)
     out.flush()
     return raw.getvalue().decode("utf-8")
 
@@ -173,7 +173,11 @@ def _containers(children):
 @given(payload=st.recursive(_SCALARS, _containers, max_leaves=25))
 @settings(max_examples=400, deadline=None)
 def test_dump_json_matches_stringify_oracle(payload, reference_dump_json):
-    assert _emitted_json(payload) == reference_dump_json(payload) + "\n"
+    want = reference_dump_json(payload) + "\n"
+    assert _emitted_json(payload) == want
+    # the pending pieces written after every container item
+    with mock.patch.object(render, "EMIT_CHUNK", 1):
+        assert _emitted_json(payload) == want
 
 
 @pytest.mark.parametrize("payload", [
@@ -190,8 +194,9 @@ def test_dump_json_writes_a_negative_array_as_its_list():
     payload = {"a": np.array([-1, 0, 2**63 - 1])}
     want = json.dumps({"a": ["-1", "0", str(2**63 - 1)]}, indent=2,
                       sort_keys=True)
-    # every item is a str: the kernel's lazy parts are not used
-    assert "".join(render.json_items(payload)) == want + "\n"
+    # the kernel's parts are not used
+    with mock.patch.object(render, "joined", side_effect=AssertionError):
+        assert _emitted_json(payload) == want + "\n"
 
 
 def test_dump_json_rejects_what_json_rejects(reference_dump_json):

@@ -1,9 +1,10 @@
 """The SHA-256 of the CLI's output at its stated scales, each verb run
 in a fresh interpreter: the byte-identity check a refactor of the scans
 is held to. Marked stated_scale, which tier-1 deselects (pyproject's
-addopts); run them with `python -m pytest -m stated_scale`, about 12 s
-on a 2-core VM. A digest that changes with a named behaviour change is
-updated with it."""
+addopts); `python -m pytest -m stated_scale` runs them, and the class
+counts at 367^4 in tests/test_matrix.py, in about 22 s on a 2-core
+VM. A digest that changes with a named behaviour change is updated
+with it."""
 
 from __future__ import annotations
 
@@ -39,6 +40,18 @@ _DIGESTS = [
     ("goldbach_witnesses_2e6",
      ["goldbach", "scan", "--limit", "2000000", "--emit-witnesses", "{file}"],
      "9fe9b5fa90274881b7e3bb3494bd6735030647b7c04612fbf8ebbe52cead1809"),
+    # MAX_FAMILY_ALPHAS alphas just below MAX_FAMILY_ALPHA
+    ("landau_family_37_plain",
+     ["landau", "family", "--ova", "37", "--alpha", "9990000..9999999"],
+     "795e8811a5fabefc1a425110b33451676ee978871565f8593c0f1232877e8b94"),
+    ("landau_family_37_csv",
+     ["landau", "family", "--ova", "37", "--alpha", "9990000..9999999",
+      "--format", "csv"],
+     "2a1be79e06267da978b4f4f349eafecc0ed162b3b9fdc37973cccb4ddf938088"),
+    ("landau_family_37_json",
+     ["landau", "family", "--ova", "37", "--alpha", "9990000..9999999",
+      "--format", "json"],
+     "0d66d9b6738ec3824d1078718da04a87c8f3abfb0a197cdcd609f1741966dfb9"),
 ]
 
 
