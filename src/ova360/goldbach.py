@@ -35,8 +35,8 @@ from .primality import (
 MAX_SCAN_LIMIT = 10**9
 # Largest limit for the CLI's witness file, one row per even n: on a
 # 2-core x86-64 VM `goldbach scan --emit-witnesses` to a file on disk
-# took 10.6-11.3 s for the 2,164,752,254 bytes at 2e8, peaking at 45 MB
-# RSS, and 17.3 s for 3,304,266,132 bytes at 3e8.
+# took 7.0-8.2 s for the 2,164,752,254 bytes at 2e8, peaking at 42.5 MB
+# RSS, and 13.0 s for 3,304,266,132 bytes at 3e8.
 MAX_WITNESS_LIMIT = 2 * 10**8
 # Largest n accepted by interval_sum_check and symmetric_pair_check.
 # On a 2-core x86-64 VM interval_sum_check(1e7) takes 0.31-0.34 s and
@@ -184,17 +184,18 @@ def scan(
     """Verify all even n in (4, limit], tracking the largest smallest
     prime and collecting failures (which would be counterexamples).
 
-    One pass over the evens in blocks of BLOCK_EVENS. ``on_block``, if
-    given, receives every block as ``(first_n, smallest_p)``, where
-    ``smallest_p[i]`` is the smallest odd prime p with n - p an odd
-    prime for n = first_n + 2i, or 0 if there is none. Without it no
-    block reads off each n's p (see _block_smallest_p). The primes are
-    streamed, so memory is one segment, a window and one block, whatever
-    the limit: on a 2-core x86-64 VM `ova360 goldbach scan --limit
-    100000000` takes 0.40-0.49 s and peaks at 36 MB RSS, interpreter
-    and numpy included, and at MAX_SCAN_LIMIT = 1e9 it takes 2.5-2.8 s
-    and 36 MB. With --emit-witnesses at MAX_WITNESS_LIMIT = 2e8 it
-    takes 10.6-11.3 s and 45 MB.
+    One pass over the evens in blocks of at most BLOCK_EVENS evens, cut
+    where a segment ends. ``on_block``, if given, receives every block
+    as ``(first_n, smallest_p)``, where ``smallest_p[i]`` is the
+    smallest odd prime p with n - p an odd prime for n = first_n + 2i,
+    or 0 if there is none. Without it no block reads off each n's p (see
+    _block_smallest_p). The primes are streamed, so memory is one
+    segment, its window and one block, whatever the limit: on a 2-core
+    x86-64 VM `ova360 goldbach scan --limit 100000000` takes 0.34-0.36
+    s and peaks at 35 MB RSS, interpreter and numpy included, and at
+    MAX_SCAN_LIMIT = 1e9 it takes 2.4-2.7 s and 36 MB. With
+    --emit-witnesses at MAX_WITNESS_LIMIT = 2e8 it takes 7.0-8.2 s and
+    42.5 MB.
 
     The report also carries a four-odd-primes spot witness for the
     largest even n >= 12 in range, built as 3 + 3 + p + q from the
@@ -241,54 +242,43 @@ def _smallest_p_blocks(
     probe_n as its probe.
 
     The odd numbers stream in from odd_prime_segments(limit). A block
-    reads n - p for the odd primes p <= MAX_WINDOW_P, so a window keeps
-    only the odds from first_n - MAX_WINDOW_P on; the primes p are read
-    from the same stream. Any n still unresolved when those primes run
-    out is finished by _smallest_p_from's per-n trial, whose
-    Miller-Rabin is exact at every scan limit. The largest smallest
-    Goldbach prime below 4e18 is 9781 (Oliveira e Silva, Herzog &
-    Pardi, Math. Comp. 83, 2014), so at these scales the trial never
-    runs.
+    reads n - p for the odd primes p <= MAX_WINDOW_P, reach bits at most
+    below its first n, so each segment's window is the reach bits below
+    the segment, then the segment; the primes p are read from the same
+    stream. Once a segment of bits start..end - 1 has streamed, the
+    evens up to 2 * end + 2, whose largest n - 3 is bit end - 1, are
+    complete, and those not yet yielded go out in blocks of at most
+    BLOCK_EVENS that all read that window: blocks end at segment edges.
+    Any n still unresolved when those primes run out is finished by
+    _smallest_p_from's per-n trial, whose Miller-Rabin is exact at every
+    scan limit. The largest smallest Goldbach prime below 4e18 is 9781
+    (Oliveira e Silva, Herzog & Pardi, Math. Comp. 83, 2014), so at
+    these scales the trial never runs.
     """
     reach = (MAX_WINDOW_P + 1) >> 1  # odds a block reads below its first n
     primes: list[int] = []  # the odd primes <= MAX_WINDOW_P streamed so far
-    # buf[i] is bit off + i, for i < kept, and each segment is written
-    # after those bits. The bits below 0 stand for negative odds and bit
-    # 0 for 1, none of them prime, so every n - p < 3 reads composite and
+    # buf[i] is bit start - reach + i. Every n a segment completes is at
+    # least 2 * start + 4 (6 in the first), so its lowest read, bit
+    # (n >> 1) - reach, is in the window: numpy would wrap a negative
+    # index silently. The bits below 0 stand for negative odds and bit 0
+    # for 1, none of them prime, so every n - p < 3 reads composite and
     # no read needs a guard.
-    buf, kept, off = None, reach, -reach
+    buf = None
     first = 6
     for start, seg in odd_prime_segments(limit):
-        if buf is None:
-            # The first segment is the longest, and a kept tail, from bit
-            # (first >> 1) - reach on, is shorter than reach + BLOCK_EVENS:
-            # first's block was not ready, so the stream ends before bit
-            # (first >> 1) + BLOCK_EVENS - 2 (after the last block, before
-            # bit first >> 1).
-            buf = np.zeros(reach + BLOCK_EVENS + seg.size, dtype=bool)
-        end = start + seg.size
+        if buf is None:  # the first segment is the longest
+            buf = np.zeros(reach + seg.size, dtype=bool)
         if start < reach:
             primes += (2 * (np.flatnonzero(seg[:reach - start]) + start) + 1).tolist()
-        buf[kept:kept + seg.size] = seg
-        window = buf[:kept + seg.size]
-        # a block is ready once its largest n - 3, bit last/2 - 2, has streamed
-        while first <= limit:
-            last = min(first + 2 * (BLOCK_EVENS - 1), limit)
-            if (last >> 1) - 2 >= end:
-                break
-            yield first, _block_smallest_p(first, last, window, off, primes,
-                                           every, probe_n)
+        window = buf[:reach + seg.size]
+        window[reach:] = seg
+        top = min(2 * (start + seg.size) + 2, limit)
+        while first <= top:
+            last = min(first + 2 * (BLOCK_EVENS - 1), top)
+            yield first, _block_smallest_p(first, last, window, start - reach,
+                                           primes, every, probe_n)
             first = last + 2
-        # Every block has off <= (first >> 1) - reach, and every p in
-        # primes is at most 2 * reach - 1, so the lowest bit it reads,
-        # (first - p) >> 1, is at least off: numpy would wrap a negative
-        # index silently. The block before first was ready, so
-        # (first >> 1) - reach <= end when reach >= 2; with reach 1 there
-        # are no primes to read, and keep stops at end.
-        keep = min((first >> 1) - reach, end)
-        kept = end - keep
-        buf[:kept] = window[keep - off:]
-        off = keep
+        buf[:reach] = window[seg.size:]
 
 
 def _block_smallest_p(
@@ -314,9 +304,10 @@ def _block_smallest_p(
     (the peel left none, or every n it left failed), count the dense
     primes tried per n, and read p off those counts by one int64 table
     lookup. The probed n walks the primes alone. On a 2-core x86-64 VM
-    the 20 blocks of scan(1e7) spend 5.0-6.6 ms in the peel and 2.6-4.9
-    ms in the gathers and the rest; with on_block the peel takes
-    16.5-23.0 ms and reading p off the counts 0.7-0.9 ms per block more.
+    the 21 blocks of scan(1e7) spend 4.9-5.3 ms in the peel and 2.9-3.4
+    ms in the gathers and the rest (medians of 15 calls); with on_block
+    the peel takes 18.4-18.7 ms and the rest, mostly reading p off the
+    counts, 18.6-19.0 ms.
     """
     m = (last - first) // 2 + 1
     half = first >> 1

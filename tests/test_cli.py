@@ -632,6 +632,9 @@ def test_mersenne_kseq(capsys):
     rc, _, err = run(capsys, "mersenne", "kseq", "--class", "31",
                      "--from", "3", "--to", "1")
     assert rc == 1
+    rc, _, err = run(capsys, "mersenne", "kseq", "--class", "99",
+                     "--from", "1", "--to", "2")
+    assert rc == 1 and "unknown Mersenne class '99'" in err
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
@@ -1060,10 +1063,10 @@ def test_stdout_and_witness_file_are_written_by_render_write(capsys, monkeypatch
     write, seen = render.write, []
 
     def spy(items, stream):
-        items = [i if isinstance(i, (str, bytes, bytearray)) else list(i)
-                 for i in items]
-        seen.extend(i.encode(stream.encoding) if isinstance(i, str)
-                    else b"".join(i) if isinstance(i, list) else bytes(i)
+        items = list(items)
+        assert all(isinstance(i, (str, bytes, bytearray)) for i in items), {
+            type(i) for i in items}
+        seen.extend(i.encode(stream.encoding) if isinstance(i, str) else bytes(i)
                     for i in items)
         write(items, stream)
 

@@ -135,23 +135,34 @@ def test_scan_blocks_match_trial_division(oracle_goldbach_p):
 
 @st.composite
 def _limits_near_block_edges(draw):
-    """(block_evens, limit): limits within two evens of a block
-    boundary, for the module's block size or a small one, or tiny."""
+    """(block_evens, segment_odds, limit): limits within two evens of a
+    block boundary, for the module's block size or a small one, or tiny,
+    streamed in the module's segments or small ones. Segments of 1, 7 or
+    180 odds are drawn only under small blocks, whose limits stay below
+    200: under BLOCK_EVENS the limits reach about 2^20, thousands of
+    such segments."""
+    from ova360 import primality
+
     block = draw(st.one_of(st.just(goldbach.BLOCK_EVENS),
                            st.integers(min_value=1, max_value=40)))
+    small = (1, 7, 180) if block <= 40 else ()
+    segment_odds = draw(st.sampled_from((*small, 1000, primality.SEGMENT_ODDS)))
     special = draw(st.sampled_from([None, 6, 8, 12, 14]))
     if special is not None:
-        return block, special
+        return block, segment_odds, special
     k = draw(st.integers(min_value=0, max_value=2))
     delta = draw(st.sampled_from([-4, -2, 0, 2, 4]))
-    return block, max(6, 6 + 2 * block * k + delta)
+    return block, segment_odds, max(6, 6 + 2 * block * k + delta)
 
 
 @given(case=_limits_near_block_edges())
 @settings(max_examples=40, deadline=None)
 def test_scan_matches_reference_across_block_edges(case, oracle_goldbach_p):
-    block, limit = case
+    from ova360 import primality
+
+    block, segment_odds, limit = case
     with mock.patch.object(goldbach, "BLOCK_EVENS", block), \
+            mock.patch.object(primality, "SEGMENT_ODDS", segment_odds), \
             tempfile.TemporaryDirectory() as tmp:
         assert scan(limit) == _reference_report(limit, oracle_goldbach_p)
         path = Path(tmp) / "w.csv"
@@ -163,10 +174,17 @@ def test_scan_matches_reference_across_block_edges(case, oracle_goldbach_p):
 
 
 def _scan_blocks(scan_fn, limit):
-    blocks = []
-    report = scan_fn(limit, on_block=lambda first, best: blocks.append(
-        (first, best.tolist())))
-    return report, blocks
+    """The report and every n's p in order, asserting that the blocks
+    on_block receives follow each other from 6 to limit."""
+    rows = []
+
+    def collect(first, best):
+        assert first == 6 + 2 * len(rows)
+        rows.extend(best.tolist())
+
+    report = scan_fn(limit, on_block=collect)
+    assert len(rows) == (limit - 6) // 2 + 1
+    return report, rows
 
 
 def test_scan_stream_matches_whole_bitmap(monkeypatch, reference_whole_bitmap_scan):
@@ -190,12 +208,10 @@ def test_scan_stream_matches_whole_bitmap(monkeypatch, reference_whole_bitmap_sc
                         assert _scan_blocks(scan, limit) == _scan_blocks(
                             reference_whole_bitmap_scan, limit), (
                                 segment_odds, block, limit)
-    # Segments shorter than a block, over several blocks: a block is not
-    # ready until the stream passes its last n, so the window's kept tail
-    # grows to its bound, reach + BLOCK_EVENS - 3 bits, where a segment
-    # ends just short of that. And limits whose last block ends on a
-    # segment edge, so that one more segment, the bit of limit - 1 alone,
-    # streams after the last block.
+    # Segments shorter than a block, so that every block is cut at a
+    # segment edge, over several blocks. And limits whose last block ends
+    # on a segment edge, so that one more segment, the bit of limit - 1
+    # alone, streams and completes no even.
     monkeypatch.setattr(goldbach, "BLOCK_EVENS", 64)
     for segment_odds in (1, 7, 32):
         monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
@@ -447,26 +463,29 @@ def _assert_block(got, want, every, probe):
         assert got.best.tolist() == want.tolist()
 
 
-def _past_reach(block: int) -> int:
-    """Half of a limit whose last block follows a segment of at most 1000
-    odds that ended past the window's reach, so that segment's trim
-    moved the window's offset past 0."""
-    return (goldbach.MAX_WINDOW_P >> 1) + 2 * block + 1002
+def _past_reach(span: int) -> int:
+    """Half of a limit two blocks of span evens past the window's reach,
+    whose last block is completed by a segment of at most 1000 odds that
+    starts past the reach, so that its window's offset is past 0."""
+    return (goldbach.MAX_WINDOW_P >> 1) + 2 * span + 1002
 
 
 @st.composite
 def _scan_limits(draw):
     """(dense_below, block, segment_odds, limit): a limit inside the
     first few blocks, or, for blocks of 64 evens and more, one past
-    the first block whose window has an offset past 0."""
+    the first block whose window has an offset past 0. A block is cut
+    at each segment edge, so it spans at most min(block, segment_odds)
+    evens past the first segment."""
     from ova360 import primality
 
     dense_below = draw(st.sampled_from(_DENSE_CUTOFFS))
     block = draw(st.sampled_from(_BLOCKS))
     segment_odds = draw(st.sampled_from((180, 1000, primality.SEGMENT_ODDS)))
     near = st.integers(3, min(3 * block + 3, 200))
-    far = _past_reach(block)
-    half = draw(near if block == 3 else st.one_of(near, st.integers(far, far + 2 * block)))
+    span = min(block, segment_odds)
+    far = _past_reach(span)
+    half = draw(near if block == 3 else st.one_of(near, st.integers(far, far + 2 * span)))
     return dense_below, block, segment_odds, 2 * half
 
 
@@ -494,9 +513,53 @@ def test_scan_blocks_match_masked_scatter(case, reference_block_smallest_p):
                 mock.patch.object(primality, "SEGMENT_ODDS", segment_odds), \
                 mock.patch.object(goldbach, "_block_smallest_p", both):
             scan(limit, on_block)
-        assert len(offs) == -(-((limit - 6) // 2 + 1) // block)
-        if segment_odds <= 1000 and limit >= 2 * _past_reach(block):
+        assert len(offs) == len(_scan_block_edges(limit, block, segment_odds))
+        if segment_odds <= 1000 and limit >= 2 * _past_reach(min(block, segment_odds)):
             assert offs[-1] > 0
+
+
+def _scan_block_edges(limit, block, segment_odds):
+    """(first, last) of each scan block: each ends at the earliest of
+    first + 2 (block - 1), limit and 2 * end + 2, for the end of the
+    first segment whose 2 * end + 2 reaches first."""
+    edges, first = [], 6
+    while first <= limit:
+        end = segment_odds * max(1, -(-((first >> 1) - 1) // segment_odds))
+        last = min(first + 2 * (block - 1), limit, 2 * end + 2)
+        edges.append((first, last))
+        first = last + 2
+    return edges
+
+
+def test_scan_blocks_end_at_segment_edges(monkeypatch):
+    from ova360 import primality
+
+    kernel = goldbach._block_smallest_p
+    read = []
+
+    def spy(first, last, window, off, primes, every, probe_n):
+        read.append((first, last))
+        return kernel(first, last, window, off, primes, every, probe_n)
+
+    monkeypatch.setattr(goldbach, "_block_smallest_p", spy)
+    # small blocks only over small segments: a default segment holds
+    # about 2^18 blocks of 3 evens
+    cases = [(segment_odds, block) for segment_odds in (1, 7, 180, 1000)
+             for block in (3, 64, goldbach.BLOCK_EVENS)]
+    for segment_odds, block in [*cases, (primality.SEGMENT_ODDS, goldbach.BLOCK_EVENS)]:
+        monkeypatch.setattr(primality, "SEGMENT_ODDS", segment_odds)
+        monkeypatch.setattr(goldbach, "BLOCK_EVENS", block)
+        edge = 2 * segment_odds * 3 + 2
+        for limit in (6, 8, 100, edge - 2, edge, edge + 2, 1000):
+            want = _scan_block_edges(limit, block, segment_odds)
+            got = []
+            read.clear()
+            scan(limit, on_block=lambda first, best: got.append(
+                (first, first + 2 * (best.size - 1))))
+            assert got == read == want, (segment_odds, block, limit)
+            read.clear()
+            scan(limit)
+            assert read == want, (segment_odds, block, limit)
 
 
 def test_scan_blocks_consistent():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ova360 import goldens, landau
-from ova360.errors import BoundError, DomainError, UnknownOva
+from ova360.errors import BoundError, DomainError, GoldenDataError, UnknownOva
 from ova360.landau import (
     enumerate_k2_plus_1,
     golden_161_rows,
@@ -123,12 +125,45 @@ def test_diff_report():
     assert 341 in d.missing_from_computed  # first hit 16901 > 2000
 
 
+def test_golden_loaders_skip_blank_lines_and_reject_malformed_ones(tmp_path,
+                                                                   monkeypatch):
+    monkeypatch.setenv("OVA360_GOLDEN", str(tmp_path))
+    files = {"ints.txt": "1\n\n 2 \n", "bits.txt": "01\n\n10\n",
+             "pairs.txt": "1,2\n\n3,4\n", "bad_int.txt": "1\nx\n",
+             "bad_bits.txt": "01\n02\n", "ragged.txt": "01\n011\n",
+             "bad_pair.txt": "1,2\n3\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert goldens.load_int_lines("ints.txt") == (1, 2)
+    assert goldens.load_bit_rows("bits.txt") == ((0, 1), (1, 0))
+    assert goldens.load_pairs("pairs.txt") == ((1, 2), (3, 4))
+    for load, name, msg in (
+            (goldens.load_int_lines, "bad_int.txt", "bad line 'x'"),
+            (goldens.load_bit_rows, "bad_bits.txt", "bad bit row '02'"),
+            (goldens.load_bit_rows, "ragged.txt", "ragged rows"),
+            (goldens.load_pairs, "bad_pair.txt", "bad pair '3'"),
+            (goldens.load_int_lines, "missing.txt", "cannot read golden file")):
+        with pytest.raises(GoldenDataError, match=msg):
+            load(name)
+
+
 def test_families_all_verify_on_load():
     fams = link_families()
     assert len(fams) == 54
     assert {f.ova for f in fams} == set(golden_landau_residues())
     for f in fams:
         f.verify()  # idempotent; load already did this
+    # a slip in any coefficient breaks one identity
+    f = fams[0]
+    slips = [({"C": f.C + 1}, "value != k"),
+             ({"a_k": 1, "A": 1, "B": 2 * f.b_k}, "quadratic part not 0 mod 360"),
+             ({"ova": f.ova + 2}, "C != ova mod 360"),
+             ({"a_n": f.a_n + 1}, "n-form disagrees"),
+             ({"gamma0": f.gamma0 + 1}, "gamma0 inconsistent"),
+             ({"c_n": (f.C - f.ova) // 360 + 1, "gamma0": -1}, "gamma0 inconsistent")]
+    for change, msg in slips:
+        with pytest.raises(GoldenDataError, match=msg):
+            dataclasses.replace(f, **change).verify()
 
 
 def test_family_labels_sorted_and_unique():

@@ -97,12 +97,18 @@ def test_determinant_oracle_numpy():
     rng = np.random.default_rng(360)
     from ova360.matrix import _bareiss_determinant
 
+    # a zero first column, a row swap, and a column left with no pivot
+    # by the first step: a column with no pivot returns 0 at once
+    cases = [np.array([[0, 1, 2], [0, 3, 4], [0, 5, 7]]),
+             np.array([[0, 1, 2], [3, 4, 5], [0, 0, 6]]),
+             np.array([[1, 2, 3, 4], [2, 4, 5, 6], [3, 6, 7, 9], [1, 2, 0, 1]])]
     for _ in range(25):
         n = int(rng.integers(1, 7))
-        a = rng.integers(-4, 5, size=(n, n))
+        cases.append(rng.integers(-4, 5, size=(n, n)))
+    for a in cases:
         got = _bareiss_determinant(tuple(map(tuple, a.tolist())))
         want = round(float(np.linalg.det(a)))
-        assert got == want
+        assert got == want, a
 
 
 def test_zero_matrix_singular():
@@ -274,6 +280,11 @@ def test_residue_counts_at_the_fourth_root_cut(reference_residue_counts):
         for x in (k**4 - 1, k**4, k**4 + 1):
             assert max(matrix._iroot(x, 4), 13) == max(k - (x < k**4), 13), x
             assert residue_counts(x) == reference_residue_counts(x), x
+    # past float precision x ** (1/k) rounds low, and _iroot steps up
+    for k, y in ((3, 10**16), (4, 10**17 + 1)):
+        assert round((y**k) ** (1 / k)) < y
+        for x in (y**k - 1, y**k, y**k + 1):
+            assert matrix._iroot(x, k) == y - (x < y**k), (k, x)
 
 
 def test_residue_counts_at_prime_squares(reference_residue_counts):

@@ -203,6 +203,8 @@ def test_scan_exponents_counts():
 def test_scan_exponents_bound():
     with pytest.raises(BoundError):
         scan_exponents(mersenne.MAX_SCAN_EXPONENT + 1)
+    with pytest.raises(DomainError, match=">= 2"):
+        scan_exponents(1)
 
 
 def test_scan_and_singular_check_match_sympy_at_every_max_p(reference_lucas_lehmer):
@@ -262,6 +264,8 @@ def test_singular_class_check():
     assert r.residue7_exponents == (3,)
     assert set(r.residues_observed) == {3, 7, 31, 127, 247, 271}
     assert singular_class_check(3).holds
+    with pytest.raises(DomainError, match=">= 3"):
+        singular_class_check(2)
 
 
 def test_period_12_law():

@@ -345,6 +345,10 @@ def test_interval_gap_values():
     # distance from (n+1)!+n+1 to (n+2)!+2
     assert interval_gap(1) == 4 - 1 + 1  # 4, next interval starts at 8
     assert interval_gap(5) == 36 * 120 - 4
+    with pytest.raises(DomainError):
+        interval_gap(0)
+    with pytest.raises(BoundError, match="factorial bound 40"):
+        interval_gap(41)
 
 
 @given(st.integers(min_value=1, max_value=40))

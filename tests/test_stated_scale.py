@@ -40,6 +40,10 @@ _DIGESTS = [
     ("goldbach_witnesses_2e6",
      ["goldbach", "scan", "--limit", "2000000", "--emit-witnesses", "{file}"],
      "9fe9b5fa90274881b7e3bb3494bd6735030647b7c04612fbf8ebbe52cead1809"),
+    # four segments of the odds, so blocks end at three segment edges
+    ("goldbach_witnesses_1e7",
+     ["goldbach", "scan", "--limit", "10000000", "--emit-witnesses", "{file}"],
+     "9fe85316847b887f72d321df6880b1c23768b6e02e109c492aa519e5866e77b6"),
     # MAX_FAMILY_ALPHAS alphas just below MAX_FAMILY_ALPHA
     ("landau_family_37_plain",
      ["landau", "family", "--ova", "37", "--alpha", "9990000..9999999"],
