@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import goldbach, goldens, landau, matrix, mersenne, ova, primality, render
-from .errors import BoundError, CounterexampleFound, DomainError, OvaError
+from .errors import CounterexampleFound, DomainError, OvaError, check_range
 
 _FORMATS = ("plain", "csv", "json")
 # `ova360 --help` prints this text; it is pinned by digest, so it is kept
@@ -193,9 +193,8 @@ def _cmd_genfunc(args):
 def _cmd_goldbach_scan(args):
     if args.emit_witnesses:
         goldbach.check_scan_limit(args.limit)  # before the file is created
-        if args.limit > goldbach.MAX_WITNESS_LIMIT:
-            raise BoundError(f"limit {args.limit} exceeds witness file bound "
-                             f"{goldbach.MAX_WITNESS_LIMIT}")
+        check_range("limit", args.limit, high=goldbach.MAX_WITNESS_LIMIT,
+                    bound="witness file bound")
         path = args.emit_witnesses
         try:
             fh = open(path, "w", encoding="ascii")

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BoundError, CounterexampleFound, DomainError
+from .errors import CounterexampleFound, DomainError, check_range
 from .ova import MODULUS, decompose, residue_sets
 from .primality import (
     MAX_CONSTRUCT_N,
@@ -143,9 +143,9 @@ class CombinationReport:
     hits: tuple[int, ...]
 
 
-def _check_even(n: int, minimum: int) -> None:
+def _check_even(name: str, n: int, minimum: int) -> None:
     if n % 2 != 0 or n < minimum:
-        raise DomainError(f"n must be even and >= {minimum}, got {n}")
+        raise DomainError(f"{name} must be even and >= {minimum}, got {n}")
 
 
 def _smallest_p_from(n: int, p0: int) -> int:
@@ -161,9 +161,8 @@ def decompose_even(n: int) -> GoldbachWitness:
     p is found by trial from 3, one is_prime_big(n - p) a step, so n
     past MAX_CONSTRUCT_N raises BoundError before any test.
     """
-    _check_even(n, 6)
-    if n > MAX_CONSTRUCT_N:
-        raise BoundError(f"n {n} exceeds construction bound {MAX_CONSTRUCT_N}")
+    _check_even("n", n, 6)
+    check_range("n", n, high=MAX_CONSTRUCT_N, bound="construction bound")
     p = _smallest_p_from(n, 3)
     if not p:
         raise CounterexampleFound(f"no Goldbach decomposition of {n}")
@@ -172,9 +171,8 @@ def decompose_even(n: int) -> GoldbachWitness:
 
 def check_scan_limit(limit: int) -> None:
     """Raise unless limit is a valid scan limit: even, >= 6, in bound."""
-    _check_even(limit, 6)
-    if limit > MAX_SCAN_LIMIT:
-        raise BoundError(f"limit {limit} exceeds scan bound {MAX_SCAN_LIMIT}")
+    _check_even("limit", limit, 6)
+    check_range("limit", limit, high=MAX_SCAN_LIMIT, bound="scan bound")
 
 
 def scan(
@@ -448,9 +446,8 @@ def _peel_plan(dense: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...
 def bertrand_construction(n: int) -> BertrandConstruction:
     """Largest prime rho_f in [n/2, n-2), with f and k solved from
     rho_f = n - (2f+1) and the parity-split k formula."""
-    _check_even(n, 8)
-    if n > MAX_CONSTRUCT_N:
-        raise BoundError(f"n {n} exceeds construction bound {MAX_CONSTRUCT_N}")
+    _check_even("n", n, 8)
+    check_range("n", n, high=MAX_CONSTRUCT_N, bound="construction bound")
     half = n // 2
     rho_f = None
     for c in range(n - 3, half - 1, -1):
@@ -533,9 +530,8 @@ def interval_sum_check(n: int) -> IntervalSumReport:
     a call takes 2 ms at 4e4, 0.03-0.05 s at 1e6, and 0.31-0.34 s with
     43 MB peak RSS (VmHWM) at MAX_INTERVAL_SUM_N = 1e7.
     """
-    _check_even(n, 12)
-    if n > MAX_INTERVAL_SUM_N:
-        raise BoundError(f"n {n} exceeds interval-sum bound {MAX_INTERVAL_SUM_N}")
+    _check_even("n", n, 12)
+    check_range("n", n, high=MAX_INTERVAL_SUM_N, bound="interval-sum bound")
     half = n // 2
     primes = sieve_primes(n)
     sampled, pairs, filled, violations = (n - 2) // 4, 0, 0, []
@@ -582,17 +578,15 @@ def symmetric_pair_check(n: int) -> SymmetricPairReport:
     and peaks at 65 MB RSS (VmHWM) on a 2-core x86-64 VM; 1e9 would
     take 2.9 s and 307 MB, most of it the 250 MB copy and the 2.27M k.
     """
-    _check_even(n, 6)
-    if n > MAX_SYMMETRIC_N:
-        raise BoundError(f"n {n} exceeds symmetric-pair bound {MAX_SYMMETRIC_N}")
+    _check_even("n", n, 6)
+    check_range("n", n, high=MAX_SYMMETRIC_N, bound="symmetric-pair bound")
     ks = _symmetric_ks(n).tolist()
     return SymmetricPairReport(n, bool(ks), tuple(ks))
 
 
 def average_of_two_primes(m: int) -> tuple[int, int]:
     """Primes (p, q) with p + q = 2m; the m=2 case uses (2, 2)."""
-    if m < 2:
-        raise DomainError(f"m must be >= 2, got {m}")
+    check_range("m", m, 2)
     if m == 2:
         return (2, 2)
     w = decompose_even(2 * m)

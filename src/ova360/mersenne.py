@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from . import goldens
-from .errors import BoundError, DomainError, NotMersennePrime
+from .errors import DomainError, GoldenDataError, NotMersennePrime, check_range
 from .ova import MODULUS, residue_sets
 from .primality import is_prime, is_prime_big, sieve_primes
 
@@ -226,8 +226,7 @@ def k_sequence(class_label, indices: Iterable[int]) -> list[KSequenceEntry]:
                 + (" (index 1 gives the degenerate exponent 1)"
                    if label is MersenneClass.CLASS_271 else "")
             )
-        if i > MAX_KSEQ_INDEX:
-            raise BoundError(f"index {i} exceeds bound {MAX_KSEQ_INDEX}")
+        check_range("index", i, high=MAX_KSEQ_INDEX)
         exponent = 12 * i - offset
         num = (1 << (exponent - 3)) - t
         if num % 45 != 0:
@@ -270,9 +269,7 @@ def lucas_lehmer(p: int) -> bool:
     2**p - 1 by folding the high bits (s & m) + (s >> p), which keeps
     every intermediate below 2m.
     """
-    if p > MAX_LL_EXPONENT:
-        raise BoundError(
-            f"exponent {p} exceeds Lucas-Lehmer bound {MAX_LL_EXPONENT}")
+    check_range("exponent", p, high=MAX_LL_EXPONENT, bound="Lucas-Lehmer bound")
     if p == 2 or not is_prime(p):
         raise DomainError(f"exponent {p} must be an odd prime")
     m = (1 << p) - 1
@@ -297,11 +294,7 @@ def scan_exponents(max_p: int) -> ScanReport:
     e >= 5 coprime to 6; skipped_by_class counts the composite members
     up to max_p, discarded without a test.
     """
-    if max_p < 2:
-        raise DomainError(f"max_p must be >= 2, got {max_p}")
-    if max_p > MAX_SCAN_EXPONENT:
-        raise BoundError(
-            f"max_p {max_p} exceeds exponent scan bound {MAX_SCAN_EXPONENT}")
+    check_range("max_p", max_p, 2, MAX_SCAN_EXPONENT, "exponent scan bound")
     primes = sieve_primes(max_p).tolist()
     found = [p for p in primes if
              (is_prime_big((1 << p) - 1) if p <= 3 else lucas_lehmer(p))]
@@ -323,8 +316,7 @@ def singular_class_check(max_p: int) -> SingularReport:
     2-core x86-64 VM, where one pow per Python int took 6.6-7.3 s and
     298 MB.
     """
-    if max_p < 3:
-        raise DomainError(f"max_p must be >= 3, got {max_p}")
+    check_range("max_p", max_p, 3)
     primes = sieve_primes(max_p)
     seen = np.zeros(MODULUS, dtype=bool)
     r3, r7 = [], []
@@ -356,15 +348,13 @@ def known_exponents() -> tuple[int, ...]:
 
 
 def _sum_exponents(num_terms: int) -> tuple[int, ...]:
-    """The first num_terms known exponents; BoundError unless 1 <=
-    num_terms <= MAX_SUM_TERMS and the list has that many."""
+    """The first num_terms known exponents, for 1 <= num_terms <=
+    MAX_SUM_TERMS; GoldenDataError if the list is shorter."""
+    check_range("num_terms", num_terms, 1, MAX_SUM_TERMS)
     known = known_exponents()
-    if not 1 <= num_terms <= len(known):
-        raise BoundError(
-            f"num_terms must be in [1, {len(known)}], got {num_terms}"
-        )
-    if num_terms > MAX_SUM_TERMS:
-        raise BoundError(f"num_terms {num_terms} exceeds bound {MAX_SUM_TERMS}")
+    if num_terms > len(known):
+        raise GoldenDataError(f"mersenne_exponents.txt lists {len(known)} "
+                              f"exponents, fewer than num_terms {num_terms}")
     return known[:num_terms]
 
 
@@ -377,11 +367,7 @@ def inverse_sum(num_terms: int, precision_digits: int) -> str:
     the sum is built.
     """
     _sum_exponents(num_terms)
-    if not 1 <= precision_digits <= MAX_SUM_DIGITS:
-        raise BoundError(
-            f"precision_digits must be in [1, {MAX_SUM_DIGITS}], "
-            f"got {precision_digits}"
-        )
+    check_range("precision_digits", precision_digits, 1, MAX_SUM_DIGITS)
     total = inverse_sum_fraction(num_terms)
     scaled = (total.numerator * 10**precision_digits) // total.denominator
     digits = str(scaled).rjust(precision_digits, "0")

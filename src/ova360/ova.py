@@ -18,7 +18,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import BoundError, DomainError
+from .errors import DomainError, check_range
 from .primality import _check_sieve_limit, is_prime_big, sieve_primes
 
 MODULUS = 360
@@ -85,8 +85,7 @@ def decompose(value: int) -> OvaDecomposition:
     Multiples of 360 are rejected: no prime is one, and residue 0 is
     outside the convention used everywhere else in the package.
     """
-    if value < 1:
-        raise DomainError(f"value must be >= 1, got {value}")
+    check_range("value", value, 1)
     if value % MODULUS == 0:
         raise DomainError(f"value {value} is a multiple of {MODULUS}")
     return OvaDecomposition(value, value % MODULUS, value // MODULUS)
@@ -210,8 +209,7 @@ def germain_residues(limit: int) -> frozenset[int]:
     class raises AssertionError. limit past MAX_STREAM_LIMIT raises
     BoundError before anything is sieved.
     """
-    if limit < 7:
-        raise DomainError(f"limit must be >= 7, got {limit}")
+    check_range("limit", limit, 7)
     _check_sieve_limit(limit)
     ps = sieve_primes(min(limit, _SAFE_PREFIX))
     # both ascending, so assume_unique: that skips np.unique, whose
@@ -254,10 +252,7 @@ def genfunc_coefficients(family, count: int, reduce: bool = True) -> list[int]:
     included, in every format at MAX_GENFUNC_COUNT = 1e6. A count past
     it raises BoundError before any coefficient is computed.
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
-    if count > MAX_GENFUNC_COUNT:
-        raise BoundError(f"count {count} exceeds bound {MAX_GENFUNC_COUNT}")
+    check_range("count", count, 1, MAX_GENFUNC_COUNT)
     num, den = _GENFUNC[_coerce_family(family)]
     d = len(den) - 1
     terms = [(i, -c) for i, c in enumerate(den) if i and c]

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BoundError, CounterexampleFound, DomainError
+from .errors import BoundError, CounterexampleFound, DomainError, check_range
 
 # The stream holds one segment, so time, not memory, bounds it. On a
 # 2-core x86-64 VM, `dirichlet --all` takes 0.28-0.39 s at 1e10 and
@@ -114,10 +114,7 @@ SEGMENT_ODDS = 180 << 13
 
 
 def _check_sieve_limit(limit: int) -> None:
-    if limit < 1:
-        raise DomainError(f"limit must be >= 1, got {limit}")
-    if limit > MAX_STREAM_LIMIT:
-        raise BoundError(f"limit {limit} exceeds sieve bound {MAX_STREAM_LIMIT}")
+    check_range("limit", limit, 1, MAX_STREAM_LIMIT, "sieve bound")
 
 
 @lru_cache(maxsize=16)
@@ -269,10 +266,7 @@ def odd_prime_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
 
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, as an int64 array. limit >= 0."""
-    if limit < 0:
-        raise DomainError(f"limit must be >= 0, got {limit}")
-    if limit > MAX_PRIME_LIST_LIMIT:
-        raise BoundError(f"limit {limit} exceeds prime list bound {MAX_PRIME_LIST_LIMIT}")
+    check_range("limit", limit, 0, MAX_PRIME_LIST_LIMIT, "prime list bound")
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     # pi(x) < 1.25506 x / ln x for x > 1 (Rosser & Schoenfeld 1962); the
@@ -412,10 +406,7 @@ def composite_interval(n: int, verify: bool = False) -> CompositeInterval:
     composite. With verify=True each member is also primality-tested
     and a prime member raises CounterexampleFound.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if n > MAX_FACTORIAL_N:
-        raise BoundError(f"n {n} exceeds factorial bound {MAX_FACTORIAL_N}")
+    check_range("n", n, 1, MAX_FACTORIAL_N, "factorial bound")
     f = math.factorial(n + 1)
     interval = CompositeInterval(n, f + 2, f + n + 1)
     if verify:
@@ -429,10 +420,7 @@ def interval_gap(n: int) -> int:
     """Length (n+1)**2 * n! - n + 1 of the prime-possible gap between
     consecutive factorial composite intervals; cross-checked against
     the literal endpoint difference."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if n > MAX_FACTORIAL_N:
-        raise BoundError(f"n {n} exceeds factorial bound {MAX_FACTORIAL_N}")
+    check_range("n", n, 1, MAX_FACTORIAL_N, "factorial bound")
     gap = (n + 1) ** 2 * math.factorial(n) - n + 1
     low_next = math.factorial(n + 2) + 2
     high_this = math.factorial(n + 1) + n + 1
@@ -446,10 +434,7 @@ def interval_gap(n: int) -> int:
 def bertrand_prime(n: int) -> int:
     """Smallest prime strictly between n and 2n (n >= 2); n past
     MAX_CONSTRUCT_N raises BoundError before any test."""
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
-    if n > MAX_CONSTRUCT_N:
-        raise BoundError(f"n {n} exceeds construction bound {MAX_CONSTRUCT_N}")
+    check_range("n", n, 2, MAX_CONSTRUCT_N, "construction bound")
     for c in range(n + 1, 2 * n):
         if is_prime_big(c):
             return c

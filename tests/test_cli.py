@@ -858,6 +858,34 @@ def test_mersenne_constant_terms_bound_exits_1(capsys, monkeypatch):
                        str(mersenne.MAX_SUM_TERMS + 1), "--digits", "10")
     assert (rc, out) == (1, "")
     assert "exceeds bound" in err
+    for terms, digits, line in (
+            (0, 10, "num_terms must be >= 1, got 0"),
+            (52, 10, "num_terms 52 exceeds bound 30"),
+            (2, 0, "precision_digits must be >= 1, got 0"),
+            (2, 201, "precision_digits 201 exceeds bound 200")):
+        assert run(capsys, "mersenne", "constant", "--terms", str(terms),
+                   "--digits", str(digits)) == (1, "", f"error: {line}\n")
+
+
+def test_mersenne_constant_terms_past_a_short_golden_list(capsys, monkeypatch,
+                                                         tmp_path):
+    from ova360 import mersenne
+
+    (tmp_path / "mersenne_exponents.txt").write_text("2\n3\n5\n")
+    monkeypatch.setenv("OVA360_GOLDEN", str(tmp_path))
+    caches = (mersenne.known_exponents, mersenne.inverse_sum_fraction)
+    for f in caches:
+        f.cache_clear()
+    try:
+        assert run(capsys, "mersenne", "constant", "--terms", "3",
+                   "--digits", "10") == (0, "0.5084485407\n", "")
+        assert run(capsys, "mersenne", "constant", "--terms", "4",
+                   "--digits", "10") == (
+            1, "", "error: mersenne_exponents.txt lists 3 exponents, "
+                   "fewer than num_terms 4\n")
+    finally:
+        for f in caches:
+            f.cache_clear()
 
 
 @pytest.mark.parametrize("argv", [

@@ -841,6 +841,26 @@ def test_average_of_two_primes():
         average_of_two_primes(1)
 
 
+@pytest.mark.parametrize("check, value, error, message", [
+    (decompose_even, 4, DomainError, "n must be even and >= 6, got 4"),
+    # a 301-digit bound would make a 301-digit test id
+    pytest.param(decompose_even, goldbach.MAX_CONSTRUCT_N + 2, BoundError,
+                 f"n {goldbach.MAX_CONSTRUCT_N + 2} exceeds construction bound "
+                 f"{goldbach.MAX_CONSTRUCT_N}", id="decompose_even-past"),
+    (interval_sum_check, 10, DomainError, "n must be even and >= 12, got 10"),
+    (interval_sum_check, goldbach.MAX_INTERVAL_SUM_N + 2, BoundError,
+     "n 10000002 exceeds interval-sum bound 10000000"),
+    (symmetric_pair_check, 4, DomainError, "n must be even and >= 6, got 4"),
+    (symmetric_pair_check, goldbach.MAX_SYMMETRIC_N + 2, BoundError,
+     "n 100000002 exceeds symmetric-pair bound 100000000"),
+    (average_of_two_primes, 1, DomainError, "m must be >= 2, got 1"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_range_checks_name_the_value_and_the_bound(check, value, error, message):
+    with pytest.raises(error) as info:
+        check(value)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_combination_example_large():
     r = ova_combination_check(15486059, 32452451)
     assert r.hits == (103, 163, 173, 179, 283, 341, 353)

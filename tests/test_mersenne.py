@@ -268,6 +268,17 @@ def test_singular_class_check():
         singular_class_check(2)
 
 
+@pytest.mark.parametrize("value, error, message", [
+    (2, DomainError, "max_p must be >= 3, got 2"),
+    (MAX_PRIME_LIST_LIMIT + 1, BoundError,
+     "limit 100000001 exceeds prime list bound 100000000"),
+], ids=("below", "past"))
+def test_singular_class_check_range_messages(value, error, message):
+    with pytest.raises(error) as info:
+        singular_class_check(value)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_period_12_law():
     for p in range(3, 10**4, 2):
         assert pow(2, p, 360) == pow(2, p + 12, 360), p
@@ -303,11 +314,14 @@ def test_inverse_sum_difference_is_reciprocal():
 
 
 def test_inverse_sum_bounds():
-    with pytest.raises(BoundError):
+    # below the domain is a DomainError, past a bound a BoundError
+    with pytest.raises(DomainError, match="num_terms must be >= 1, got 0"):
         inverse_sum(0, 10)
-    with pytest.raises(BoundError):
+    with pytest.raises(BoundError, match="num_terms 52 exceeds bound 30"):
         inverse_sum(52, 10)
-    with pytest.raises(BoundError):
+    with pytest.raises(DomainError, match="precision_digits must be >= 1, got 0"):
+        inverse_sum(2, 0)
+    with pytest.raises(BoundError, match="precision_digits 201 exceeds bound 200"):
         inverse_sum(2, 201)
     past = mersenne.MAX_SUM_TERMS + 1
     with pytest.raises(BoundError, match=f"num_terms {past} exceeds bound"):

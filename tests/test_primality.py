@@ -382,6 +382,18 @@ def test_bertrand_bound_fails_before_testing(monkeypatch):
         bertrand_prime(top + 1)
 
 
+@pytest.mark.parametrize("value, error, message", [
+    (1, DomainError, "n must be >= 2, got 1"),
+    (primality.MAX_CONSTRUCT_N + 1, BoundError,
+     f"n {primality.MAX_CONSTRUCT_N + 1} exceeds construction bound "
+     f"{primality.MAX_CONSTRUCT_N}"),
+], ids=("below", "past"))
+def test_bertrand_range_messages(value, error, message):
+    with pytest.raises(error) as info:
+        bertrand_prime(value)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_bertrand_exhaustive_to_1e5():
     primes = sieve_primes(2 * 10**5 + 10)
     import numpy as np

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import doctest
 import hashlib
+import os
 import re
 import shlex
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ova360 import goldbach, mersenne, primality, render
+from ova360 import goldbach, landau, matrix, mersenne, ova, primality, render
 from ova360.cli import dispatch
 
 README = Path(__file__).parents[1] / "README.md"
@@ -176,12 +177,68 @@ def test_int_text_receives_only_kernel_input(capsys, tmp_path, monkeypatch):
     # a 301-digit bound would make a 301-digit test id
     pytest.param(("goldbach", "construct", "--n"), goldbach.MAX_CONSTRUCT_N,
                  "n {} exceeds construction bound {}", id="goldbach-construct"),
+    (("goldbach", "scan", "--emit-witnesses", os.devnull, "--limit"),
+     goldbach.MAX_WITNESS_LIMIT, "limit {} exceeds witness file bound {}"),
+    (("genfunc", "--family", "full", "--count"), ova.MAX_GENFUNC_COUNT,
+     "count {} exceeds bound {}"),
+    (("germain", "--limit"), primality.MAX_STREAM_LIMIT,
+     "limit {} exceeds sieve bound {}"),
+    (("matrix", "--ova", "7", "--k"), matrix.MAX_MATRIX_K, "k {} exceeds bound {}"),
+    pytest.param(("matrix", "--ova", "7", "--k", "1", "--start"),
+                 matrix.MAX_MATRIX_START, "start {} exceeds bound {}",
+                 id="matrix-start"),
+    (("density", "--ova", "7", "--rotations"), matrix.MAX_DENSITY_ROTATIONS,
+     "rotations {} exceeds bound {}"),
+    (("dirichlet", "--all", "--x"), primality.MAX_STREAM_LIMIT,
+     "limit {} exceeds sieve bound {}"),
+    (("landau", "enumerate", "--limit"), landau.MAX_LANDAU_LIMIT,
+     "limit {} exceeds bound {}"),
+    (("landau", "residues", "--limit"), landau.MAX_LANDAU_LIMIT,
+     "limit {} exceeds bound {}"),
+    (("landau", "family", "--ova", "37", "--alpha"), landau.MAX_FAMILY_ALPHA,
+     "|alpha| {} exceeds bound {}"),
+    (("mersenne", "kseq", "--class", "31", "--from", "1", "--to"),
+     mersenne.MAX_KSEQ_INDEX, "index {} exceeds bound {}"),
+    (("mersenne", "constant", "--digits", "10", "--terms"),
+     mersenne.MAX_SUM_TERMS, "num_terms {} exceeds bound {}"),
+    (("mersenne", "constant", "--terms", "2", "--digits"),
+     mersenne.MAX_SUM_DIGITS, "precision_digits {} exceeds bound {}"),
 ])
 def test_past_bound_message_names_the_library_bound(capsys, argv, bound, message):
-    past = bound + 2  # even, for goldbach scan
+    past = bound + 1 + (argv[0] == "goldbach")  # the goldbach verbs take evens
     rc = dispatch([*argv, str(past)])
     out = capsys.readouterr()
     assert (rc, out.out, out.err) == (1, "", f"error: {message.format(past, bound)}\n")
+
+
+@pytest.mark.parametrize("argv, value, message", [
+    (("sieve", "--limit"), -1, "limit must be >= 0, got -1"),
+    (("interval", "--n"), 0, "n must be >= 1, got 0"),
+    (("classify", "--value"), 0, "value must be >= 1, got 0"),
+    (("germain", "--limit"), 6, "limit must be >= 7, got 6"),
+    (("genfunc", "--family", "full", "--count"), 0, "count must be >= 1, got 0"),
+    (("goldbach", "scan", "--limit"), 4, "limit must be even and >= 6, got 4"),
+    (("goldbach", "scan", "--limit"), 7, "limit must be even and >= 6, got 7"),
+    (("goldbach", "construct", "--n"), 7, "n must be even and >= 8, got 7"),
+    (("mersenne", "scan", "--max"), 1, "max_p must be >= 2, got 1"),
+    (("mersenne", "constant", "--digits", "10", "--terms"), 0,
+     "num_terms must be >= 1, got 0"),
+    (("mersenne", "constant", "--digits", "10", "--terms"), 52,
+     "num_terms 52 exceeds bound 30"),
+    (("mersenne", "constant", "--terms", "2", "--digits"), 0,
+     "precision_digits must be >= 1, got 0"),
+    (("landau", "enumerate", "--limit"), 1, "limit must be >= 2, got 1"),
+    (("landau", "residues", "--limit"), 1, "limit must be >= 2, got 1"),
+    (("matrix", "--ova", "7", "--k"), 0, "k must be >= 1, got 0"),
+    (("matrix", "--ova", "7", "--k", "1", "--start"), 0, "start must be >= 1, got 0"),
+    (("density", "--ova", "7", "--rotations"), 0, "rotations must be >= 1, got 0"),
+    (("dirichlet", "--all", "--x"), 999, "x must be >= 1000, got 999"),
+    (("dirichlet", "--ova", "7", "--x"), 999, "x must be >= 1000, got 999"),
+])
+def test_out_of_range_message_names_the_value(capsys, argv, value, message):
+    rc = dispatch([*argv, str(value)])
+    out = capsys.readouterr()
+    assert (rc, out.out, out.err) == (1, "", f"error: {message}\n")
 
 
 def test_readme_python_tour():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import ova360
@@ -99,3 +100,54 @@ def test_an_unread_private_name_is_found():
     }
     assert _unread_private_names(sources) == ["a.py: _WHEEL_LINES (line 3)",
                                               "b.py: _stranded (line 4)"]
+
+
+# the bound may be named in the text or passed in, as check_range does
+_RANGE_MESSAGE = re.compile(r"must be >= .*, got|exceeds .*(bound|\{\})")
+
+
+def _hand_written_range_messages(tree: ast.Module) -> list[str]:
+    """The raises of DomainError or BoundError in tree whose message
+    words one of errors.check_range's two, as 'line n: template' with
+    {} for each formatted value."""
+    found = []
+    for node in ast.walk(tree):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        func = getattr(exc, "func", None)
+        if getattr(func, "id", getattr(func, "attr", None)) not in (
+                "DomainError", "BoundError"):
+            continue
+        for part in ast.walk(exc):
+            if isinstance(part, ast.JoinedStr):
+                text = "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                               for v in part.values)
+                if _RANGE_MESSAGE.search(text):
+                    found.append(f"line {node.lineno}: {text}")
+    return found
+
+
+def test_range_messages_are_worded_in_errors_only():
+    # every below-domain and past-bound check goes through check_range
+    written = {p.name: _hand_written_range_messages(
+        ast.parse(p.read_text(encoding="utf-8"))) for p in MODULES}
+    assert len(written.pop("errors.py")) == 2
+    assert {name: found for name, found in written.items() if found} == {}
+
+
+def test_a_hand_written_range_message_is_found():
+    tree = ast.parse(
+        "from . import errors\nfrom .errors import BoundError, DomainError\n"
+        "def f(n):\n"
+        "    if n < 1: raise DomainError(f'n must be >= 1, got {n}')\n"
+        "    if n > 9:\n"
+        "        raise errors.BoundError(\n"
+        "            f'n {n} exceeds scan '\n"
+        "            f'bound {9}')\n"
+        "    if n % 2: raise DomainError(f'n must be even and >= 6, got {n}')\n"
+        "    if n > 8: raise BoundError(f'{n} alpha values exceed bound 8')\n"
+        "    if n > 7: raise ValueError(f'n {n} exceeds bound 7')\n"
+        "    if n > 6: raise BoundError(f'n {n} exceeds {n}')\n"
+        "    raise DomainError('--to must be >= --from')\n")
+    assert _hand_written_range_messages(tree) == [
+        "line 4: n must be >= 1, got {}", "line 6: n {} exceeds scan bound {}",
+        "line 12: n {} exceeds {}"]
