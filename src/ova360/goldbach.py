@@ -34,9 +34,9 @@ from .primality import (
 # The scan streams the primes, so time, not memory, bounds it: see scan.
 MAX_SCAN_LIMIT = 10**9
 # Largest limit for the CLI's witness file, one row per even n: on a
-# 2-core x86-64 VM `goldbach scan --emit-witnesses` to a file on disk
-# took 7.0-8.2 s for the 2,164,752,254 bytes at 2e8, peaking at 42.5 MB
-# RSS, and 13.0 s for 3,304,266,132 bytes at 3e8.
+# 2-core x86-64 VM `goldbach scan --emit-witnesses` to a file on disk,
+# start-up included, took 9.2-9.5 s for the 2,164,752,254 bytes at 2e8,
+# peaking at 43.1 MB RSS, and 11.0 s for 3,304,266,132 bytes at 3e8.
 MAX_WITNESS_LIMIT = 2 * 10**8
 # Largest n accepted by interval_sum_check and symmetric_pair_check.
 # On a 2-core x86-64 VM interval_sum_check(1e7) takes 0.31-0.34 s and
@@ -192,8 +192,8 @@ def scan(
     x86-64 VM `ova360 goldbach scan --limit 100000000` takes 0.34-0.36
     s and peaks at 35 MB RSS, interpreter and numpy included, and at
     MAX_SCAN_LIMIT = 1e9 it takes 2.4-2.7 s and 36 MB. With
-    --emit-witnesses at MAX_WITNESS_LIMIT = 2e8 it takes 7.0-8.2 s and
-    42.5 MB.
+    --emit-witnesses at MAX_WITNESS_LIMIT = 2e8 it takes 9.2-9.5 s and
+    43.1 MB to a file on disk, and 6.5-7.5 s to /dev/null.
 
     The report also carries a four-odd-primes spot witness for the
     largest even n >= 12 in range, built as 3 + 3 + p + q from the

@@ -218,7 +218,7 @@ def k_sequence(class_label, indices: Iterable[int]) -> list[KSequenceEntry]:
         raise DomainError(f"{label.value} has no K-sequence")
     offset, t = _CLASS_SEQ[label]
     first = 2 if label is MersenneClass.CLASS_271 else 1
-    out = []
+    checked = []  # every index, before any entry is built
     for i in indices:
         if i < first:
             raise DomainError(
@@ -227,6 +227,9 @@ def k_sequence(class_label, indices: Iterable[int]) -> list[KSequenceEntry]:
                    if label is MersenneClass.CLASS_271 else "")
             )
         check_range("index", i, high=MAX_KSEQ_INDEX)
+        checked.append(i)
+    out = []
+    for i in checked:
         exponent = 12 * i - offset
         num = (1 << (exponent - 3)) - t
         if num % 45 != 0:

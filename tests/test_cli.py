@@ -637,6 +637,26 @@ def test_mersenne_kseq(capsys):
     assert rc == 1 and "unknown Mersenne class '99'" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--class", "31", "--from", "1", "--to", "2001"),
+     "index 2001 exceeds bound 2000"),
+    (("--class", "31", "--from", "1", "--to", "100000"),
+     "index 2001 exceeds bound 2000"),
+    (("--class", "271", "--from", "1", "--to", "5"),
+     "Class271 index starts at 2, got 1 (index 1 gives the degenerate "
+     "exponent 1)"),
+])
+def test_mersenne_kseq_range_fails_before_any_entry(capsys, monkeypatch,
+                                                     argv, message):
+    # the stderr line names the first index out of range, and no entry
+    # of the indices before it is built
+    def no_entry(*args):
+        raise AssertionError("an entry was built")
+
+    monkeypatch.setattr(mersenne, "KSequenceEntry", no_entry)
+    assert run(capsys, "mersenne", "kseq", *argv) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
 @pytest.mark.parametrize("klass", ["31", "127", "247", "271"])
 def test_mersenne_kseq_renders_at_index_bound(capsys, klass, fmt):

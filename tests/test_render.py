@@ -114,6 +114,44 @@ def test_int_text_short_last_part_leaks_no_stale_row(chunk, monkeypatch,
                                 reference_int_text)
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_int_text_lays_out_each_part_at_its_widths(chunk, monkeypatch,
+                                                   reference_int_text):
+    # a part whose values in a column share d >= 4 digits writes that
+    # column at width d; any other column is NUL-padded and translated
+    monkeypatch.setattr(render, "EMIT_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for k in range(1, 19):
+        # ascending across 10^k at a part edge, and inside the first part
+        at_edge = np.arange(10**k - chunk, 10**k + 2 * chunk)
+        inside = at_edge + chunk // 2
+        steady = rng.integers(10**8, 10**9, at_edge.size)
+        _kernel_matches_oracles([at_edge], ["\n"], chunk, reference_int_text)
+        _kernel_matches_oracles([steady, inside, at_edge], [",", ";", "\n"],
+                                chunk, reference_int_text)
+    # one column's widths vary from row to row, the others' do not
+    size = 3 * chunk + 1
+    vary = 10 ** rng.integers(0, 19, size) - rng.integers(0, 2, size)
+    for i in range(3):
+        cols = [rng.integers(10**8, 10**9, size), rng.integers(10**4, 10**5, size)]
+        cols.insert(i, vary)
+        _kernel_matches_oracles(cols, [",", ",", "\n"], chunk, reference_int_text)
+
+
+@pytest.mark.parametrize("edge", [10**4, 10**6, 10**8])
+def test_witness_rows_where_q_changes_width(edge, reference_witness_rows):
+    # n, then q = n - p a few rows later, cross 10^k: inside a part and,
+    # for some part sizes, at its edge
+    rng = np.random.default_rng(edge)
+    best = rng.choice([3, 5, 7, 11, 13, 17, 19, 23], 64)
+    best[::9] = 0  # an n without a witness is left out
+    first = edge - 60
+    for chunk in (1, 2, 7, 16, render.EMIT_CHUNK):
+        with mock.patch.object(render, "EMIT_CHUNK", chunk):
+            rows = b"".join(render.witness_rows(first, best))
+            assert rows == reference_witness_rows(first, best).encode("ascii")
+
+
 @given(first=st.integers(3, 10**6).map(lambda x: 2 * x),
        fractions=st.lists(st.floats(0, 1), max_size=30))
 @settings(max_examples=100, deadline=None)

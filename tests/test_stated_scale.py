@@ -1,10 +1,11 @@
 """The SHA-256 of the CLI's output at its stated scales, each verb run
-in a fresh interpreter: the byte-identity check a refactor of the scans
-is held to. Marked stated_scale, which tier-1 deselects (pyproject's
-addopts); `python -m pytest -m stated_scale` runs them, and the class
-counts at 367^4 in tests/test_matrix.py, in about 22 s on a 2-core
-VM. A digest that changes with a named behaviour change is updated
-with it."""
+in a fresh interpreter, and of the witness rows at the witness file's
+bound, hashed in-process: the byte-identity check a refactor of the
+scans or the decimal kernel is held to. Marked stated_scale, which
+tier-1 deselects (pyproject's addopts); `python -m pytest -m
+stated_scale` runs them, and the class counts at 367^4 in
+tests/test_matrix.py, in about 24 s on a 2-core VM. A digest that
+changes with a named behaviour change is updated with it."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import ova360
+from ova360 import goldbach, render
 
 # id, argv and the sha256 of stdout, or of the file that "{file}" names
 _DIGESTS = [
@@ -82,3 +84,16 @@ def test_output_at_stated_scale_matches_digest(tmp_path, argv, digest):
                               env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr.decode()
     assert _sha256(file if file.exists() else stdout) == digest
+
+
+@pytest.mark.stated_scale
+def test_witness_rows_at_the_witness_bound_match_digest():
+    # the rows of `goldbach scan --limit 2e8 --emit-witnesses`, hashed
+    # in-process as the scan makes them (the 2.16 GB file is not
+    # written): its 9-digit n and q and the 10^8 crossing reach widths
+    # the digests above do not
+    h = hashlib.sha256(b"n,p,q\n")
+    goldbach.scan(2 * 10**8, on_block=lambda first, best: [
+        h.update(part) for part in render.witness_rows(first, best)])
+    assert h.hexdigest() == (
+        "49861e83eab505cc58fb52b2699b8c99192e23ae702185b60718c71a9294e620")
